@@ -1,22 +1,5 @@
-"""Select the integer-matrix kernel implementation at import time.
+"""The integer-matrix kernel the package runs on, and its label."""
 
-The compiled twin (prolim._intkernel_c, built by Cython from the same
-source file) is preferred when present; PROLIM_PURE=1 forces the
-interpreted module.  Both expose identical names and semantics.
-"""
+from prolim import _intkernel as kernel
 
-import os
-
-if os.environ.get("PROLIM_PURE"):
-    from prolim import _intkernel as kernel
-
-    BACKEND = "pure"
-else:
-    try:
-        from prolim import _intkernel_c as kernel  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from prolim import _intkernel as kernel
-
-        BACKEND = "pure"
+BACKEND = "pure"

@@ -2,9 +2,8 @@
 
 Everything here works on plain lists of lists of Python ints (rows), so
 arbitrary precision is preserved throughout.  This module is the hot inner
-loop of the whole package; it is deliberately free of imports from the rest
-of the package so the same source can be compiled standalone (see
-prolim._backend).
+loop of the whole package and imports nothing from the rest of it; the
+other modules reach it through prolim._backend.
 """
 
 
@@ -14,10 +13,6 @@ def identity_matrix(n):
 
 def zero_matrix(m, n):
     return [[0] * n for _ in range(m)]
-
-
-def mat_copy(a):
-    return [row[:] for row in a]
 
 
 def mat_mul(a, b):
@@ -46,10 +41,6 @@ def mat_vec(a, v):
                 s += c * x
         out.append(s)
     return out
-
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def smith_with_transforms(a):
@@ -242,21 +233,6 @@ def kernel_columns(a):
         if d[i][i]:
             r += 1
     return [[v[row][j] for row in range(n)] for j in range(r, n)]
-
-
-def column_lattice_basis(a):
-    """Basis (list of columns) of the lattice spanned by the columns of a."""
-    m = len(a)
-    if m == 0:
-        return []
-    _u, d, _v, uinv, _vinv = smith_with_transforms(a)
-    n = len(a[0])
-    out = []
-    for i in range(min(m, n)):
-        di = d[i][i]
-        if di:
-            out.append([di * uinv[r][i] for r in range(m)])
-    return out
 
 
 def det_via_smith(a):

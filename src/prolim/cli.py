@@ -40,10 +40,9 @@ def load_document(path):
 
 
 def parse_system(doc, key="system"):
-    try:
-        return invsys.InverseSystem.from_json(doc[key])
-    except KeyError as exc:
-        raise InputError(f"missing field {key!r}") from exc
+    if key not in doc:
+        raise InputError(f"missing field {key!r}")
+    return invsys.InverseSystem.from_json(doc[key])
 
 
 def _report(command, doc, verdict):
@@ -116,6 +115,8 @@ def cmd_metric(args):
 
 
 def cmd_dense(args):
+    if args.budget < 1:
+        raise InputError(f"--budget must be >= 1, got {args.budget}")
     doc = load_document(args.file)
     s = parse_system(doc)
     fam = prospace.dense_family(s, args.budget, cap=args.cap)

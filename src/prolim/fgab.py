@@ -147,15 +147,6 @@ class FgAbGroup:
                 yield x
             return
         r = self.free_rank
-
-        def ordered_ints():
-            yield 0
-            k = 1
-            while True:
-                yield k
-                yield -k
-                k += 1
-
         count = 0
         seen_radius = 0
         while True:
@@ -390,6 +381,16 @@ class Subgroup:
     def trivial(cls, ambient):
         return cls(ambient, [])
 
+    @classmethod
+    def torsion_block(cls, ambient):
+        """The torsion subgroup of the ambient: its torsion unit vectors."""
+        gens = []
+        for i in range(ambient.free_rank, ambient.dim):
+            v = [0] * ambient.dim
+            v[i] = 1
+            gens.append(tuple(v))
+        return cls(ambient, gens)
+
     def lattice_basis(self):
         """Hermite basis (list of columns) of span(generators) + relations."""
         b = self._basis
@@ -519,21 +520,6 @@ class Subgroup:
             gens.append(self.ambient.reduce(vec))
         return Subgroup(self.ambient, gens)
 
-    def sum_with(self, other):
-        if self.ambient != other.ambient:
-            raise InputError("subgroups of different ambient groups")
-        return Subgroup(self.ambient, list(self.generators) + list(other.generators))
-
-    def torsion_part(self):
-        """Intersection with the ambient torsion block."""
-        amb = self.ambient
-        tors_gens = []
-        for i in range(len(amb.torsion)):
-            v = [0] * amb.dim
-            v[amb.free_rank + i] = 1
-            tors_gens.append(tuple(v))
-        return self.intersection(Subgroup(amb, tors_gens))
-
     def elements(self):
         """All elements (ambient coordinates); finite subgroups only."""
         pres = self._presentation()
@@ -578,20 +564,6 @@ def kernel(h):
     gens = [src.reduce(tuple(col[:n])) for col in ker]
     sub = Subgroup(src, gens)
     return sub, sub.inclusion()
-
-
-def preimage(h, sub_of_target):
-    """Subgroup {x : h(x) in sub_of_target} of the source."""
-    src, tgt = h.source, h.target
-    n, m = src.dim, tgt.dim
-    if m == 0:
-        return Subgroup.full(src)
-    carrier = sub_of_target.lattice_basis()
-    cols = [[h.matrix[i][j] for i in range(m)] for j in range(n)] + [list(c) for c in carrier]
-    stacked = [[col[i] for col in cols] for i in range(m)]
-    ker = _k.kernel_columns(stacked)
-    gens = [src.reduce(tuple(col[:n])) for col in ker]
-    return Subgroup(src, gens)
 
 
 def quotient(ambient, sub):
@@ -745,15 +717,6 @@ def random_hom(rng, source, target, bound=3):
     return GroupHom(source, target, mat)
 
 
-def random_surjection(rng, source, target, tries=60, bound=2):
-    """Random surjective hom, or None if not found (test helper)."""
-    for _ in range(tries):
-        h = random_hom(rng, source, target, bound=bound)
-        if is_surjective(h):
-            return h
-    return None
-
-
 def _unit_factor_poly(coeffs):
     """Product of irreducible factors of an integer polynomial whose constant
     term is a unit, with multiplicity (ascending coefficients).
@@ -793,7 +756,3 @@ def eventual_image_lattice(n_mat):
     else:
         um = _k.poly_at_matrix(u, n_mat)
     return _k.kernel_columns(um)
-
-
-def doctest_namespace():
-    return {"FgAbGroup": FgAbGroup}

@@ -35,7 +35,6 @@ from prolim.fgab import (
     hom_restrict,
     image,
     kernel,
-    preimage,
     subgroup_equal,
 )
 
@@ -82,7 +81,7 @@ class InverseSystem:
     the last prefix group.
     """
 
-    __slots__ = ("prefix", "maps", "tail", "_tower_cache")
+    __slots__ = ("prefix", "maps", "tail", "_tower_cache", "_stab_cache")
 
     def __init__(self, prefix, maps, tail=None):
         prefix = tuple(prefix)
@@ -91,6 +90,7 @@ class InverseSystem:
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "_tower_cache", {})
+        object.__setattr__(self, "_stab_cache", {})  # filled by prospace
         self._validate()
 
     def __setattr__(self, name, value):
@@ -265,6 +265,8 @@ class InverseSystem:
         tobj = obj.get("tail")
         tail = None
         if tobj is not None:
+            if not isinstance(tobj, dict):
+                raise InputError(f"tail must be a JSON object or null, got {tobj!r}")
             kind = tobj.get("kind")
             if kind == "cycle":
                 groups = tuple(FgAbGroup.from_json(g) for g in tobj.get("groups", []))
@@ -282,6 +284,8 @@ class InverseSystem:
                         raise InputError(f"tail.maps[{j}]: {exc}") from exc
                 tail = CycleTail(groups, tuple(maps))
             elif kind == "tower":
+                if "base" not in tobj:
+                    raise InputError("tail.base: a tower tail needs a base group")
                 tail = TowerTail(
                     FgAbGroup.from_json(tobj["base"]),
                     tuple(FgAbGroup.from_json(g) for g in tobj.get("layers", [])),
@@ -362,68 +366,53 @@ def _push(h, sub):
     return Subgroup(h.target, [h.apply(g) for g in sub.generators] or [])
 
 
-def _torsion_block(g):
-    gens = []
-    for i in range(len(g.torsion)):
-        v = [0] * g.dim
-        v[g.free_rank + i] = 1
-        gens.append(tuple(v))
-    return Subgroup(g, gens)
+def _image_chain(endo):
+    """Walk the image chain C_j = Im(endo^j) of an endomorphism until it settles.
+
+    Returns (stable, steps, anchor, t_inf) with anchor = C_steps and t_inf
+    its torsion part.  The chain is pushed while it makes strict progress
+    in rank or in its torsion part.  If it becomes constant, stable is True
+    and anchor is its value.  Otherwise the free-part index is a constant
+    >= 2 and the chain never stabilizes, but its torsion part is already
+    final.  Torsion maps to torsion, so the torsion part C_j & T equals
+    endo^j(P_j) with P_j = {x : endo^j(x) in T}.  Once the rank stops
+    dropping, the kernels of the free-part powers have stopped growing, so
+    P_j is one fixed P, and a torsion part endo^j(P) that repeats once
+    repeats forever.
+    """
+    g = endo.source
+    tblock = Subgroup.torsion_block(g)
+    cur = Subgroup.full(g)
+    cur_tors = cur.intersection(tblock)
+    steps = 0
+    while True:
+        nxt = _push(endo, cur)
+        if nxt.equals(cur):
+            return True, steps, cur, cur_tors
+        nxt_tors = nxt.intersection(tblock)
+        settled = nxt.normal_form.free_rank == cur.normal_form.free_rank and (
+            nxt_tors.equals(cur_tors)
+        )
+        cur, cur_tors = nxt, nxt_tors
+        steps += 1
+        if settled:
+            return False, steps, cur, cur_tors
 
 
 def eventual_image(endo):
     """The largest subgroup W of G with endo(W) = W, for an endomorphism.
 
-    Equals the intersection of the images of all powers of endo.  The image
-    chain is iterated while it makes strict progress in rank or in its
-    torsion part; if it stops progressing without becoming constant the
-    free-part index is a constant >= 2 and the chain never stabilizes, in
-    which case the limit is assembled exactly from the settled torsion part
-    and the unimodular core of the induced lattice endomorphism.
+    Equals the intersection of the images of all powers of endo.  When the
+    image chain never stabilizes, W is assembled exactly from the settled
+    torsion part and the unimodular core of the endomorphism induced on the
+    free part of the chain's anchor term.
     """
     if endo.source != endo.target:
         raise InputError("eventual_image needs an endomorphism")
+    stable, _steps, anchor, t_inf = _image_chain(endo)
+    if stable:
+        return anchor
     g = endo.source
-    chain = [Subgroup.full(g)]
-    while True:
-        nxt = _push(endo, chain[-1])
-        if nxt.equals(chain[-1]):
-            return chain[-1]
-        cur = chain[-1]
-        same_rank = (
-            nxt.normal_form.free_rank == cur.normal_form.free_rank
-        )
-        same_tors = nxt.torsion_part().equals(cur.torsion_part())
-        chain.append(nxt)
-        if same_rank and same_tors:
-            break
-    # Non-stabilizing tail: settle the torsion part exactly.
-    tblock = _torsion_block(g)
-    p_chain = tblock
-    steps_p = 0
-    while True:
-        p_next = preimage(endo, p_chain)
-        if p_next.equals(p_chain):
-            break
-        p_chain = p_next
-        steps_p += 1
-    f_cur = p_chain
-    for _ in range(steps_p):
-        f_cur = _push(endo, f_cur)
-    f_cur = f_cur.intersection(tblock)
-    steps_f = 0
-    while True:
-        f_next = _push(endo, f_cur).intersection(tblock)
-        if f_next.equals(f_cur):
-            break
-        f_cur = f_next
-        steps_f += 1
-    t_settle = steps_p + steps_f
-    t_inf = f_cur  # = image-chain torsion part from index t_settle on
-    while len(chain) - 1 < t_settle:
-        chain.append(_push(endo, chain[-1]))
-    anchor = chain[-1]
-
     # Free part: the induced endomorphism on the settled image lattice.
     rho = g.free_rank
     lam = _k.hermite_column_basis(
@@ -450,7 +439,7 @@ def eventual_image(endo):
     if w_free:
         # lift each free basis vector into the anchor (torsion correction)
         carrier = anchor.lattice_basis()
-        tors_cols = [list(gcol) for gcol in _torsion_block(g).generators]
+        tors_cols = [list(gcol) for gcol in Subgroup.torsion_block(g).generators]
         cols = [list(c) for c in carrier] + tors_cols
         amat = [[col[i] for col in cols] for i in range(g.dim)]
         for w in w_free:
@@ -511,36 +500,18 @@ class MLCertificate:
 def _tail_image_chain_analysis(s, level):
     """Settle analysis of Im(f_{level,m}) along the period grid.
 
-    Returns (stable: bool, steps: int, index or None, anchor Subgroup).
+    Returns (stable: bool, steps: int, index or None).  On failure the
+    index is read off at two consecutive periods past the settled term.
     """
-    p = s.period
-    endo = s.map_between(level, level + p)
-    g = endo.source
-    cur = Subgroup.full(g)
-    steps = 0
-    while True:
-        nxt = _push(endo, cur)
-        if nxt.equals(cur):
-            return True, steps, None, cur
-        same_rank = nxt.normal_form.free_rank == cur.normal_form.free_rank
-        same_tors = nxt.torsion_part().equals(cur.torsion_part())
-        cur = nxt
-        steps += 1
-        if same_rank and same_tors:
-            break
-    # failure: push until the torsion part of the chain is settled, then
-    # read off the constant index at two consecutive periods
-    w = eventual_image(endo)
-    t_inf = w.torsion_part()
-    tblock = _torsion_block(g)
-    while not cur.intersection(tblock).equals(t_inf):
-        cur = _push(endo, cur)
-        steps += 1
-    nxt = _push(endo, cur)
-    c1 = nxt.index_in(cur)
+    endo = s.map_between(level, level + s.period)
+    stable, steps, anchor, _t_inf = _image_chain(endo)
+    if stable:
+        return True, steps, None
+    nxt = _push(endo, anchor)
+    c1 = nxt.index_in(anchor)
     c2 = _push(endo, nxt).index_in(nxt)
     assert c1 == c2 and c1 is not None and c1 >= 2
-    return False, steps, c1, cur
+    return False, steps, c1
 
 
 def is_mittag_leffler(s):
@@ -568,7 +539,7 @@ def is_mittag_leffler(s):
     verdict = True
     for j in range(p):
         level = k + 1 + j
-        stable, steps, idx, _anchor = _tail_image_chain_analysis(s, level)
+        stable, steps, idx = _tail_image_chain_analysis(s, level)
         if stable:
             entries[level] = MLLevel(level, True, stable_from=level + steps * p)
             worst = max(worst, steps)
@@ -776,11 +747,3 @@ def coherent_count(s, level):
     the count is |G_level| (None when infinite).
     """
     return s.group_at(level).order()
-
-
-def group_at(s, n):
-    return s.group_at(n)
-
-
-def map_between(s, n, m):
-    return s.map_between(n, m)

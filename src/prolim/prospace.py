@@ -28,28 +28,28 @@ DEFAULT_CAP = 10_000
 
 def enumeration_cap():
     cap = os.environ.get("PROLIM_CAP")
-    return int(cap) if cap else DEFAULT_CAP
-
-
-_stab_cache = {}
+    if not cap:
+        return DEFAULT_CAP
+    try:
+        return int(cap)
+    except ValueError as exc:
+        raise InputError(f"PROLIM_CAP must be an integer, got {cap!r}") from exc
 
 
 def _stabilization_index(system):
     """Stabilization index of the surjectivized system, or None.
 
     Finite chains give None: a truncated presentation can never certify
-    that nothing happens beyond its window.
+    that nothing happens beyond its window.  Cached on the system.
     """
-    key = id(system)
-    if key in _stab_cache:
-        return _stab_cache[key][1]
-    if system.is_chain():
-        idx = None
-    else:
-        ok, at = stabilizes(surjectivize(system))
-        idx = at if ok else None
-    _stab_cache[key] = (system, idx)
-    return idx
+    cache = system._stab_cache
+    if "index" not in cache:
+        if system.is_chain():
+            cache["index"] = None
+        else:
+            ok, at = stabilizes(surjectivize(system))
+            cache["index"] = at if ok else None
+    return cache["index"]
 
 
 class CoherentTuple:

@@ -74,6 +74,20 @@ def test_bad_map_names_index(tmp_path):
     assert b"tail.maps[0]" in res.stderr
 
 
+TOWER_WITHOUT_BASE = {"kind": "tower", "layers": [{"free_rank": 0, "torsion": [2]}]}
+
+
+@pytest.mark.parametrize("tail, path", [([1], b"tail"), (TOWER_WITHOUT_BASE, b"tail.base")])
+def test_malformed_tail_names_path(tmp_path, tail, path):
+    doc = {"name": "broken", "system": {"prefix": [], "maps": [], "tail": tail}}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert path in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
 def test_kk_classify_requires_second_system(tmp_path):
     doc = json.load(open(fixture("const-z2")))
     p = tmp_path / "single.json"
@@ -121,6 +135,15 @@ def test_sample_and_cap():
     assert res3.returncode == 3
 
 
+def test_non_integer_cap_exits_2():
+    res = run_cli(
+        "sample", fixture("tower-z2"), "--level", "2", env={"PROLIM_CAP": "abc"}
+    )
+    assert res.returncode == 2
+    assert b"PROLIM_CAP" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
 def test_metric_command():
     x = json.dumps({"level": 3, "entries": [[1], [1, 0], [1, 0, 0]]})
     y = json.dumps({"level": 3, "entries": [[1], [1, 0], [1, 0, 1]]})
@@ -134,6 +157,13 @@ def test_dense_command():
     res = run_cli("dense", fixture("tower-z2"), "--budget", "2")
     out = json.loads(res.stdout)
     assert len(out["verdict"]) == 4
+
+
+def test_dense_negative_budget_exits_2():
+    res = run_cli("dense", fixture("tower-z2"), "--budget", "-1")
+    assert res.returncode == 2
+    assert b"--budget" in res.stderr
+    assert res.stdout == b""
 
 
 def test_split_demo():

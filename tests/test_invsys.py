@@ -244,3 +244,57 @@ def test_eventual_image_matches_long_iteration(rng):
         assert cur.contains_subgroup(w)
         wnext = I._push(e, w)
         assert F.subgroup_equal(wnext, w)
+
+
+def _power(endo, j):
+    h = F.GroupHom.identity(endo.source)
+    for _ in range(j):
+        h = endo.compose(h)
+    return h
+
+
+def test_stable_images_and_ml_horizon_match_brute_force(rng):
+    # finite tails: every image chain settles, so the stable image is the
+    # intersection of the element sets Im(f^j) for j <= |G|
+    for _ in range(30):
+        s = random_finite_cycle_system(rng)
+        k, p = s.prefix_len, s.period
+        subs = I.stable_images(s)
+        cert = I.is_mittag_leffler(s)
+        horizons = {e.level: e.stable_from for e in cert.per_level}
+        assert cert.verdict
+        for j in range(p):
+            level = k + 1 + j
+            endo = s.map_between(level, level + p)
+            g = endo.source
+            n = g.order()
+            chain = [{_power(endo, i).apply(x) for x in g.elements()} for i in range(n + 2)]
+            assert set(subs[level].elements()) == set.intersection(*chain[: n + 1])
+            first_constant = next(i for i in range(n + 1) if chain[i] == chain[i + 1])
+            assert horizons[level] == level + first_constant * p
+
+
+def test_failing_chain_invariants(rng):
+    # tails that never stabilize: the eventual image is invariant and lies
+    # in the chain past the certified horizon, where the torsion part is
+    # settled and the index is the constant free-part index
+    seen = 0
+    for _ in range(80):
+        s = random_mixed_cycle_system(rng)
+        p = s.period
+        for e in I.is_mittag_leffler(s).per_level:
+            if e.stable:
+                continue
+            seen += 1
+            endo = s.map_between(e.level, e.level + p)
+            g = endo.source
+            steps = (e.stable_from - e.level) // p
+            chain = [F.image(_power(endo, i)) for i in range(steps + 3)]
+            w = I.eventual_image(endo)
+            assert F.subgroup_equal(I._push(endo, w), w)
+            assert chain[steps + 2].contains_subgroup(w)
+            tblock = F.Subgroup.torsion_block(g)
+            tors = [c.intersection(tblock) for c in chain[steps:]]
+            assert all(F.subgroup_equal(t, tors[0]) for t in tors)
+            assert e.index == chain[steps + 1].index_in(chain[steps])
+    assert seen >= 10

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -53,6 +54,36 @@ def test_metric_examples():
     assert P.metric(u, v).kind == "zero"
     with pytest.raises(InputError):
         P.metric(x, u)
+
+
+def _live_systems():
+    gc.collect()
+    return sum(isinstance(o, I.InverseSystem) for o in gc.get_objects())
+
+
+def test_metric_does_not_keep_systems_alive():
+    before = _live_systems()
+    for _ in range(3):
+        stab = I.constant_system(F.Zmod(2))
+        u = P.CoherentTuple(stab, [(1,), (1,)])
+        assert P.metric(u, u).kind == "zero"
+    del stab, u
+    assert _live_systems() == before
+
+
+def test_metric_surjectivizes_once_per_system(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return I.surjectivize(s)
+
+    monkeypatch.setattr(P, "surjectivize", counting)
+    stab = I.constant_system(F.Zmod(2))
+    u = P.CoherentTuple(stab, [(1,), (1,)])
+    assert P.metric(u, u).kind == "zero"
+    assert P.metric(u, u).kind == "zero"
+    assert calls == [stab]
 
 
 def _exact_triples(system, level, rng, count):
