@@ -44,10 +44,10 @@ def mat_vec(a, v):
 
 
 def smith_with_transforms(a):
-    """Return (u, d, v, uinv, vinv) with u*a*v = d in Smith normal form.
+    """Return (u, d, v, uinv) with u*a*v = d in Smith normal form.
 
     d is diagonal with nonnegative entries d1 | d2 | ... followed by zeros;
-    u, v are unimodular and uinv, vinv are their exact inverses.
+    u, v are unimodular and uinv is the exact inverse of u.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -55,7 +55,6 @@ def smith_with_transforms(a):
     u = identity_matrix(m)
     uinv = identity_matrix(m)
     v = identity_matrix(n)
-    vinv = identity_matrix(n)
 
     def row_sub(i, j, q):
         # row i -= q * row j on d and u; uinv absorbs the inverse op
@@ -87,7 +86,7 @@ def smith_with_transforms(a):
             uinv[r][i] = -uinv[r][i]
 
     def col_sub(i, j, q):
-        # col i -= q * col j on d and v; vinv absorbs the inverse op
+        # col i -= q * col j on d and v
         if q:
             for r in range(m):
                 dr = d[r]
@@ -95,10 +94,6 @@ def smith_with_transforms(a):
             for r in range(n):
                 vr = v[r]
                 vr[i] -= q * vr[j]
-            vj = vinv[j]
-            vi = vinv[i]
-            for c in range(n):
-                vj[c] += q * vi[c]
 
     def col_swap(i, j):
         if i != j:
@@ -108,7 +103,6 @@ def smith_with_transforms(a):
             for r in range(n):
                 vr = v[r]
                 vr[i], vr[j] = vr[j], vr[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     t = 0
     size = m if m < n else n
@@ -176,7 +170,7 @@ def smith_with_transforms(a):
                 break
             row_sub(t, offender, -1)  # pull the offending row into row t
         t += 1
-    return u, d, v, uinv, vinv
+    return u, d, v, uinv
 
 
 def smith_diagonal(d):
@@ -185,7 +179,9 @@ def smith_diagonal(d):
     return [d[i][i] for i in range(min(m, n))]
 
 
-def _solve_from_snf(u, d, v, b):
+def solve(a, b):
+    """One integer solution x of a*x = b, or None if none exists."""
+    u, d, v, _uinv = smith_with_transforms(a)
     m = len(d)
     n = len(d[0]) if m else 0
     c = mat_vec(u, b)
@@ -201,24 +197,6 @@ def _solve_from_snf(u, d, v, b):
     return mat_vec(v, y)
 
 
-def solve(a, b):
-    """One integer solution x of a*x = b, or None if none exists."""
-    u, d, v, _uinv, _vinv = smith_with_transforms(a)
-    return _solve_from_snf(u, d, v, b)
-
-
-def solve_matrix(a, b_cols):
-    """Solve a*X = B columnwise; list of solution columns, or None."""
-    u, d, v, _uinv, _vinv = smith_with_transforms(a)
-    out = []
-    for col in b_cols:
-        x = _solve_from_snf(u, d, v, col)
-        if x is None:
-            return None
-        out.append(x)
-    return out
-
-
 def kernel_columns(a):
     """Basis (list of columns) of the integer kernel lattice {x : a*x = 0}."""
     m = len(a)
@@ -227,26 +205,12 @@ def kernel_columns(a):
         return []
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    _u, d, v, _uinv, _vinv = smith_with_transforms(a)
+    _u, d, v, _uinv = smith_with_transforms(a)
     r = 0
     for i in range(min(m, n)):
         if d[i][i]:
             r += 1
     return [[v[row][j] for row in range(n)] for j in range(r, n)]
-
-
-def det_via_smith(a):
-    """|det a| for square a (0 if singular)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    _u, d, _v, _ui, _vi = smith_with_transforms(a)
-    p = 1
-    for i in range(n):
-        p *= d[i][i]
-        if not p:
-            return 0
-    return p if p >= 0 else -p
 
 
 def hermite_column_basis(cols, dim):
@@ -283,6 +247,29 @@ def hermite_column_basis(cols, dim):
         basis.append(piv)
         work = rest
     return basis
+
+
+def lattice_coordinates(basis, vec):
+    """Coefficients of vec in a Hermite basis, or None if vec is outside.
+
+    Each basis column is zero above its pivot row, so walking the columns
+    in pivot order fixes one coefficient per pivot by exact division; the
+    coefficients are unique because the columns are independent.
+    """
+    x = list(vec)
+    coeffs = []
+    for col in basis:
+        r = 0
+        while not col[r]:
+            r += 1
+        q, rem = divmod(x[r], col[r])
+        if rem:
+            return None
+        if q:
+            for k in range(r, len(x)):
+                x[k] -= q * col[k]
+        coeffs.append(q)
+    return None if any(x) else coeffs
 
 
 def reduce_mod_lattice(vec, basis):

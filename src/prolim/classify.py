@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from prolim.errors import PreconditionError
 from prolim.homalg import lim1_verdict
-from prolim.invsys import kernel_sequence, stabilizes, surjectivize
+from prolim.invsys import kernel_sequence, stabilization, surjectivize
 
 
 FINITE = "Finite"
@@ -122,7 +122,7 @@ def classify_limit(s):
     ]
 
     if not tail_nontrivial:
-        stab, idx = stabilizes(so)
+        stab, idx = stabilization(seq, k)
         assert stab
         if not prefix_infinite:
             card = 1

@@ -20,18 +20,25 @@ from prolim._backend import kernel as _k
 from prolim.errors import EnumerationCapExceeded, InputError
 
 
-def smith_normal_form(matrix):
-    """(U, D, V) with U*matrix*V = D diagonal, d1 | d2 | ..., U, V unimodular."""
-    rows = [list(r) for r in matrix]
-    u, d, v, _ui, _vi = _k.smith_with_transforms(rows)
-    return u, d, v
-
-
 def _normalize_invariants(diag):
-    """Split a Smith diagonal into (free_count_from, torsion list >= 2)."""
+    """The sorted torsion list (entries >= 2) of a Smith diagonal."""
     torsion = [abs(x) for x in diag if abs(x) >= 2]
     torsion.sort()
     return torsion
+
+
+def json_list(obj, path):
+    """obj if it is a JSON array; otherwise an InputError naming `path`."""
+    if type(obj) is not list:
+        raise InputError(f"{path}: expected a JSON array, got {obj!r}")
+    return obj
+
+
+def json_int(obj, path):
+    """obj if it is a JSON integer (not a float, string or boolean)."""
+    if type(obj) is not int:
+        raise InputError(f"{path}: expected an integer, got {obj!r}")
+    return obj
 
 
 class FgAbGroup:
@@ -69,7 +76,7 @@ class FgAbGroup:
         # Smith of diag(tors) merges coprime parts into the invariant chain
         n = len(tors)
         mat = [[tors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        _u, d, _v, _ui, _vi = _k.smith_with_transforms(mat)
+        _u, d, _v, _ui = _k.smith_with_transforms(mat)
         return cls(free, _normalize_invariants(_k.smith_diagonal(d)))
 
     @property
@@ -170,11 +177,22 @@ class FgAbGroup:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, obj, path):
+        """Read {"free_rank": n, "torsion": [d1, ...]}; errors name `path`."""
+        if not isinstance(obj, dict):
+            raise InputError(f"{path}: expected a group object, got {obj!r}")
+        for key in ("free_rank", "torsion"):
+            if key not in obj:
+                raise InputError(f"{path}.{key}: missing field")
+        free_rank = json_int(obj["free_rank"], f"{path}.free_rank")
+        torsion = [
+            json_int(d, f"{path}.torsion[{i}]")
+            for i, d in enumerate(json_list(obj["torsion"], f"{path}.torsion"))
+        ]
         try:
-            return cls(obj["free_rank"], obj["torsion"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad group object {obj!r}: {exc}") from exc
+            return cls(free_rank, torsion)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
     def __eq__(self, other):
         return (
@@ -282,17 +300,6 @@ class GroupHom:
             "matrix": [list(r) for r in self.matrix],
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(
-                FgAbGroup.from_json(obj["source"]),
-                FgAbGroup.from_json(obj["target"]),
-                obj["matrix"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad hom object: {exc}") from exc
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupHom)
@@ -331,7 +338,7 @@ def cokernel_presentation(n, rel_cols):
         eye = _k.identity_matrix(n)
         return Presentation(g, tuple(map(tuple, eye)), tuple(map(tuple, eye)))
     mat = [[col[i] for col in rel_cols] for i in range(n)]
-    u, d, _v, uinv, _vi = _k.smith_with_transforms(mat)
+    u, d, _v, uinv = _k.smith_with_transforms(mat)
     diag = _k.smith_diagonal(d)
     rank = sum(1 for x in diag if x)
     free_rows = list(range(rank, n))
@@ -405,15 +412,9 @@ class Subgroup:
         if pres is not None:
             return pres
         basis = self.lattice_basis()
-        amb = self.ambient
-        if not basis:
-            pres = Presentation(ZERO_GROUP, (), ())
-            object.__setattr__(self, "_pres", pres)
-            return pres
-        bmat = [[col[i] for col in basis] for i in range(amb.dim)]
-        rel = amb.relation_columns()
-        coeffs = _k.solve_matrix(bmat, rel) if rel else []
-        assert coeffs is not None, "ambient relations must lie in the subgroup lattice"
+        rels = self.ambient.relation_columns()
+        coeffs = [_k.lattice_coordinates(basis, rel) for rel in rels]
+        assert None not in coeffs, "ambient relations must lie in the subgroup lattice"
         pres = cokernel_presentation(len(basis), coeffs)
         object.__setattr__(self, "_pres", pres)
         return pres
@@ -446,11 +447,7 @@ class Subgroup:
 
     def coordinates_of(self, x):
         """Express ambient element x in normal-form coordinates (None if absent)."""
-        basis = self.lattice_basis()
-        if not basis:
-            return () if all(v == 0 for v in self.ambient.reduce(x)) else None
-        bmat = [[col[i] for col in basis] for i in range(self.ambient.dim)]
-        sol = _k.solve(bmat, list(self.ambient.reduce(x)))
+        sol = _k.lattice_coordinates(self.lattice_basis(), self.ambient.reduce(x))
         if sol is None:
             return None
         pres = self._presentation()
@@ -484,20 +481,18 @@ class Subgroup:
 
     def index_in(self, other):
         """[other : self] for self <= other; None when the index is infinite."""
-        if not other.contains_subgroup(self):
-            raise InputError("index_in requires containment")
-        b_small = self.lattice_basis()
         b_big = other.lattice_basis()
-        if len(b_small) != len(b_big):
+        coords = [_k.lattice_coordinates(b_big, col) for col in self.lattice_basis()]
+        if None in coords:
+            raise InputError("index_in requires containment")
+        if len(coords) != len(b_big):
             return None
-        if not b_big:
-            return 1
-        bmat = [[col[i] for col in b_big] for i in range(self.ambient.dim)]
-        x = _k.solve_matrix(bmat, b_small)
-        assert x is not None
-        sq = [[x[j][i] for j in range(len(x))] for i in range(len(b_small))]
-        val = _k.det_via_smith(sq)
-        return val if val else None
+        # Nested lattices of equal rank share their Hermite pivot rows, so
+        # the coordinate matrix is triangular: the index is its diagonal.
+        index = 1
+        for i, c in enumerate(coords):
+            index *= c[i]
+        return index
 
     def intersection(self, other):
         """Lattice intersection of two subgroups of the same ambient."""
@@ -584,10 +579,6 @@ def is_injective(h):
 
 def is_surjective(h):
     return image(h).is_full()
-
-
-def is_isomorphism(h):
-    return is_injective(h) and is_surjective(h)
 
 
 def hom_into_subgroup(h, target_sub):

@@ -34,6 +34,8 @@ from prolim.fgab import (
     hom_into_subgroup,
     hom_restrict,
     image,
+    json_int,
+    json_list,
     kernel,
     subgroup_equal,
 )
@@ -258,10 +260,7 @@ class InverseSystem:
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise InputError("system must be a JSON object")
-        try:
-            prefix = [FgAbGroup.from_json(g) for g in obj.get("prefix", [])]
-        except InputError as exc:
-            raise InputError(f"prefix: {exc}") from exc
+        prefix = _groups_from_json(obj.get("prefix", []), "prefix")
         tobj = obj.get("tail")
         tail = None
         if tobj is not None:
@@ -269,30 +268,28 @@ class InverseSystem:
                 raise InputError(f"tail must be a JSON object or null, got {tobj!r}")
             kind = tobj.get("kind")
             if kind == "cycle":
-                groups = tuple(FgAbGroup.from_json(g) for g in tobj.get("groups", []))
+                groups = _groups_from_json(tobj.get("groups", []), "tail.groups")
                 p = len(groups)
                 if p == 0:
                     raise InputError("tail.groups must be nonempty")
-                raw = tobj.get("maps", [])
+                raw = json_list(tobj.get("maps", []), "tail.maps")
                 if len(raw) != p:
                     raise InputError(f"tail.maps: expected {p} matrices, got {len(raw)}")
-                maps = []
-                for j, mat in enumerate(raw):
-                    try:
-                        maps.append(GroupHom(groups[(j + 1) % p], groups[j], mat))
-                    except InputError as exc:
-                        raise InputError(f"tail.maps[{j}]: {exc}") from exc
-                tail = CycleTail(groups, tuple(maps))
+                maps = tuple(
+                    _hom_from_json(groups[(j + 1) % p], groups[j], mat, f"tail.maps[{j}]")
+                    for j, mat in enumerate(raw)
+                )
+                tail = CycleTail(groups, maps)
             elif kind == "tower":
                 if "base" not in tobj:
                     raise InputError("tail.base: a tower tail needs a base group")
                 tail = TowerTail(
-                    FgAbGroup.from_json(tobj["base"]),
-                    tuple(FgAbGroup.from_json(g) for g in tobj.get("layers", [])),
+                    FgAbGroup.from_json(tobj["base"], "tail.base"),
+                    _groups_from_json(tobj.get("layers", []), "tail.layers"),
                 )
             else:
                 raise InputError(f"tail.kind must be 'cycle' or 'tower', got {kind!r}")
-        raw_maps = obj.get("maps", [])
+        raw_maps = json_list(obj.get("maps", []), "maps")
         maps = []
         k = len(prefix)
         first_tail = None
@@ -305,16 +302,29 @@ class InverseSystem:
             src = prefix[i + 1] if i < k - 1 else first_tail
             if src is None:
                 raise InputError(f"maps[{i}]: chain of length {k} takes {k - 1} maps")
-            try:
-                maps.append(GroupHom(src, tgt, mat))
-            except InputError as exc:
-                raise InputError(f"maps[{i}]: {exc}") from exc
+            maps.append(_hom_from_json(src, tgt, mat, f"maps[{i}]"))
         return cls(prefix, maps, tail)
 
     def __repr__(self):
         return (
             f"InverseSystem(prefix={list(self.prefix)}, tail={self.tail!r})"
         )
+
+
+def _groups_from_json(obj, path):
+    groups = json_list(obj, path)
+    return tuple(FgAbGroup.from_json(g, f"{path}[{i}]") for i, g in enumerate(groups))
+
+
+def _hom_from_json(source, target, obj, path):
+    """The hom whose matrix `obj` is a JSON array of rows of JSON integers."""
+    for i, row in enumerate(json_list(obj, path)):
+        for j, x in enumerate(json_list(row, f"{path}[{i}]")):
+            json_int(x, f"{path}[{i}][{j}]")
+    try:
+        return GroupHom(source, target, obj)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _direct_sum2(a, b):
@@ -420,11 +430,9 @@ def eventual_image(endo):
     )
     w_free = []
     if lam:
-        bmat = [[col[i] for col in lam] for i in range(rho)]
         e_free = [[endo.matrix[i][j] for j in range(rho)] for i in range(rho)]
-        imgs = [_k.mat_vec(e_free, list(col)) for col in lam]
-        n_mat_cols = _k.solve_matrix(bmat, imgs)
-        assert n_mat_cols is not None, "image lattice is not endo-invariant"
+        n_mat_cols = [_k.lattice_coordinates(lam, _k.mat_vec(e_free, col)) for col in lam]
+        assert None not in n_mat_cols, "image lattice is not endo-invariant"
         n_mat = [[n_mat_cols[j][i] for j in range(len(lam))] for i in range(len(lam))]
         core = eventual_image_lattice(n_mat)
         for col in core:
@@ -727,9 +735,12 @@ def kernel_sequence(s, upto=None):
 def stabilizes(s):
     """(True, least index from which all bonding maps are isomorphisms) or
     (False, None)."""
-    seq = kernel_sequence(s)
-    k = s.prefix_len
-    tail_start = k + 2  # kernels of tail maps sit at levels k+2..k+p+1
+    return stabilization(kernel_sequence(s), s.prefix_len)
+
+
+def stabilization(seq, prefix_len):
+    """stabilizes() read off a kernel sequence of a system with that prefix."""
+    tail_start = prefix_len + 2  # kernels of tail maps sit at levels k+2..k+p+1
     for level, x, _fin in seq[1:]:
         if level >= tail_start and not x.is_trivial():
             return False, None

@@ -177,9 +177,6 @@ class MetricValue:
         """Upper bound on the distance as a fraction of 1 (float)."""
         return 0.0 if self.kind == "zero" else 2.0 ** (-self.exponent)
 
-    def lower(self):
-        return self.upper() if self.kind == "exact" else 0.0
-
     def __str__(self):
         if self.kind == "zero":
             return "0"

@@ -136,3 +136,18 @@ def test_all_ten_rows(base, ml_holds):
     expected = base + ("" if ml_holds else "xU")
     assert kk.symbol == expected
     assert kk.closure_of_zero == ("Zero" if ml_holds else "UncountableIndiscrete")
+
+
+def test_classify_limit_walks_the_kernel_sequence_once(monkeypatch):
+    calls = []
+    real = I.kernel_sequence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(I, "kernel_sequence", counting)
+    monkeypatch.setattr(C, "kernel_sequence", counting)
+    _cls, cert = C.classify_limit(I.constant_system(F.Zmod(2)))
+    assert cert.stabilizes_at == 1
+    assert len(calls) == 1

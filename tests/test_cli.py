@@ -88,6 +88,38 @@ def test_malformed_tail_names_path(tmp_path, tail, path):
     assert b"Traceback" not in res.stderr
 
 
+Z_GROUP = {"free_rank": 1, "torsion": []}
+
+
+def _cycle_tail(groups, maps):
+    return {"kind": "cycle", "groups": groups, "maps": maps}
+
+
+@pytest.mark.parametrize(
+    "tail, path",
+    [
+        ({"kind": "tower", "base": Z_GROUP, "layers": 5}, b"tail.layers"),
+        (_cycle_tail([Z_GROUP], 5), b"tail.maps"),
+        (_cycle_tail([Z_GROUP], [[1]]), b"tail.maps[0][0]"),
+        (_cycle_tail([Z_GROUP], [[[1.5]]]), b"tail.maps[0][0][0]"),
+        (_cycle_tail([Z_GROUP], [[["1"]]]), b"tail.maps[0][0][0]"),
+        (_cycle_tail([Z_GROUP], [[[True]]]), b"tail.maps[0][0][0]"),
+        (
+            _cycle_tail([{"free_rank": 0, "torsion": [2.5]}], [[[1]]]),
+            b"tail.groups[0].torsion[0]",
+        ),
+    ],
+)
+def test_non_array_or_non_integer_input_names_path(tmp_path, tail, path):
+    doc = {"name": "broken", "system": {"prefix": [], "maps": [], "tail": tail}}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert path in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
 def test_kk_classify_requires_second_system(tmp_path):
     doc = json.load(open(fixture("const-z2")))
     p = tmp_path / "single.json"

@@ -179,12 +179,12 @@ def test_quotient_by_image_matches_stacked_cokernel():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_snf_property_random_matrices(rows):
-    u, d, v = F.smith_normal_form(rows)
     from prolim._backend import kernel as K
 
+    u, d, v, _ui = K.smith_with_transforms(rows)
     assert K.mat_mul(K.mat_mul(u, rows), v) == d
-    assert abs(K.det_via_smith(u)) == 1
-    assert abs(K.det_via_smith(v)) == 1
+    assert abs(K.charpoly(u)[0]) == 1
+    assert abs(K.charpoly(v)[0]) == 1
 
 
 def test_direct_sum_round_trip():
@@ -231,3 +231,71 @@ def test_subgroup_index_and_intersection():
     # (1,1) and (1,-1) span index-2; their intersection is 2Z(1,... ) rank 1? no:
     # the lines meet only at multiples of (0,0) unless parallel
     assert meet.normal_form.is_trivial()
+
+
+def _span(g, gens):
+    # every element of the subgroup of a finite group, by closure under +
+    seen = {g.zero()}
+    frontier = [g.zero()]
+    while frontier:
+        x = frontier.pop()
+        for gen in gens:
+            y = g.add(x, gen)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _random_nested_pair(rng, g):
+    """(a, b) with a <= b: b from random generators, a from combinations."""
+    gens = [
+        tuple(rng.randrange(-4, 5) for _ in range(g.dim)) for _ in range(rng.randrange(1, 4))
+    ]
+    small = []
+    for _ in range(rng.randrange(4)):
+        cs = [rng.randrange(-3, 4) for _ in gens]
+        small.append(tuple(sum(c * x[i] for c, x in zip(cs, gens)) for i in range(g.dim)))
+    return F.Subgroup(g, small), F.Subgroup(g, gens)
+
+
+def test_index_in_matches_brute_force_on_finite_groups():
+    rng = random.Random(17)
+    for _ in range(60):
+        g = F.random_group(rng, max_rank=0)
+        a, b = _random_nested_pair(rng, g)
+        size_a = len(_span(g, a.generators))
+        size_b = len(_span(g, b.generators))
+        assert size_b % size_a == 0
+        assert a.index_in(b) == size_b // size_a
+
+
+def test_index_in_matches_smith_reference_on_free_and_mixed_groups():
+    from prolim._backend import kernel as K
+
+    rng = random.Random(23)
+    finite = 0
+    for _ in range(80):
+        g = F.random_group(rng)
+        if g.free_rank == 0:
+            g = F.FgAbGroup(1, g.torsion)
+        a, b = _random_nested_pair(rng, g)
+        small, big = a.lattice_basis(), b.lattice_basis()
+        if len(small) != len(big):
+            assert a.index_in(b) is None
+            continue
+        rows = [[col[i] for col in big] for i in range(g.dim)]
+        coords = [K.solve(rows, col) for col in small]
+        square = [[c[i] for c in coords] for i in range(len(big))]
+        _u, d, _v, _ui = K.smith_with_transforms(square)
+        assert a.index_in(b) == abs(prod(K.smith_diagonal(d)))
+        finite += 1
+    assert finite > 20
+
+
+def test_index_in_rejects_a_pair_that_is_not_nested():
+    with pytest.raises(InputError, match="containment"):
+        F.Subgroup(F.Z(), [(1,)]).index_in(F.Subgroup(F.Z(), [(2,)]))
+    z2 = F.Z(2)
+    with pytest.raises(InputError, match="containment"):
+        F.Subgroup(z2, [(1, 1)]).index_in(F.Subgroup(z2, [(1, 0)]))

@@ -1,4 +1,7 @@
+import inspect
+import os
 import random
+import re
 
 import pytest
 
@@ -11,23 +14,23 @@ def snf(a):
 
 
 def test_snf_one_by_one():
-    u, d, v, ui, vi = snf([[2]])
+    u, d, v, ui = snf([[2]])
     assert (u, d, v) == ([[1]], [[2]], [[1]])
 
 
 def test_snf_zero():
-    _u, d, _v, _ui, _vi = snf([[0]])
+    _u, d, _v, _ui = snf([[0]])
     assert d == [[0]]
 
 
 def test_snf_hand_example():
     # hand row/column reduction gives invariant factors 2 and 4
     m = [[2, 4], [6, 8]]
-    u, d, v, ui, vi = snf(m)
+    u, d, v, ui = snf(m)
     assert [d[0][0], d[1][1]] == [2, 4]
     assert K.mat_mul(K.mat_mul(u, m), v) == d
-    assert abs(K.det_via_smith(u)) == 1
-    assert abs(K.det_via_smith(v)) == 1
+    assert abs(K.charpoly(u)[0]) == 1
+    assert abs(K.charpoly(v)[0]) == 1
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -36,10 +39,10 @@ def test_snf_random_transform_identity(seed):
     m = rng.randrange(1, 5)
     n = rng.randrange(1, 5)
     a = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
-    u, d, v, ui, vi = snf(a)
+    u, d, v, ui = snf(a)
     assert K.mat_mul(K.mat_mul(u, a), v) == d
     assert K.mat_mul(u, ui) == K.identity_matrix(m)
-    assert K.mat_mul(v, vi) == K.identity_matrix(n)
+    assert abs(K.charpoly(v)[0]) == 1
     nz = [x for x in K.smith_diagonal(d) if x]
     assert all(x > 0 for x in nz)
     for x, y in zip(nz, nz[1:]):
@@ -128,3 +131,53 @@ def test_backend_is_the_interpreted_kernel():
 
     assert prolim.BACKEND == "pure"
     assert prolim._backend.kernel is pure
+
+
+def test_lattice_coordinates_match_smith_solve():
+    # Smith `solve` on the transposed basis is the reference; the solution is
+    # unique because Hermite basis columns are independent.
+    rng = random.Random(5)
+    outside = 0
+    for _ in range(200):
+        dim = rng.randrange(1, 5)
+        cols = [[rng.randrange(-6, 7) for _ in range(dim)] for _ in range(rng.randrange(5))]
+        basis = K.hermite_column_basis(cols, dim)
+        rows = [[col[i] for col in basis] for i in range(dim)]
+        coeffs = [rng.randrange(-6, 7) for _ in basis]
+        member = [sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(dim)]
+        assert K.lattice_coordinates(basis, member) == coeffs == K.solve(rows, member)
+        other = [rng.randrange(-6, 7) for _ in range(dim)]
+        got = K.lattice_coordinates(basis, other)
+        assert got == K.solve(rows, other)
+        outside += got is None
+    assert outside > 20
+
+
+def test_lattice_coordinates_reject_vectors_outside():
+    basis = K.hermite_column_basis([[2, 0], [0, 3]], 2)
+    assert K.lattice_coordinates(basis, [4, 9]) == [2, 3]
+    assert K.lattice_coordinates(basis, [1, 0]) is None
+    assert K.lattice_coordinates(K.hermite_column_basis([[1, 1]], 2), [0, 1]) is None
+    assert K.lattice_coordinates([], [0, 0]) == []
+    assert K.lattice_coordinates([], [0, 1]) is None
+
+
+def test_every_kernel_primitive_has_a_caller():
+    src = os.path.dirname(pure.__file__)
+    texts = [
+        open(os.path.join(src, name)).read()
+        for name in sorted(os.listdir(src))
+        if name.endswith(".py") and name != "_intkernel.py"
+    ]
+    public = [
+        name
+        for name, fn in inspect.getmembers(pure, inspect.isfunction)
+        if fn.__module__ == pure.__name__ and not name.startswith("_")
+    ]
+    assert public
+    uncalled = [
+        name
+        for name in public
+        if not any(re.search(rf"\b{name}\(", text) for text in texts)
+    ]
+    assert uncalled == []

@@ -223,6 +223,32 @@ def test_validation_errors_name_the_map():
         I.InverseSystem.from_json(bad)
 
 
+Z_JSON = {"free_rank": 1, "torsion": []}
+Z_CYCLE = {"kind": "cycle", "groups": [Z_JSON], "maps": [[[1]]]}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"prefix": 5, "maps": [], "tail": Z_CYCLE}, "prefix"),
+        ({"prefix": [Z_JSON], "maps": 5, "tail": Z_CYCLE}, "maps"),
+        ({"prefix": [Z_JSON], "maps": [[1]], "tail": Z_CYCLE}, r"maps\[0\]\[0\]"),
+        (
+            {"prefix": [{"free_rank": "1", "torsion": []}], "maps": [], "tail": None},
+            r"prefix\[0\]\.free_rank",
+        ),
+        (
+            {"prefix": [{"free_rank": 0, "torsion": "24"}], "maps": [], "tail": None},
+            r"prefix\[0\]\.torsion:",
+        ),
+        ({"prefix": [], "maps": [], "tail": {**Z_CYCLE, "groups": 5}}, "tail.groups"),
+    ],
+)
+def test_from_json_rejects_non_arrays_and_non_integers(doc, path):
+    with pytest.raises(InputError, match=path):
+        I.InverseSystem.from_json(doc)
+
+
 def test_json_round_trip(rng):
     for _ in range(20):
         s = random_system(rng)
