@@ -1,7 +1,11 @@
-"""Exact integer matrix kernel: Smith normal form with transforms and friends.
+"""Exact integer matrix kernel: Hermite bases, Smith forms and friends.
 
-Everything here works on plain lists of lists of Python ints (rows), so
-arbitrary precision is preserved throughout.  This module is the hot inner
+Lattices, kernels and solutions are all read off one Hermite (echelon)
+column basis: `kernel_columns` and `solve` reduce the columns of A stacked
+over unit cofactor vectors.  The Smith form serves only cokernel
+presentations, which need invariant factors.  Matrices are plain lists of
+rows and lattices plain lists of columns, all of Python ints, so arbitrary
+precision is preserved throughout.  This module is the hot inner
 loop of the whole package and imports nothing from the rest of it; the
 other modules reach it through prolim._backend.
 """
@@ -44,17 +48,18 @@ def mat_vec(a, v):
 
 
 def smith_with_transforms(a):
-    """Return (u, d, v, uinv) with u*a*v = d in Smith normal form.
+    """Return (u, d, uinv) with u*a*v = d in Smith normal form for some v.
 
     d is diagonal with nonnegative entries d1 | d2 | ... followed by zeros;
-    u, v are unimodular and uinv is the exact inverse of u.
+    u is unimodular and uinv is its exact inverse.  The column transform v
+    is not built: only cokernel presentations read a Smith form, and they
+    need the row side alone.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [row[:] for row in a]
     u = identity_matrix(m)
     uinv = identity_matrix(m)
-    v = identity_matrix(n)
 
     def row_sub(i, j, q):
         # row i -= q * row j on d and u; uinv absorbs the inverse op
@@ -86,23 +91,17 @@ def smith_with_transforms(a):
             uinv[r][i] = -uinv[r][i]
 
     def col_sub(i, j, q):
-        # col i -= q * col j on d and v
+        # col i -= q * col j on d
         if q:
             for r in range(m):
                 dr = d[r]
                 dr[i] -= q * dr[j]
-            for r in range(n):
-                vr = v[r]
-                vr[i] -= q * vr[j]
 
     def col_swap(i, j):
         if i != j:
             for r in range(m):
                 dr = d[r]
                 dr[i], dr[j] = dr[j], dr[i]
-            for r in range(n):
-                vr = v[r]
-                vr[i], vr[j] = vr[j], vr[i]
 
     t = 0
     size = m if m < n else n
@@ -170,47 +169,13 @@ def smith_with_transforms(a):
                 break
             row_sub(t, offender, -1)  # pull the offending row into row t
         t += 1
-    return u, d, v, uinv
+    return u, d, uinv
 
 
 def smith_diagonal(d):
     m = len(d)
     n = len(d[0]) if m else 0
     return [d[i][i] for i in range(min(m, n))]
-
-
-def solve(a, b):
-    """One integer solution x of a*x = b, or None if none exists."""
-    u, d, v, _uinv = smith_with_transforms(a)
-    m = len(d)
-    n = len(d[0]) if m else 0
-    c = mat_vec(u, b)
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
-
-
-def kernel_columns(a):
-    """Basis (list of columns) of the integer kernel lattice {x : a*x = 0}."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    _u, d, v, _uinv = smith_with_transforms(a)
-    r = 0
-    for i in range(min(m, n)):
-        if d[i][i]:
-            r += 1
-    return [[v[row][j] for row in range(n)] for j in range(r, n)]
 
 
 def hermite_column_basis(cols, dim):
@@ -228,21 +193,31 @@ def hermite_column_basis(cols, dim):
         if not live:
             work = rest
             continue
+        # Euclid over all live columns at once, always dividing by the
+        # smallest entry.  Running it pair by pair instead lets the entries
+        # in the other rows grow to hundreds of thousands of bits on a
+        # 24x26 kernel before the pivot-row reduction shrinks them again.
+        # Work columns are zero above row r, so row operations start there.
+        while len(live) > 1:
+            piv = min(live, key=lambda c: abs(c[r]))
+            nxt = [piv]
+            for c in live:
+                if c is not piv:
+                    q = c[r] // piv[r]
+                    for k in range(r, dim):
+                        c[k] -= q * piv[k]
+                    if c[r]:
+                        nxt.append(c)
+                    elif any(c):
+                        rest.append(c)
+            live = nxt
         piv = live[0]
-        for c in live[1:]:
-            while c[r]:
-                q = piv[r] // c[r]
-                for k in range(dim):
-                    piv[k] -= q * c[k]
-                piv, c = c, piv
-            if any(c):
-                rest.append(c)
         if piv[r] < 0:
             piv = [-x for x in piv]
         for b in basis:
             q = b[r] // piv[r]
             if q:
-                for k in range(dim):
+                for k in range(r, dim):
                     b[k] -= q * piv[k]
         basis.append(piv)
         work = rest
@@ -270,6 +245,41 @@ def lattice_coordinates(basis, vec):
                 x[k] -= q * col[k]
         coeffs.append(q)
     return None if any(x) else coeffs
+
+
+def _cofactor_hermite(cols, m):
+    """Hermite basis of the columns (a_j; e_j) of A stacked over the identity.
+
+    A is given by its n columns in Z^m.  The stacked lattice is the graph
+    {(A*x; x)}, so in echelon order the basis splits at the first column
+    whose top m entries vanish: the columns before it have echelon top parts
+    spanning the image of A, and the bottom parts of the columns from it on
+    span the kernel of A.  Returns (image columns, kernel columns), both
+    still stacked.
+    """
+    n = len(cols)
+    stacked = [list(c) + [1 if i == j else 0 for i in range(n)] for j, c in enumerate(cols)]
+    basis = hermite_column_basis(stacked, m + n)
+    rank = sum(1 for c in basis if any(c[:m]))
+    return basis[:rank], basis[rank:]
+
+
+def kernel_columns(cols):
+    """Basis (list of columns) of the integer kernel {x : A*x = 0}, A given
+    by its columns; with an empty target (columns of length 0) it is Z^n."""
+    m = len(cols[0]) if cols else 0
+    _image, ker = _cofactor_hermite(cols, m)
+    return [c[m:] for c in ker]
+
+
+def solve(cols, b):
+    """One integer solution x of A*x = b, A given by its columns; None if none."""
+    m = len(b)
+    image, _ker = _cofactor_hermite(cols, m)
+    coeffs = lattice_coordinates([c[:m] for c in image], b)
+    if coeffs is None:
+        return None
+    return [sum(q * c[m + i] for q, c in zip(coeffs, image)) for i in range(len(cols))]
 
 
 def reduce_mod_lattice(vec, basis):

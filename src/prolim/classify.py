@@ -123,13 +123,15 @@ def classify_limit(s):
 
     if not tail_nontrivial:
         stab, idx = stabilization(seq, k)
-        assert stab
+        if not stab:
+            raise AssertionError("trivial tail kernels but no stabilization")
         if not prefix_infinite:
             card = 1
             for _l, x, _f in seq:
                 card *= x.order()
             model = so.group_at(idx)
-            assert card == model.order()
+            if card != model.order():
+                raise AssertionError(f"kernel orders multiply to {card}, not the model order")
             trace.append(
                 (
                     "stabilized model cardinality",

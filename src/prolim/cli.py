@@ -106,8 +106,8 @@ def cmd_metric(args):
     doc = load_document(args.file)
     s = parse_system(doc)
     try:
-        x = prospace.CoherentTuple.from_json(s, json.loads(args.x))
-        y = prospace.CoherentTuple.from_json(s, json.loads(args.y))
+        x = prospace.CoherentTuple.from_json(s, json.loads(args.x), "--x")
+        y = prospace.CoherentTuple.from_json(s, json.loads(args.y), "--y")
     except json.JSONDecodeError as exc:
         raise InputError(f"tuple argument is not valid JSON: {exc.msg}") from exc
     d = prospace.metric(x, y)

@@ -20,13 +20,6 @@ from prolim._backend import kernel as _k
 from prolim.errors import EnumerationCapExceeded, InputError
 
 
-def _normalize_invariants(diag):
-    """The sorted torsion list (entries >= 2) of a Smith diagonal."""
-    torsion = [abs(x) for x in diag if abs(x) >= 2]
-    torsion.sort()
-    return torsion
-
-
 def json_list(obj, path):
     """obj if it is a JSON array; otherwise an InputError naming `path`."""
     if type(obj) is not list:
@@ -69,15 +62,9 @@ class FgAbGroup:
         >>> FgAbGroup.from_diagonal([2, 3])
         FgAbGroup(0, (6,))
         """
-        free = sum(1 for x in diag if x == 0)
-        tors = [abs(x) for x in diag if abs(x) >= 2]
-        if not tors:
-            return cls(free, ())
-        # Smith of diag(tors) merges coprime parts into the invariant chain
-        n = len(tors)
-        mat = [[tors[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        _u, d, _v, _ui = _k.smith_with_transforms(mat)
-        return cls(free, _normalize_invariants(_k.smith_diagonal(d)))
+        n = len(diag)
+        cols = [[x if i == j else 0 for i in range(n)] for j, x in enumerate(diag)]
+        return cokernel_presentation(n, cols).group
 
     @property
     def dim(self):
@@ -268,7 +255,7 @@ class GroupHom:
     def apply(self, x):
         if len(x) != self.source.dim:
             raise InputError("element does not belong to the source group")
-        return self.target.reduce(tuple(_k.mat_vec([list(r) for r in self.matrix], list(x))))
+        return self.target.reduce(_k.mat_vec(self.matrix, x))
 
     def __call__(self, x):
         return self.apply(x)
@@ -279,8 +266,12 @@ class GroupHom:
             raise InputError("composition mismatch")
         if self.source.dim == 0:
             return GroupHom.zero(other.source, self.target)
-        prod = _k.mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
+        prod = _k.mat_mul(self.matrix, other.matrix)
         return GroupHom(other.source, self.target, prod, check=False)
+
+    def columns(self):
+        """The images of the source generators, as lists of target coordinates."""
+        return [[row[j] for row in self.matrix] for j in range(self.source.dim)]
 
     @classmethod
     def identity(cls, g):
@@ -338,7 +329,7 @@ def cokernel_presentation(n, rel_cols):
         eye = _k.identity_matrix(n)
         return Presentation(g, tuple(map(tuple, eye)), tuple(map(tuple, eye)))
     mat = [[col[i] for col in rel_cols] for i in range(n)]
-    u, d, _v, uinv = _k.smith_with_transforms(mat)
+    u, d, uinv = _k.smith_with_transforms(mat)
     diag = _k.smith_diagonal(d)
     rank = sum(1 for x in diag if x)
     free_rows = list(range(rank, n))
@@ -414,7 +405,8 @@ class Subgroup:
         basis = self.lattice_basis()
         rels = self.ambient.relation_columns()
         coeffs = [_k.lattice_coordinates(basis, rel) for rel in rels]
-        assert None not in coeffs, "ambient relations must lie in the subgroup lattice"
+        if None in coeffs:
+            raise AssertionError("ambient relations must lie in the subgroup lattice")
         pres = cokernel_presentation(len(basis), coeffs)
         object.__setattr__(self, "_pres", pres)
         return pres
@@ -451,16 +443,13 @@ class Subgroup:
         if sol is None:
             return None
         pres = self._presentation()
-        return pres.group.reduce(tuple(_k.mat_vec([list(r) for r in pres.project], sol)))
+        return pres.group.reduce(_k.mat_vec(pres.project, sol))
 
     def contains(self, x):
         return self.coordinates_of(x) is not None
 
     def __contains__(self, x):
         return self.contains(x)
-
-    def contains_subgroup(self, other):
-        return all(self.contains(g) for g in other.generators)
 
     def equals(self, other):
         if self.ambient != other.ambient:
@@ -499,12 +488,8 @@ class Subgroup:
         if self.ambient != other.ambient:
             raise InputError("subgroups of different ambient groups")
         a = self.lattice_basis()
-        b = other.lattice_basis()
-        if not a or not b:
-            return Subgroup.trivial(self.ambient)
         n = self.ambient.dim
-        stacked = [[col[i] for col in a] + [-col[i] for col in b] for i in range(n)]
-        ker = _k.kernel_columns(stacked)
+        ker = _k.kernel_columns(a + [[-x for x in col] for col in other.lattice_basis()])
         gens = []
         for kcol in ker:
             vec = [0] * n
@@ -541,23 +526,13 @@ def subgroup_equal(a, b):
 
 def image(h):
     """Subgroup of the target generated by the columns of h."""
-    cols = [tuple(row[j] for row in h.matrix) for j in range(h.source.dim)]
-    return Subgroup(h.target, [h.target.reduce(c) for c in cols])
+    return Subgroup(h.target, h.columns())
 
 
 def kernel(h):
     """(Subgroup of the source, inclusion hom) with h o inclusion = 0."""
-    src, tgt = h.source, h.target
-    n, m = src.dim, tgt.dim
-    rel = tgt.relation_columns()
-    if m == 0:
-        sub = Subgroup.full(src)
-        return sub, sub.inclusion()
-    cols = [[h.matrix[i][j] for i in range(m)] for j in range(n)] + rel
-    stacked = [[col[i] for col in cols] for i in range(m)]
-    ker = _k.kernel_columns(stacked)
-    gens = [src.reduce(tuple(col[:n])) for col in ker]
-    sub = Subgroup(src, gens)
+    ker = _k.kernel_columns(h.columns() + h.target.relation_columns())
+    sub = Subgroup(h.source, [col[: h.source.dim] for col in ker])
     return sub, sub.inclusion()
 
 
@@ -619,16 +594,10 @@ def hom_restrict(h, source_sub, target_sub):
 def solve_hom(h, y):
     """One x with h(x) = y, or None; torsion handled exactly."""
     src, tgt = h.source, h.target
-    n, m = src.dim, tgt.dim
-    if m == 0:
-        return src.zero()
-    rel = tgt.relation_columns()
-    cols = [[h.matrix[i][j] for i in range(m)] for j in range(n)] + rel
-    stacked = [[col[i] for col in cols] for i in range(m)]
-    sol = _k.solve(stacked, list(tgt.reduce(y)))
+    sol = _k.solve(h.columns() + tgt.relation_columns(), tgt.reduce(y))
     if sol is None:
         return None
-    return src.reduce(tuple(sol[:n]))
+    return src.reduce(sol[: src.dim])
 
 
 def solve_hom_minimal(h, y):
@@ -730,20 +699,15 @@ def _unit_factor_poly(coeffs):
     return res
 
 
-def eventual_image_lattice(n_mat):
+def eventual_image_lattice(n_cols):
     """Basis of the largest sublattice W of Z^r with N(W) = W, for square
-    integer N with nonzero determinant.
+    integer N with nonzero determinant, given by its columns.
 
     W is the intersection of the images N^j(Z^r) over all j; equivalently
     the integer kernel of u(N) where u is the unit part of charpoly(N).
+    Read as rows, the columns are the transpose of N, which has the same
+    charpoly, and u of the transpose is the transpose of u(N): its rows are
+    the columns of u(N).
     """
-    r = len(n_mat)
-    if r == 0:
-        return []
-    cp = _k.charpoly(n_mat)
-    u = _unit_factor_poly(cp)
-    if u == [1]:
-        um = _k.identity_matrix(r)
-    else:
-        um = _k.poly_at_matrix(u, n_mat)
-    return _k.kernel_columns(um)
+    u = _unit_factor_poly(_k.charpoly(n_cols))
+    return _k.kernel_columns(_k.poly_at_matrix(u, n_cols))

@@ -245,11 +245,7 @@ def surjectivization_ses(s):
         pres = fgab.cokernel_presentation(
             g_src.dim, [list(c) for c in subs[src_level].lattice_basis()]
         )
-        lift = [list(r) for r in pres.lift]
-        mat = _k.mat_mul(
-            [list(r) for r in proj_tgt.matrix],
-            _k.mat_mul([list(r) for r in s.map_at(n).matrix], lift),
-        )
+        mat = _k.mat_mul(proj_tgt.matrix, _k.mat_mul(s.map_at(n).matrix, pres.lift))
         return GroupHom(q_src, q_tgt, mat)
 
     quot_prefix = [quot_data[n][0] for n in range(1, k + 1)]

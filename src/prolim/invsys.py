@@ -431,10 +431,10 @@ def eventual_image(endo):
     w_free = []
     if lam:
         e_free = [[endo.matrix[i][j] for j in range(rho)] for i in range(rho)]
-        n_mat_cols = [_k.lattice_coordinates(lam, _k.mat_vec(e_free, col)) for col in lam]
-        assert None not in n_mat_cols, "image lattice is not endo-invariant"
-        n_mat = [[n_mat_cols[j][i] for j in range(len(lam))] for i in range(len(lam))]
-        core = eventual_image_lattice(n_mat)
+        n_cols = [_k.lattice_coordinates(lam, _k.mat_vec(e_free, col)) for col in lam]
+        if None in n_cols:
+            raise AssertionError("image lattice is not endo-invariant")
+        core = eventual_image_lattice(n_cols)
         for col in core:
             vec = [0] * rho
             for c, b in zip(col, lam):
@@ -448,12 +448,12 @@ def eventual_image(endo):
         # lift each free basis vector into the anchor (torsion correction)
         carrier = anchor.lattice_basis()
         tors_cols = [list(gcol) for gcol in Subgroup.torsion_block(g).generators]
-        cols = [list(c) for c in carrier] + tors_cols
-        amat = [[col[i] for col in cols] for i in range(g.dim)]
+        cols = carrier + tors_cols
         for w in w_free:
             target = list(w) + [0] * len(g.torsion)
-            sol = _k.solve(amat, target)
-            assert sol is not None, "free core must lift into the settled image"
+            sol = _k.solve(cols, target)
+            if sol is None:
+                raise AssertionError("free core must lift into the settled image")
             corr = sol[len(carrier):]
             lifted = list(target)
             for c, tcol in zip(corr, tors_cols):
@@ -518,7 +518,8 @@ def _tail_image_chain_analysis(s, level):
     nxt = _push(endo, anchor)
     c1 = nxt.index_in(anchor)
     c2 = _push(endo, nxt).index_in(nxt)
-    assert c1 == c2 and c1 is not None and c1 >= 2
+    if c1 is None or c1 < 2 or c1 != c2:
+        raise AssertionError(f"failing chain index is not a constant >= 2: {c1}, {c2}")
     return False, steps, c1
 
 
@@ -538,7 +539,8 @@ def is_mittag_leffler(s):
             m = max(n, k + 1)
             a = image(s.map_between(n, m))
             b = image(s.map_between(n, m + p))
-            assert subgroup_equal(a, b)
+            if not subgroup_equal(a, b):
+                raise AssertionError(f"image chain at level {n} is not stable from {m}")
             entries.append(MLLevel(n, True, stable_from=m))
         return MLCertificate(True, tuple(entries))
 
@@ -561,7 +563,8 @@ def is_mittag_leffler(s):
             m = k + 1 + worst * p
             a = image(s.map_between(n, m))
             b = image(s.map_between(n, m + p))
-            assert subgroup_equal(a, b)
+            if not subgroup_equal(a, b):
+                raise AssertionError(f"image chain at level {n} is not stable from {m}")
             entries[n] = MLLevel(n, True, stable_from=m)
     # With a failing tail the prefix chains are not analyzed: the verdict is
     # already decided and the certificate carries the tail failure witnesses.

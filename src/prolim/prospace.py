@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from prolim._backend import kernel as _k
 from prolim import fgab
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
-from prolim.fgab import GroupHom, direct_sum, solve_hom_minimal
+from prolim.fgab import GroupHom, direct_sum, json_int, json_list, solve_hom_minimal
 from prolim.invsys import TowerTail, stabilizes, surjectivize
 
 
@@ -106,14 +106,20 @@ class CoherentTuple:
         return {"level": self.level, "entries": [list(e) for e in self.entries]}
 
     @classmethod
-    def from_json(cls, system, obj):
-        try:
-            entries = obj["entries"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad tuple object: {exc}") from exc
+    def from_json(cls, system, obj, path):
+        """Read {"level": n, "entries": [[...], ...]}; errors name `path`."""
+        if not isinstance(obj, dict) or "entries" not in obj:
+            raise InputError(f"{path}: expected a tuple object with 'entries', got {obj!r}")
+        entries = json_list(obj["entries"], f"{path}.entries")
+        for n, entry in enumerate(entries):
+            for i, x in enumerate(json_list(entry, f"{path}.entries[{n}]")):
+                json_int(x, f"{path}.entries[{n}][{i}]")
         if obj.get("level") not in (None, len(entries)):
-            raise InputError("tuple level does not match its entries")
-        return cls(system, entries)
+            raise InputError(f"{path}.level: does not match its {len(entries)} entries")
+        try:
+            return cls(system, entries)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 def add_tuples(x, y):
@@ -288,7 +294,8 @@ def separating_clopen(x, y):
             "tuples are indistinguishable within the stored window; extend them"
         )
     c = Cylinder(y.system, d.exponent, y.entries[d.exponent - 1])
-    assert c.contains(y) and not c.contains(x)
+    if not c.contains(y) or c.contains(x):
+        raise AssertionError("cylinder at the first difference does not separate")
     return c
 
 
@@ -349,7 +356,8 @@ def _tower_atom_route(s, restricted, stride, offset, new_level):
         blk, incs, _prjs = direct_sum(*atoms)
         for inner in incs:
             routes.append(dst_lvl.atom_incls[j + 1].compose(inner))
-    assert len(routes) == len(src_lvl.atom_projs)
+    if len(routes) != len(src_lvl.atom_projs):
+        raise AssertionError("restricted tower level has a different number of atoms")
     dim_src = s.group_at(old_level).dim
     dim_dst = restricted.group_at(new_level).dim
     mat = _k.zero_matrix(dim_dst, dim_src)

@@ -6,6 +6,7 @@ arithmetic), or an exact byte comparison; nothing is tuned to the code
 under test.
 """
 
+import ast
 import itertools
 import json
 import os
@@ -307,3 +308,15 @@ def test_criterion_10_golden_files():
             assert fh.read() == first.stdout, fname
         checked += 1
     report(10, f"{checked} golden reports byte-stable across two runs")
+
+
+def test_self_checks_survive_python_O():
+    # `python -O` strips assert statements; internal invariants must raise
+    src = os.path.join(REPO_ROOT, "src", "prolim")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

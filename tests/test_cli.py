@@ -185,6 +185,19 @@ def test_metric_command():
     assert out["verdict"]["distance"] == "2^-3"
 
 
+@pytest.mark.parametrize(
+    "entries, path",
+    [(5, b"--x.entries"), ([5], b"--x.entries[0]"), ([[1.0]], b"--x.entries[0][0]")],
+)
+def test_metric_tuple_input_names_path(entries, path):
+    x = json.dumps({"level": 1, "entries": entries})
+    y = json.dumps({"level": 1, "entries": [[1]]})
+    res = run_cli("metric", fixture("tower-z2"), "--x", x, "--y", y)
+    assert res.returncode == 2
+    assert path + b":" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
 def test_dense_command():
     res = run_cli("dense", fixture("tower-z2"), "--budget", "2")
     out = json.loads(res.stdout)

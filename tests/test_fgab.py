@@ -181,10 +181,15 @@ def test_quotient_by_image_matches_stacked_cokernel():
 def test_snf_property_random_matrices(rows):
     from prolim._backend import kernel as K
 
-    u, d, v, _ui = K.smith_with_transforms(rows)
-    assert K.mat_mul(K.mat_mul(u, rows), v) == d
+    u, d, ui = K.smith_with_transforms(rows)
+    m, n = len(rows), len(rows[0])
+    assert K.mat_mul(u, ui) == K.identity_matrix(m)
     assert abs(K.charpoly(u)[0]) == 1
-    assert abs(K.charpoly(v)[0]) == 1
+    # u*a*v = d for a unimodular v: u*a and d span the same column lattice
+    ua = K.mat_mul(u, rows)
+    assert K.hermite_column_basis([[r[j] for r in ua] for j in range(n)], m) == (
+        K.hermite_column_basis([[r[j] for r in d] for j in range(n)], m)
+    )
 
 
 def test_direct_sum_round_trip():
@@ -213,7 +218,8 @@ def test_eventual_image_lattice_cases():
     w = F.eventual_image_lattice([[1, 0], [0, 2]])
     assert len(w) == 1 and w[0][1] == 0
     # shear onto an invariant line: intersection of images is a + b = 0
-    w2 = F.eventual_image_lattice([[2, 1], [0, 1]])
+    # (N has rows (2, 1) and (0, 1); the argument is its columns)
+    w2 = F.eventual_image_lattice([[2, 0], [1, 1]])
     assert len(w2) == 1 and sum(w2[0]) == 0
 
 
@@ -284,10 +290,9 @@ def test_index_in_matches_smith_reference_on_free_and_mixed_groups():
         if len(small) != len(big):
             assert a.index_in(b) is None
             continue
-        rows = [[col[i] for col in big] for i in range(g.dim)]
-        coords = [K.solve(rows, col) for col in small]
+        coords = [K.solve(big, col) for col in small]
         square = [[c[i] for c in coords] for i in range(len(big))]
-        _u, d, _v, _ui = K.smith_with_transforms(square)
+        _u, d, _ui = K.smith_with_transforms(square)
         assert a.index_in(b) == abs(prod(K.smith_diagonal(d)))
         finite += 1
     assert finite > 20

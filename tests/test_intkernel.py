@@ -1,7 +1,10 @@
 import inspect
+import itertools
 import os
 import random
 import re
+from functools import reduce
+from math import gcd, prod
 
 import pytest
 
@@ -13,37 +16,75 @@ def snf(a):
     return K.smith_with_transforms([list(r) for r in a])
 
 
+def transpose(mat, k):
+    # rows to columns, or columns to rows; k is the length of each entry
+    return [[v[i] for v in mat] for i in range(k)]
+
+
+def det(a):
+    # Laplace expansion along the first row; brute force for n <= 4
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def determinantal_divisors(a, m, n):
+    # D_k = gcd of all k x k minors of the m x n matrix a
+    return [
+        reduce(
+            gcd,
+            (
+                det([[a[i][j] for j in cs] for i in rs])
+                for rs in itertools.combinations(range(m), k)
+                for cs in itertools.combinations(range(n), k)
+            ),
+            0,
+        )
+        for k in range(1, min(m, n) + 1)
+    ]
+
+
+def same_column_lattice(a, b, m):
+    return K.hermite_column_basis(transpose(a, len(a[0]) if a else 0), m) == (
+        K.hermite_column_basis(transpose(b, len(b[0]) if b else 0), m)
+    )
+
+
 def test_snf_one_by_one():
-    u, d, v, ui = snf([[2]])
-    assert (u, d, v) == ([[1]], [[2]], [[1]])
+    assert snf([[2]]) == ([[1]], [[2]], [[1]])
 
 
 def test_snf_zero():
-    _u, d, _v, _ui = snf([[0]])
+    _u, d, _ui = snf([[0]])
     assert d == [[0]]
 
 
 def test_snf_hand_example():
     # hand row/column reduction gives invariant factors 2 and 4
     m = [[2, 4], [6, 8]]
-    u, d, v, ui = snf(m)
+    u, d, ui = snf(m)
     assert [d[0][0], d[1][1]] == [2, 4]
-    assert K.mat_mul(K.mat_mul(u, m), v) == d
-    assert abs(K.charpoly(u)[0]) == 1
-    assert abs(K.charpoly(v)[0]) == 1
+    assert K.mat_mul(u, ui) == K.identity_matrix(2)
+    assert same_column_lattice(K.mat_mul(u, m), d, 2)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_snf_random_transform_identity(seed):
+    # references: the determinantal divisors D_k = d1 * ... * dk, and the
+    # column lattice of u*a, which the dropped column transform preserves
     rng = random.Random(seed)
     m = rng.randrange(1, 5)
     n = rng.randrange(1, 5)
     a = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
-    u, d, v, ui = snf(a)
-    assert K.mat_mul(K.mat_mul(u, a), v) == d
+    u, d, ui = snf(a)
+    diag = K.smith_diagonal(d)
+    assert [prod(diag[:k]) for k in range(1, len(diag) + 1)] == determinantal_divisors(a, m, n)
     assert K.mat_mul(u, ui) == K.identity_matrix(m)
-    assert abs(K.charpoly(v)[0]) == 1
-    nz = [x for x in K.smith_diagonal(d) if x]
+    assert same_column_lattice(K.mat_mul(u, a), d, m)
+    nz = [x for x in diag if x]
     assert all(x > 0 for x in nz)
     for x, y in zip(nz, nz[1:]):
         assert y % x == 0
@@ -57,8 +98,47 @@ def test_solve_and_kernel():
     a = [[2, 0], [0, 3]]
     assert K.solve(a, [4, 9]) == [2, 3]
     assert K.solve(a, [1, 0]) is None
-    ker = K.kernel_columns([[1, 1]])
+    ker = K.kernel_columns([[1], [1]])
     assert len(ker) == 1 and ker[0][0] == -ker[0][1]
+    # an empty target: every vector is in the kernel and solves A*x = 0
+    assert K.kernel_columns([[], []]) == [[1, 0], [0, 1]]
+    assert K.solve([[], []], []) == [0, 0]
+    assert K.kernel_columns([]) == []
+
+
+def smith_rank_and_volume(cols, m):
+    # rank and product of the nonzero invariant factors of the column matrix
+    nz = [x for x in K.smith_diagonal(snf(transpose(cols, m))[1]) if x] if cols and m else []
+    return len(nz), prod(nz)
+
+
+def test_kernel_columns_is_the_saturated_kernel():
+    rng = random.Random(7)
+    for _ in range(150):
+        m = rng.randrange(1, 5)
+        n = rng.randrange(1, 6)
+        cols = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
+        if rng.randrange(3) == 0:
+            cols.append([2 * x - y for x, y in zip(cols[0], cols[-1])])
+            n += 1
+        ker = K.kernel_columns(cols)
+        rank, _vol = smith_rank_and_volume(cols, m)
+        assert len(ker) == n - rank
+        for k in ker:
+            assert K.mat_vec(transpose(cols, m), k) == [0] * m
+        # all-ones Smith diagonal: saturated, x is in it whenever c*x is
+        assert smith_rank_and_volume(ker, n) == (len(ker), 1)
+
+
+def test_kernel_entries_stay_small():
+    # a kernel read off the Smith column transform had 7924-bit entries here
+    rng = random.Random(1)
+    a = [[rng.randrange(-20, 21) for _ in range(26)] for _ in range(24)]
+    ker = K.kernel_columns(transpose(a, 26))
+    assert len(ker) == 2
+    for k in ker:
+        assert K.mat_vec(a, k) == [0] * 24
+    assert max(abs(x).bit_length() for k in ker for x in k) < 1000
 
 
 def test_hermite_basis_is_canonical():
@@ -133,23 +213,27 @@ def test_backend_is_the_interpreted_kernel():
     assert prolim._backend.kernel is pure
 
 
-def test_lattice_coordinates_match_smith_solve():
-    # Smith `solve` on the transposed basis is the reference; the solution is
-    # unique because Hermite basis columns are independent.
+def test_lattice_coordinates_match_smith_membership():
+    # Reference: b lies in L(B) iff [B|b] has the rank of B and the same
+    # product of nonzero invariant factors (else L(B) has index > 1 in it).
     rng = random.Random(5)
     outside = 0
     for _ in range(200):
         dim = rng.randrange(1, 5)
         cols = [[rng.randrange(-6, 7) for _ in range(dim)] for _ in range(rng.randrange(5))]
         basis = K.hermite_column_basis(cols, dim)
-        rows = [[col[i] for col in basis] for i in range(dim)]
         coeffs = [rng.randrange(-6, 7) for _ in basis]
         member = [sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(dim)]
-        assert K.lattice_coordinates(basis, member) == coeffs == K.solve(rows, member)
+        assert K.lattice_coordinates(basis, member) == coeffs
         other = [rng.randrange(-6, 7) for _ in range(dim)]
+        inside = smith_rank_and_volume(cols + [other], dim) == smith_rank_and_volume(cols, dim)
         got = K.lattice_coordinates(basis, other)
-        assert got == K.solve(rows, other)
-        outside += got is None
+        sol = K.solve(cols, other)
+        assert (got is not None) == (sol is not None) == inside
+        if inside:
+            assert K.mat_vec(transpose(basis, dim), got) == other
+            assert K.mat_vec(transpose(cols, dim), sol) == other
+        outside += not inside
     assert outside > 20
 
 
