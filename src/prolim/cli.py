@@ -8,9 +8,11 @@ sorted keys and no whitespace so golden files are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
+import prolim
 from prolim import classify as _classify
 from prolim import fgab, homalg, invsys, prospace, topgrp
 from prolim.errors import InputError, PreconditionError
@@ -36,6 +38,8 @@ def load_document(path):
         raise InputError(f"{path}: document must be a JSON object")
     if "system" not in doc:
         raise InputError(f"{path}: missing field 'system'")
+    if "name" in doc and not isinstance(doc["name"], str):
+        raise InputError(f"{path}: name: expected a string, got {doc['name']!r}")
     return doc
 
 
@@ -95,7 +99,14 @@ def cmd_kernels(args):
     return _report("kernels", doc, verdict)
 
 
+def _require_positive(flag, value):
+    if value is not None and value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_sample(args):
+    _require_positive("--level", args.level)
+    _require_positive("--cap", args.cap)
     doc = load_document(args.file)
     s = parse_system(doc)
     tuples = prospace.enumerate_tuples(s, args.level, cap=args.cap)
@@ -115,8 +126,8 @@ def cmd_metric(args):
 
 
 def cmd_dense(args):
-    if args.budget < 1:
-        raise InputError(f"--budget must be >= 1, got {args.budget}")
+    _require_positive("--budget", args.budget)
+    _require_positive("--cap", args.cap)
     doc = load_document(args.file)
     s = parse_system(doc)
     fam = prospace.dense_family(s, args.budget, cap=args.cap)
@@ -171,7 +182,13 @@ def cmd_split_demo(args):
     return {"command": "split-demo", "name": args.name, "verdict": verdict}
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by later ones.
+
+    Parsing does not change it, and help, usage and errors look up the
+    terminal width and sys.stdout/sys.stderr when they are printed.
+    """
     ap = argparse.ArgumentParser(
         prog="prolim",
         description=(
@@ -179,6 +196,11 @@ def build_parser():
             "groups: classification, Mittag-Leffler certificates, "
             "surjectivization, and the limit-space toolbox."
         ),
+    )
+    ap.add_argument(
+        "--version",
+        action="version",
+        version=f"prolim {prolim.__version__} (backend: {prolim.BACKEND})",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -31,9 +31,12 @@ def enumeration_cap():
     if not cap:
         return DEFAULT_CAP
     try:
-        return int(cap)
+        value = int(cap)
     except ValueError as exc:
         raise InputError(f"PROLIM_CAP must be an integer, got {cap!r}") from exc
+    if value < 1:
+        raise InputError(f"PROLIM_CAP must be >= 1, got {cap!r}")
+    return value
 
 
 def _stabilization_index(system):
@@ -114,7 +117,7 @@ class CoherentTuple:
         for n, entry in enumerate(entries):
             for i, x in enumerate(json_list(entry, f"{path}.entries[{n}]")):
                 json_int(x, f"{path}.entries[{n}][{i}]")
-        if obj.get("level") not in (None, len(entries)):
+        if "level" in obj and json_int(obj["level"], f"{path}.level") != len(entries):
             raise InputError(f"{path}.level: does not match its {len(entries)} entries")
         try:
             return cls(system, entries)

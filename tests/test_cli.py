@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, REPO_ROOT
+from prolim import cli
 
 
 def run_cli(*args, env=None):
@@ -176,6 +177,79 @@ def test_non_integer_cap_exits_2():
     assert b"Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        pytest.param(["sample", "--level", "2", "--cap", "0"], None, b"--cap", id="cap-0"),
+        pytest.param(["sample", "--level", "2", "--cap", "-5"], None, b"--cap", id="cap-neg"),
+        pytest.param(["dense", "--budget", "2", "--cap", "-1"], None, b"--cap", id="dense-cap"),
+        pytest.param(["sample", "--level", "0"], None, b"--level", id="level-0"),
+        pytest.param(["sample", "--level", "-3"], None, b"--level", id="level-neg"),
+        pytest.param(
+            ["sample", "--level", "2"], {"PROLIM_CAP": "0"}, b"PROLIM_CAP", id="env-cap-0"
+        ),
+    ],
+)
+def test_non_positive_cap_or_level_exits_2(args, env, message):
+    res = run_cli(args[0], fixture("tower-z2"), *args[1:], env=env)
+    assert res.returncode == 2
+    assert message + b" must be >= 1" in res.stderr
+    assert res.stdout == b""
+    assert b"Traceback" not in res.stderr
+
+
+def test_non_string_name_exits_2(tmp_path):
+    doc = json.load(open(fixture("tower-z2")))
+    doc["name"] = 5
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert b"name: expected a string" in res.stderr
+    assert res.stdout == b""
+
+
+def test_version():
+    res = run_cli("--version")
+    assert res.returncode == 0
+    assert res.stdout == b"prolim 0.1.0 (backend: pure)\n"
+    assert res.stderr == b""
+
+
+def test_repeated_in_process_calls_share_no_state(capsys):
+    cli.build_parser.cache_clear()
+
+    def run(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    def usage_error():
+        rc, out, err = run(["sample", fixture("tower-z2")])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("usage: prolim sample") and "--level" in err
+
+    usage_error()
+    first_help = run(["--help"])
+    assert first_help[0] == 0 and first_help[1].startswith("usage: prolim")
+    assert cli.build_parser() is cli.build_parser()
+
+    rc, out, _ = run(["classify", fixture("const-z2"), "--trace"])
+    assert rc == 0
+    assert "trace" in json.loads(out)["verdict"]["certificate"]
+    rc, out, err = run(["classify", fixture("const-z2")])
+    assert rc == 0 and err == ""
+    with open(os.path.join(FIXTURES, "golden", "classify-const-z2.json")) as fh:
+        assert out == fh.read()
+
+    usage_error()
+    assert run(["--help"]) == first_help
+
+
 def test_metric_command():
     x = json.dumps({"level": 3, "entries": [[1], [1, 0], [1, 0, 0]]})
     y = json.dumps({"level": 3, "entries": [[1], [1, 0], [1, 0, 1]]})
@@ -187,10 +261,17 @@ def test_metric_command():
 
 @pytest.mark.parametrize(
     "entries, path",
-    [(5, b"--x.entries"), ([5], b"--x.entries[0]"), ([[1.0]], b"--x.entries[0][0]")],
+    [
+        (5, b"--x.entries"),
+        ([5], b"--x.entries[0]"),
+        ([[1.0]], b"--x.entries[0][0]"),
+        pytest.param({"level": True, "entries": [[1]]}, b"--x.level", id="level-true"),
+        pytest.param({"level": 1.0, "entries": [[1]]}, b"--x.level", id="level-1.0"),
+    ],
 )
 def test_metric_tuple_input_names_path(entries, path):
-    x = json.dumps({"level": 1, "entries": entries})
+    """`entries` is the entries of a level-1 tuple, or a whole tuple object."""
+    x = json.dumps(entries if isinstance(entries, dict) else {"level": 1, "entries": entries})
     y = json.dumps({"level": 1, "entries": [[1]]})
     res = run_cli("metric", fixture("tower-z2"), "--x", x, "--y", y)
     assert res.returncode == 2
