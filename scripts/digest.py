@@ -1,0 +1,117 @@
+"""Hash the basis-dependent outputs of prolim over a seeded corpus.
+
+    python3 scripts/digest.py [--seed 1] [--count 200] [--src DIR]
+
+Several outputs depend on the bases the integer kernel picks, not only on
+the groups they describe: Mittag-Leffler certificates, surjectivized
+systems, stable-image and eventual-image subgroups, kernels, images,
+quotients and minimal solutions.  This script computes all of them over
+seeded random systems and prints one `family count sha256` line per
+family.  To compare two checkouts, run it once with the default `--src`
+(this checkout's `src/`) and once with `--src` pointing at the other
+checkout's `src/`; equal lines mean byte-identical outputs.
+
+The corpus comes from the benchmark's standard-library generator
+(`perfbench/generate.py`), at small ranks, so it does not depend on the
+package under test.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import sys
+
+ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+FAMILIES = (
+    "ml",
+    "surjectivize",
+    "stable_images",
+    "eventual_image",
+    "kernel",
+    "image",
+    "quotient",
+    "solve_hom_minimal",
+)
+
+
+def corpus(seed, count):
+    """`count` seeded system documents: cycles of rank 1..4, period 1..3,
+    and towers of period 1..3 over prefixes of length 0..2."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import generate
+
+    rng = random.Random(f"digest/{seed}")
+    docs = []
+    for i in range(count):
+        if i % 4 == 3:
+            docs.append(generate.tower_system(rng, rng.randint(1, 3), rng.randrange(3)))
+        else:
+            docs.append(generate.cycle_system(rng, rng.randint(1, 4), rng.randint(1, 3)))
+    return docs
+
+
+def subgroup_json(sub):
+    return {
+        "generators": [list(g) for g in sub.generators],
+        "basis": sub.lattice_basis(),
+        "normal_form": sub.normal_form.to_json(),
+        "inclusion": [list(r) for r in sub.inclusion().matrix],
+    }
+
+
+def outputs(doc, rng):
+    """(family, JSON-ready value) pairs for one system document."""
+    from prolim import fgab as F
+    from prolim import invsys as I
+
+    s = I.InverseSystem.from_json(doc)
+    yield "ml", I.is_mittag_leffler(s).to_json()
+    yield "surjectivize", I.surjectivize(s).to_json()
+    images = I.stable_images(s)
+    yield "stable_images", {str(n): subgroup_json(images[n]) for n in sorted(images)}
+    k, p = s.prefix_len, s.period
+    if isinstance(s.tail, I.CycleTail):
+        for level in range(k + 1, k + p + 1):
+            endo = s.map_between(level, level + p)
+            yield "eventual_image", subgroup_json(I.eventual_image(endo))
+    for n in range(1, k + p + 1):
+        h = s.map_at(n)
+        sub, incl = F.kernel(h)
+        yield "kernel", {**subgroup_json(sub), "kernel_inclusion": [list(r) for r in incl.matrix]}
+        img = F.image(h)
+        yield "image", subgroup_json(img)
+        q, proj = F.quotient(h.target, img)
+        yield "quotient", {"group": q.to_json(), "projection": [list(r) for r in proj.matrix]}
+        for _ in range(3):
+            x = tuple(rng.randint(-5, 5) for _ in range(h.source.dim))
+            y = tuple(rng.randint(-5, 5) for _ in range(h.target.dim))
+            for target in (h.apply(h.source.reduce(x)), h.target.reduce(y)):
+                sol = F.solve_hom_minimal(h, target)
+                yield "solve_hom_minimal", None if sol is None else list(sol)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--count", type=int, default=200)
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import prolim
+
+    print(f"prolim from {os.path.dirname(prolim.__file__)}", file=sys.stderr)
+    hashes = {f: hashlib.sha256() for f in FAMILIES}
+    counts = dict.fromkeys(FAMILIES, 0)
+    rng = random.Random(f"digest-points/{args.seed}")
+    for doc in corpus(args.seed, args.count):
+        for family, value in outputs(doc, rng):
+            hashes[family].update(json.dumps(value, sort_keys=True).encode() + b"\n")
+            counts[family] += 1
+    for f in FAMILIES:
+        print(f"{f} {counts[f]} {hashes[f].hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
-from math import gcd
 
 from prolim._backend import kernel as _k
 from prolim.errors import EnumerationCapExceeded, InputError
@@ -32,6 +30,10 @@ def json_int(obj, path):
     if type(obj) is not int:
         raise InputError(f"{path}: expected an integer, got {obj!r}")
     return obj
+
+
+MAX_JSON_DIM = 100
+"""Most generators (free_rank plus invariant factors) a JSON group may have."""
 
 
 class FgAbGroup:
@@ -172,10 +174,17 @@ class FgAbGroup:
             if key not in obj:
                 raise InputError(f"{path}.{key}: missing field")
         free_rank = json_int(obj["free_rank"], f"{path}.free_rank")
-        torsion = [
-            json_int(d, f"{path}.torsion[{i}]")
-            for i, d in enumerate(json_list(obj["torsion"], f"{path}.torsion"))
-        ]
+        if free_rank > MAX_JSON_DIM:
+            raise InputError(
+                f"{path}.free_rank: {free_rank} exceeds the dimension bound {MAX_JSON_DIM}"
+            )
+        torsion = json_list(obj["torsion"], f"{path}.torsion")
+        if free_rank + len(torsion) > MAX_JSON_DIM:
+            raise InputError(
+                f"{path}.torsion: free_rank {free_rank} plus {len(torsion)} invariant"
+                f" factors exceeds the dimension bound {MAX_JSON_DIM}"
+            )
+        torsion = [json_int(d, f"{path}.torsion[{i}]") for i, d in enumerate(torsion)]
         try:
             return cls(free_rank, torsion)
         except InputError as exc:
@@ -648,35 +657,6 @@ def direct_sum(*groups):
     return pres.group, incls, projs
 
 
-def random_group(rng, max_rank=2, factors=(2, 3, 4, 6, 8, 9), max_torsion=2):
-    """Random small group in canonical form (test helper)."""
-    rank = rng.randrange(max_rank + 1)
-    k = rng.randrange(max_torsion + 1)
-    diag = [rng.choice(factors) for _ in range(k)]
-    return FgAbGroup.from_diagonal([0] * rank + diag)
-
-
-def random_hom(rng, source, target, bound=3):
-    """Random well-defined hom source -> target (test helper)."""
-    cols = []
-    for j in range(source.dim):
-        if j < source.free_rank:
-            col = [rng.randrange(-bound, bound + 1) for _ in range(target.dim)]
-        else:
-            d = source.torsion[j - source.free_rank]
-            col = []
-            for i in range(target.dim):
-                if i < target.free_rank:
-                    col.append(0)  # order-d generator cannot hit a free coordinate
-                else:
-                    dd = target.torsion[i - target.free_rank]
-                    step = dd // gcd(dd, d)
-                    col.append(step * rng.randrange(0, max(1, dd // step)))
-        cols.append(col)
-    mat = [[cols[j][i] for j in range(source.dim)] for i in range(target.dim)]
-    return GroupHom(source, target, mat)
-
-
 def _unit_factor_poly(coeffs):
     """Product of irreducible factors of an integer polynomial whose constant
     term is a unit, with multiplicity (ascending coefficients).
@@ -707,7 +687,12 @@ def eventual_image_lattice(n_cols):
     the integer kernel of u(N) where u is the unit part of charpoly(N).
     Read as rows, the columns are the transpose of N, which has the same
     charpoly, and u of the transpose is the transpose of u(N): its rows are
-    the columns of u(N).
+    the columns of u(N).  When `_modpoly.no_unit_factor` proves u = 1, W is
+    0 and neither the integer charpoly nor its factorization is computed.
     """
+    from prolim import _modpoly
+
+    if _modpoly.no_unit_factor(n_cols):
+        return []
     u = _unit_factor_poly(_k.charpoly(n_cols))
     return _k.kernel_columns(_k.poly_at_matrix(u, n_cols))

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+from math import gcd
 
 import pytest
 
@@ -26,6 +27,35 @@ def rng():
 FINITE_FACTORS = (2, 3, 4, 6)
 
 
+def random_group(rng, max_rank=2, factors=(2, 3, 4, 6, 8, 9), max_torsion=2):
+    """Random small group in canonical form."""
+    rank = rng.randrange(max_rank + 1)
+    k = rng.randrange(max_torsion + 1)
+    diag = [rng.choice(factors) for _ in range(k)]
+    return F.FgAbGroup.from_diagonal([0] * rank + diag)
+
+
+def random_hom(rng, source, target, bound=3):
+    """Random well-defined hom source -> target."""
+    cols = []
+    for j in range(source.dim):
+        if j < source.free_rank:
+            col = [rng.randrange(-bound, bound + 1) for _ in range(target.dim)]
+        else:
+            d = source.torsion[j - source.free_rank]
+            col = []
+            for i in range(target.dim):
+                if i < target.free_rank:
+                    col.append(0)  # order-d generator cannot hit a free coordinate
+                else:
+                    dd = target.torsion[i - target.free_rank]
+                    step = dd // gcd(dd, d)
+                    col.append(step * rng.randrange(0, max(1, dd // step)))
+        cols.append(col)
+    mat = [[cols[j][i] for j in range(source.dim)] for i in range(target.dim)]
+    return F.GroupHom(source, target, mat)
+
+
 def random_finite_group(rng, max_torsion=2):
     k = rng.randrange(max_torsion + 1)
     return F.FgAbGroup.from_diagonal([rng.choice(FINITE_FACTORS) for _ in range(k)])
@@ -44,12 +74,12 @@ def random_cycle_system(rng, group_gen, max_prefix=2, max_period=2, bound=2):
     prefix = [group_gen(rng) for _ in range(k)]
     cycle = [group_gen(rng) for _ in range(p)]
     cyc_maps = [
-        F.random_hom(rng, cycle[(j + 1) % p], cycle[j], bound=bound) for j in range(p)
+        random_hom(rng, cycle[(j + 1) % p], cycle[j], bound=bound) for j in range(p)
     ]
     maps = []
     for i in range(k):
         src = prefix[i + 1] if i < k - 1 else cycle[0]
-        maps.append(F.random_hom(rng, src, prefix[i], bound=bound))
+        maps.append(random_hom(rng, src, prefix[i], bound=bound))
     return I.InverseSystem(prefix, maps, I.CycleTail(tuple(cycle), tuple(cyc_maps)))
 
 
@@ -71,7 +101,7 @@ def random_tower_system(rng, max_prefix=1, max_period=2, infinite_layers=False):
     maps = []
     for i in range(k):
         src = prefix[i + 1] if i < k - 1 else base
-        maps.append(F.random_hom(rng, src, prefix[i]))
+        maps.append(random_hom(rng, src, prefix[i]))
     return I.tower_system(base, layers, prefix=prefix, maps=maps)
 
 

@@ -9,7 +9,7 @@ from conftest import FIXTURES, REPO_ROOT
 from prolim import cli
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=None):
     e = dict(os.environ)
     if env:
         e.update(env)
@@ -18,6 +18,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         env=e,
         cwd=REPO_ROOT,
+        timeout=timeout,
     )
 
 
@@ -119,6 +120,112 @@ def test_non_array_or_non_integer_input_names_path(tmp_path, tail, path):
     assert res.returncode == 2
     assert path in res.stderr
     assert b"Traceback" not in res.stderr
+
+
+HUGE = 10**30
+
+
+def _with_huge_layer():
+    doc = json.load(open(fixture("kk-NxCantor")))
+    doc["system"]["tail"]["layers"][0]["free_rank"] = HUGE
+    return doc
+
+
+def _system_doc(tail, prefix=()):
+    return {"name": "big", "system": {"prefix": list(prefix), "maps": [], "tail": tail}}
+
+
+ZERO_GROUP = {"free_rank": 0, "torsion": []}
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        pytest.param(_with_huge_layer(), b"tail.layers[0].free_rank", id="kk-NxCantor-layer"),
+        pytest.param(
+            _system_doc(
+                {"kind": "tower", "base": ZERO_GROUP, "layers": [{"free_rank": HUGE, "torsion": []}]}
+            ),
+            b"tail.layers[0].free_rank",
+            id="tower-over-0",
+        ),
+        pytest.param(
+            _system_doc({"kind": "tower", "base": {"free_rank": HUGE, "torsion": []}, "layers": []}),
+            b"tail.base.free_rank",
+            id="tower-base",
+        ),
+        pytest.param(
+            _system_doc(_cycle_tail([{"free_rank": 1, "torsion": [2] * 100}], [[[1]]])),
+            b"tail.groups[0].torsion",
+            id="torsion-count",
+        ),
+        pytest.param(
+            _system_doc(_cycle_tail([Z_GROUP], [[[1]]]), [{"free_rank": 101, "torsion": []}]),
+            b"prefix[0].free_rank",
+            id="prefix",
+        ),
+    ],
+)
+@pytest.mark.parametrize("cmd", ["ml", "classify"])
+def test_dimension_bound_exits_2(tmp_path, doc, path, cmd):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli(cmd, str(p), timeout=30)
+    assert res.returncode == 2
+    assert path + b":" in res.stderr
+    assert b"dimension bound 100" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
+# A rank-4 cycle whose image chain never stabilizes: charpoly of the free
+# part is (t - 2)(t^3 - 3t^2 + 3t - 3), with no factor of constant term +-1.
+RANK4_CYCLE = _cycle_tail(
+    [{"free_rank": 4, "torsion": [2]}],
+    [
+        [
+            [1, 2, 0, 1, 0],
+            [0, 1, 1, -1, 0],
+            [2, 0, 1, 0, 0],
+            [1, 1, 0, 2, 0],
+            [1, 0, 1, 0, 1],
+        ]
+    ],
+)
+HOT_PATH_SCRIPT = """
+import contextlib, io, sys
+from prolim import cli, invsys
+sizes = []
+inner = invsys.eventual_image_lattice
+def counted(n_cols):
+    sizes.append(len(n_cols))
+    return inner(n_cols)
+invsys.eventual_image_lattice = counted
+for cmd in ("classify", "ml", "surjectivize", "kk-classify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([cmd, sys.argv[1]]) == 0, cmd
+print(sorted(set(sizes)), "sympy" in sys.modules)
+"""
+
+
+def test_hot_path_does_not_import_sympy(tmp_path):
+    doc = {"name": "rank4", "system": {"prefix": [], "maps": [], "tail": RANK4_CYCLE}}
+    doc["second_system"] = doc["system"]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src")] + [x for x in [env.get("PYTHONPATH")] if x]
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", HOT_PATH_SCRIPT, str(p)],
+        capture_output=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    # the stable image of the rank-4 free part was computed, without sympy
+    assert res.stdout == b"[4] False\n"
 
 
 def test_kk_classify_requires_second_system(tmp_path):

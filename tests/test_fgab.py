@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from prolim import fgab as F
 from prolim.errors import InputError
 
+from conftest import random_group, random_hom
+
 
 def test_canonical_form_merges_coprime_factors():
     assert F.Zmod(2, 3) == F.Zmod(6)
@@ -18,7 +20,7 @@ def test_canonical_form_merges_coprime_factors():
 def test_canonical_form_is_idempotent():
     rng = random.Random(1)
     for _ in range(50):
-        g = F.random_group(rng)
+        g = random_group(rng)
         again = F.FgAbGroup.from_diagonal([0] * g.free_rank + list(g.torsion))
         assert again == g
 
@@ -87,9 +89,9 @@ def test_image_examples():
 def test_image_membership_matches_solvability():
     rng = random.Random(7)
     for _ in range(40):
-        src = F.random_group(rng, max_rank=1, factors=(2, 3, 4), max_torsion=2)
-        tgt = F.random_group(rng, max_rank=1, factors=(2, 4, 6), max_torsion=2)
-        h = F.random_hom(rng, src, tgt)
+        src = random_group(rng, max_rank=1, factors=(2, 3, 4), max_torsion=2)
+        tgt = random_group(rng, max_rank=1, factors=(2, 4, 6), max_torsion=2)
+        h = random_hom(rng, src, tgt)
         im = F.image(h)
         for _ in range(6):
             x = tuple(rng.randrange(-3, 4) for _ in range(tgt.dim))
@@ -113,7 +115,7 @@ def test_quotient_examples():
 def test_quotient_projection_kernel_is_the_subgroup():
     rng = random.Random(3)
     for _ in range(30):
-        g = F.random_group(rng, max_rank=1, factors=(2, 3, 4), max_torsion=2)
+        g = random_group(rng, max_rank=1, factors=(2, 3, 4), max_torsion=2)
         gens = [
             g.reduce(tuple(rng.randrange(-2, 3) for _ in range(g.dim)))
             for _ in range(rng.randrange(3))
@@ -141,11 +143,11 @@ def test_order_identity_kernel_times_image():
     rng = random.Random(11)
     checked = 0
     while checked < 60:
-        src = F.random_group(rng, max_rank=0, factors=(2, 3, 4, 8), max_torsion=3)
+        src = random_group(rng, max_rank=0, factors=(2, 3, 4, 8), max_torsion=3)
         if not src.order() or src.order() > 64:
             continue
-        tgt = F.random_group(rng, max_rank=0, factors=(2, 4, 6), max_torsion=2)
-        h = F.random_hom(rng, src, tgt)
+        tgt = random_group(rng, max_rank=0, factors=(2, 4, 6), max_torsion=2)
+        h = random_hom(rng, src, tgt)
         ker, _ = F.kernel(h)
         assert ker.normal_form.order() * F.image(h).normal_form.order() == src.order()
         # brute-force cross-check on small groups
@@ -159,9 +161,9 @@ def test_quotient_by_image_matches_stacked_cokernel():
     # independent route: Smith form of (matrix | target relations)
     rng = random.Random(23)
     for _ in range(40):
-        src = F.random_group(rng, max_rank=1, factors=(2, 3, 4), max_torsion=2)
-        tgt = F.random_group(rng, max_rank=1, factors=(2, 4), max_torsion=2)
-        h = F.random_hom(rng, src, tgt)
+        src = random_group(rng, max_rank=1, factors=(2, 3, 4), max_torsion=2)
+        tgt = random_group(rng, max_rank=1, factors=(2, 4), max_torsion=2)
+        h = random_hom(rng, src, tgt)
         q, _ = F.quotient(tgt, F.image(h))
         cols = [
             [h.matrix[i][j] for i in range(tgt.dim)] for j in range(src.dim)
@@ -268,7 +270,7 @@ def _random_nested_pair(rng, g):
 def test_index_in_matches_brute_force_on_finite_groups():
     rng = random.Random(17)
     for _ in range(60):
-        g = F.random_group(rng, max_rank=0)
+        g = random_group(rng, max_rank=0)
         a, b = _random_nested_pair(rng, g)
         size_a = len(_span(g, a.generators))
         size_b = len(_span(g, b.generators))
@@ -282,7 +284,7 @@ def test_index_in_matches_smith_reference_on_free_and_mixed_groups():
     rng = random.Random(23)
     finite = 0
     for _ in range(80):
-        g = F.random_group(rng)
+        g = random_group(rng)
         if g.free_rank == 0:
             g = F.FgAbGroup(1, g.torsion)
         a, b = _random_nested_pair(rng, g)
@@ -304,3 +306,13 @@ def test_index_in_rejects_a_pair_that_is_not_nested():
     z2 = F.Z(2)
     with pytest.raises(InputError, match="containment"):
         F.Subgroup(z2, [(1, 1)]).index_in(F.Subgroup(z2, [(1, 0)]))
+
+
+def test_json_group_dimension_bound():
+    bound = F.MAX_JSON_DIM
+    g = F.FgAbGroup.from_json({"free_rank": bound - 1, "torsion": [2]}, "g")
+    assert g.dim == bound
+    with pytest.raises(InputError, match=r"^g\.free_rank: .*dimension bound"):
+        F.FgAbGroup.from_json({"free_rank": bound + 1, "torsion": []}, "g")
+    with pytest.raises(InputError, match=r"^g\.torsion: .*dimension bound"):
+        F.FgAbGroup.from_json({"free_rank": bound - 1, "torsion": [2, 2]}, "g")

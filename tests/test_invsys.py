@@ -8,6 +8,8 @@ from prolim.errors import InputError, PreconditionError
 
 from conftest import (
     random_finite_cycle_system,
+    random_group,
+    random_hom,
     random_mixed_cycle_system,
     random_system,
 )
@@ -260,8 +262,8 @@ def test_json_round_trip(rng):
 def test_eventual_image_matches_long_iteration(rng):
     # push the image chain far and compare against the exact eventual image
     for _ in range(25):
-        g = F.random_group(rng, max_rank=2, factors=(2, 3, 4), max_torsion=1)
-        e = F.random_hom(rng, g, g, bound=2)
+        g = random_group(rng, max_rank=2, factors=(2, 3, 4), max_torsion=1)
+        e = random_hom(rng, g, g, bound=2)
         w = I.eventual_image(e)
         cur = F.Subgroup.full(g)
         for _ in range(14):
