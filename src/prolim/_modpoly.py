@@ -1,4 +1,5 @@
-"""Polynomials over F_p, and a mod-p proof that a charpoly has no unit factor.
+"""Polynomials over F_p and Z: a mod-p proof that a charpoly has no unit
+factor, and its unit part when there is one.
 
 The unit part of a square integer matrix N is the product of the
 irreducible factors of charpoly(N) over Z whose constant term is +-1.  If
@@ -7,16 +8,21 @@ irreducible factors of charpoly(N) mod p with total degree d and constant
 product +-1 mod p.  `no_unit_factor` collects, for a few fixed primes, the
 degrees such sub-multisets can have; when no degree d >= 1 is possible at
 every prime, N has no unit factor.  The proof needs no integer charpoly:
-charpoly(N) mod p comes from a Hessenberg reduction mod p.
+charpoly(N) mod p comes from a Hessenberg reduction mod p.  When the proof
+fails, `unit_part` factors the integer charpoly over Z (Zassenhaus: factor
+mod p, Hensel lifting, recombination) and keeps the unit factors.
 
-Each prime used exceeds the dimension, so a polynomial of degree n < p
-with zero derivative is constant and the square-free decomposition of
-characteristic zero holds.  Polynomials are lists of coefficients in
-[0, p), ascending, with a nonzero last entry; [] is zero.  This module
-imports nothing from the rest of the package.
+Each prime used exceeds the degree, so a polynomial of degree n < p with
+zero derivative is constant and the square-free decomposition of
+characteristic zero holds.  Polynomials are lists of coefficients,
+ascending, with a nonzero last entry; [] is zero.  Over F_p the entries
+lie in [0, p).  This module imports nothing from the rest of the package.
 """
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 PRIMES = (101, 103)
 
@@ -236,3 +242,171 @@ def no_unit_factor(a):
         if not possible:
             return True
     return False
+
+
+def _sum(m, *polys):
+    out = [0] * max(map(len, polys))
+    for f in polys:
+        for i, c in enumerate(f):
+            out[i] += c
+    return _trim([c % m for c in out])
+
+
+def _neg(f):
+    return [-c for c in f]
+
+
+def _xgcd(f, g, p):
+    """(s, t) with s*f + t*g = 1 mod p, for coprime f and g;
+    deg s < deg g and deg t < deg f."""
+    r0, r1 = f, g
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g*h and s*g + t*h = 1 from mod m to mod m**2, for monic
+    f, g and h (von zur Gathen-Gerhard, Algorithm 15.10)."""
+    m2 = m * m
+    e = _sub(f, _mul(g, h), m2)
+    q, r = _divmod(_mul(s, e), h, m2)
+    g = _sum(m2, g, _mul(t, e), _mul(q, g))
+    h = _sum(m2, h, r)
+    b = _sum(m2, _mul(s, g), _mul(t, h), [-1])
+    c, d = _divmod(_mul(s, b), h, m2)
+    return g, h, _sum(m2, s, _neg(d)), _sum(m2, t, _neg(_mul(t, b)), _neg(_mul(c, g)))
+
+
+def _lift(f, gs, p, m):
+    """Monic lifts mod m of the coprime monic factors gs of f mod p, whose
+    product is f mod p; m is p**(2**j)."""
+    if len(gs) == 1:
+        return [_trim([c % m for c in f])]
+    k = len(gs) // 2
+    halves = []
+    for part in (gs[:k], gs[k:]):
+        prod = [1]
+        for g in part:
+            prod = [c % p for c in _mul(prod, g)]
+        halves.append(prod)
+    g, h = halves
+    s, t = _xgcd(g, h, p)
+    mod = p
+    while mod < m:
+        g, h, s, t = _hensel_step(f, g, h, s, t, mod)
+        mod *= mod
+    return _lift(g, gs[:k], p, m) + _lift(h, gs[k:], p, m)
+
+
+def _primes_above(n):
+    """The primes from max(n + 1, PRIMES[0]) upwards."""
+    q = max(n + 1, PRIMES[0])
+    while True:
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            yield q
+        q += 1
+
+
+def _is_squarefree_mod(f, p):
+    fp = _trim([c % p for c in f])
+    return len(_monic_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) == 1
+
+
+def _zdivmod(f, g):
+    """(quotient, remainder) over Z of f by a monic g."""
+    dg = len(g) - 1
+    r = list(f)
+    if len(r) <= dg:
+        return [], _trim(r)
+    q = [0] * (len(r) - dg)
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k]
+        if c:
+            q[k - dg] = c
+            base = k - dg
+            for j in range(dg):
+                r[base + j] -= c * g[j]
+    return q, _trim(r[:dg])
+
+
+def _qgcd(f, g):
+    """Monic gcd over Q of a monic integer f and a nonzero integer g; it
+    divides f, so its entries are integers."""
+    f = [Fraction(c) for c in f]
+    g = [Fraction(c) for c in g]
+    while g:
+        r = list(f)
+        while len(r) >= len(g):
+            c = r[-1] / g[-1]
+            base = len(r) - len(g)
+            for j, x in enumerate(g):
+                r[base + j] -= c * x
+            r.pop()
+            _trim(r)
+        f, g = g, r
+    return [int(c / f[-1]) for c in f]
+
+
+def _factor_squarefree(f):
+    """The monic irreducible factors over Z of a monic square-free f of
+    degree >= 1 (Zassenhaus)."""
+    n = len(f) - 1
+    if n == 1:
+        return [f]
+    p = next(q for q in _primes_above(n) if _is_squarefree_mod(f, q))
+    gs = [g for g, _i in factor_mod([c % p for c in f], p)]
+    # Mignotte: every factor of f has coefficients below 2**n * |f|_2, so
+    # above twice that the symmetric residues mod m are the coefficients
+    bound = 2 ** (n + 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    m = p
+    while m <= bound:
+        m *= m
+    lifted = _lift(f, gs, p, m)
+    factors = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for combo in itertools.combinations(range(len(lifted)), size):
+            g = [1]
+            for i in combo:
+                g = [c % m for c in _mul(g, lifted[i])]
+            g = [c - m if c > m // 2 else c for c in g]
+            if f[0] and (not g[0] or f[0] % g[0]):
+                continue
+            q, r = _zdivmod(f, g)
+            if not r:
+                factors.append(g)
+                f = q
+                lifted = [x for i, x in enumerate(lifted) if i not in combo]
+                break
+        else:
+            size += 1
+    factors.append(f)
+    return factors
+
+
+def unit_part(f):
+    """Product, with multiplicity, of the irreducible factors over Z of a
+    monic integer f whose constant term is +-1; [1] if there are none."""
+    if len(f) < 2:
+        return [1]
+    if len(f) == 2:  # t - a
+        return list(f) if abs(f[0]) == 1 else [1]
+    sqf = f
+    if not _is_squarefree_mod(f, next(_primes_above(len(f) - 1))):
+        sqf = _zdivmod(f, _qgcd(f, [i * c for i, c in enumerate(f)][1:]))[0]
+    u = [1]
+    for h in _factor_squarefree(sqf):
+        if abs(h[0]) != 1:
+            continue
+        rest, r = _zdivmod(f, h)
+        while not r:
+            u = _mul(u, h)
+            rest, r = _zdivmod(rest, h)
+    return u

@@ -657,28 +657,6 @@ def direct_sum(*groups):
     return pres.group, incls, projs
 
 
-def _unit_factor_poly(coeffs):
-    """Product of irreducible factors of an integer polynomial whose constant
-    term is a unit, with multiplicity (ascending coefficients).
-
-    This is the characteristic polynomial of the restriction to the largest
-    invariant subspace on which the matrix acts unimodularly.
-    """
-    if len(coeffs) == 2:  # monic linear: t - a
-        return list(coeffs) if abs(coeffs[0]) == 1 else [1]
-    from sympy import Poly, symbols
-
-    t = symbols("t")
-    poly = Poly(list(reversed(coeffs)), t)
-    out = Poly(1, t)
-    for fac, mult in poly.factor_list()[1]:
-        const = fac.all_coeffs()[-1]
-        if abs(int(const)) == 1:
-            out = out * fac**mult
-    res = [int(c) for c in reversed(out.all_coeffs())]
-    return res
-
-
 def eventual_image_lattice(n_cols):
     """Basis of the largest sublattice W of Z^r with N(W) = W, for square
     integer N with nonzero determinant, given by its columns.
@@ -694,5 +672,5 @@ def eventual_image_lattice(n_cols):
 
     if _modpoly.no_unit_factor(n_cols):
         return []
-    u = _unit_factor_poly(_k.charpoly(n_cols))
+    u = _modpoly.unit_part(_k.charpoly(n_cols))
     return _k.kernel_columns(_k.poly_at_matrix(u, n_cols))

@@ -66,9 +66,6 @@ FIVE_CLASS_EXPECTED = {
 
 
 def test_criterion_1_five_class_table():
-    # one-time warmup so per-fixture timings measure classification, not
-    # the first import of the polynomial-factorization dependency
-    F._unit_factor_poly([1, 0, 0, 1])
     slow = []
     for name, (tag, card) in FIVE_CLASS_EXPECTED.items():
         s = load_system(name)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, REPO_ROOT
-from prolim import cli
+from prolim import _modpoly, cli
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -191,6 +191,21 @@ RANK4_CYCLE = _cycle_tail(
         ]
     ],
 )
+# The same with charpoly (t - 1)(t^3 - 3t^2 + 3t - 3): the unit factor t - 1
+# is real, so the mod-p certificate cannot settle it and the unit part is
+# factored over Z.
+RANK4_UNIT_CYCLE = _cycle_tail(
+    [{"free_rank": 4, "torsion": [2]}],
+    [
+        [
+            [0, 0, 0, -3, 0],
+            [1, 0, 0, 6, 0],
+            [0, 1, 0, -6, 0],
+            [0, 0, 1, 4, 0],
+            [1, 0, 1, 0, 1],
+        ]
+    ],
+)
 HOT_PATH_SCRIPT = """
 import contextlib, io, sys
 from prolim import cli, invsys
@@ -207,8 +222,9 @@ print(sorted(set(sizes)), "sympy" in sys.modules)
 """
 
 
-def test_hot_path_does_not_import_sympy(tmp_path):
-    doc = {"name": "rank4", "system": {"prefix": [], "maps": [], "tail": RANK4_CYCLE}}
+def run_hot_path(tmp_path, tail):
+    """Stdout of HOT_PATH_SCRIPT on a document with the given cycle tail."""
+    doc = {"name": "rank4", "system": {"prefix": [], "maps": [], "tail": tail}}
     doc["second_system"] = doc["system"]
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
@@ -224,8 +240,17 @@ def test_hot_path_does_not_import_sympy(tmp_path):
         timeout=60,
     )
     assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_hot_path_does_not_import_sympy(tmp_path):
     # the stable image of the rank-4 free part was computed, without sympy
-    assert res.stdout == b"[4] False\n"
+    assert run_hot_path(tmp_path, RANK4_CYCLE) == b"[4] False\n"
+
+
+def test_unit_part_does_not_import_sympy(tmp_path):
+    assert not _modpoly.no_unit_factor([row[:4] for row in RANK4_UNIT_CYCLE["maps"][0][:4]])
+    assert run_hot_path(tmp_path, RANK4_UNIT_CYCLE) == b"[4] False\n"
 
 
 def test_kk_classify_requires_second_system(tmp_path):

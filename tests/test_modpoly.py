@@ -1,5 +1,5 @@
-"""The mod-p certificate that a charpoly has no unit factor, with sympy as
-the oracle."""
+"""The mod-p certificate that a charpoly has no unit factor, and the unit
+part over Z, with sympy as the oracle."""
 
 import random
 
@@ -103,6 +103,23 @@ def sympy_unit_factors(coeffs):
     return [f for f, _ in poly.factor_list()[1] if abs(int(f.all_coeffs()[-1])) == 1]
 
 
+def sympy_unit_part(coeffs):
+    """The product, with multiplicity, of sympy's factors with constant +-1."""
+    out = Poly(1, T)
+    for f, mult in Poly(list(reversed(coeffs)), T).factor_list()[1]:
+        if abs(int(f.all_coeffs()[-1])) == 1:
+            out = out * f**mult
+    return [int(c) for c in reversed(out.all_coeffs())]
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def test_corpus_reaches_both_outcomes():
     proved = [M.no_unit_factor(a) for a, _ in CORPUS]
     assert 20 < sum(proved) < len(CORPUS) - 20
@@ -135,10 +152,37 @@ def test_certificate_is_sound_on_random_polynomials():
 
 def test_eventual_image_lattice_matches_the_factoring_reference():
     for a, _unit in CORPUS:
-        reference = K.kernel_columns(
-            K.poly_at_matrix(F._unit_factor_poly(K.charpoly(a)), a)
-        )
+        reference = K.kernel_columns(K.poly_at_matrix(sympy_unit_part(K.charpoly(a)), a))
         assert F.eventual_image_lattice(a) == reference
+
+
+def test_unit_part_matches_sympy_on_the_corpus():
+    for a, has_unit_block in CORPUS:
+        u = M.unit_part(K.charpoly(a))
+        assert u == sympy_unit_part(K.charpoly(a))
+        if has_unit_block:
+            assert len(u) > 1
+
+
+def test_unit_part_matches_sympy_on_products():
+    # products of the blocks' charpolys, with repeats, so the square-free
+    # part, the Hensel lifting and the recombination all get exercised
+    blocks = [K.charpoly(b) for b in (*UNIT_BLOCKS.values(), *NON_UNIT_BLOCKS.values())]
+    blocks += [[-6, 1], [5, 0, 0, 1], [-1, 0, 0, 0, 0, 1], [0, 1]]
+    rng = random.Random(11)
+    for _ in range(150):
+        f = [1]
+        for _ in range(rng.randint(1, 5)):
+            f = poly_mul(f, rng.choice(blocks))
+        assert M.unit_part(f) == sympy_unit_part(f), f
+    for _ in range(150):
+        f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 10))] + [1]
+        if rng.random() < 0.5:
+            f[0] = rng.choice((-1, 1))
+        assert M.unit_part(f) == sympy_unit_part(f), f
+    assert M.unit_part([1]) == [1]
+    assert M.unit_part([-1, 1]) == [-1, 1]
+    assert M.unit_part([2, 1]) == [1]
 
 
 @pytest.mark.parametrize("p", [101, 103])
