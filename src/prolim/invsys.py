@@ -376,37 +376,51 @@ def _push(h, sub):
     return Subgroup(h.target, [h.apply(g) for g in sub.generators] or [])
 
 
+def _hermite_split(sub):
+    """(free, tors): the subgroup's cached Hermite basis split at the free rows.
+
+    Pivot rows increase, so the columns with a pivot row below the ambient
+    free rank r come first; `free` holds them truncated to rows < r, which
+    is the Hermite basis of the lattice's projection to the free part, and
+    len(free) is the subgroup's free rank.  The remaining columns, `tors`,
+    are zero in rows < r and form the Hermite basis of the lattice's
+    intersection with the torsion block, i.e. of the subgroup's torsion part.
+    """
+    r = sub.ambient.free_rank
+    basis = sub.lattice_basis()
+    n_free = 0
+    while n_free < len(basis) and any(basis[n_free][:r]):
+        n_free += 1
+    return [c[:r] for c in basis[:n_free]], basis[n_free:]
+
+
 def _image_chain(endo):
     """Walk the image chain C_j = Im(endo^j) of an endomorphism until it settles.
 
-    Returns (stable, steps, anchor, t_inf) with anchor = C_steps and t_inf
-    its torsion part.  The chain is pushed while it makes strict progress
-    in rank or in its torsion part.  If it becomes constant, stable is True
-    and anchor is its value.  Otherwise the free-part index is a constant
-    >= 2 and the chain never stabilizes, but its torsion part is already
-    final.  Torsion maps to torsion, so the torsion part C_j & T equals
-    endo^j(P_j) with P_j = {x : endo^j(x) in T}.  Once the rank stops
-    dropping, the kernels of the free-part powers have stopped growing, so
-    P_j is one fixed P, and a torsion part endo^j(P) that repeats once
-    repeats forever.
+    Returns (stable, steps, anchor) with anchor = C_steps.  The chain is
+    pushed while it makes strict progress in rank or in its torsion part,
+    both read off each term's Hermite basis by `_hermite_split`.  If it
+    becomes constant, stable is True and anchor is its value.  Otherwise
+    the free-part index is a constant >= 2 and the chain never stabilizes,
+    but its torsion part is already final.  Torsion maps to torsion, so the
+    torsion part C_j & T equals endo^j(P_j) with P_j = {x : endo^j(x) in T}.
+    Once the rank stops dropping, the kernels of the free-part powers have
+    stopped growing, so P_j is one fixed P, and a torsion part endo^j(P)
+    that repeats once repeats forever.
     """
-    g = endo.source
-    tblock = Subgroup.torsion_block(g)
-    cur = Subgroup.full(g)
-    cur_tors = cur.intersection(tblock)
+    cur = Subgroup.full(endo.source)
+    free, tors = _hermite_split(cur)
     steps = 0
     while True:
         nxt = _push(endo, cur)
         if nxt.equals(cur):
-            return True, steps, cur, cur_tors
-        nxt_tors = nxt.intersection(tblock)
-        settled = nxt.normal_form.free_rank == cur.normal_form.free_rank and (
-            nxt_tors.equals(cur_tors)
-        )
-        cur, cur_tors = nxt, nxt_tors
+            return True, steps, cur
+        nxt_free, nxt_tors = _hermite_split(nxt)
+        settled = len(nxt_free) == len(free) and nxt_tors == tors
+        cur, free, tors = nxt, nxt_free, nxt_tors
         steps += 1
         if settled:
-            return False, steps, cur, cur_tors
+            return False, steps, cur
 
 
 def eventual_image(endo):
@@ -419,15 +433,13 @@ def eventual_image(endo):
     """
     if endo.source != endo.target:
         raise InputError("eventual_image needs an endomorphism")
-    stable, _steps, anchor, t_inf = _image_chain(endo)
+    stable, _steps, anchor = _image_chain(endo)
     if stable:
         return anchor
     g = endo.source
     # Free part: the induced endomorphism on the settled image lattice.
     rho = g.free_rank
-    lam = _k.hermite_column_basis(
-        [list(col[:rho]) for col in anchor.lattice_basis()], rho
-    )
+    lam, _tors = _hermite_split(anchor)
     w_free = []
     if lam:
         e_free = [[endo.matrix[i][j] for j in range(rho)] for i in range(rho)]
@@ -443,7 +455,7 @@ def eventual_image(endo):
                         vec[r] += c * b[r]
             w_free.append(vec)
 
-    gens = list(t_inf.generators)
+    gens = list(anchor.intersection(Subgroup.torsion_block(g)).generators)
     if w_free:
         # lift each free basis vector into the anchor (torsion correction)
         carrier = anchor.lattice_basis()
@@ -512,7 +524,7 @@ def _tail_image_chain_analysis(s, level):
     index is read off at two consecutive periods past the settled term.
     """
     endo = s.map_between(level, level + s.period)
-    stable, steps, anchor, _t_inf = _image_chain(endo)
+    stable, steps, anchor = _image_chain(endo)
     if stable:
         return True, steps, None
     nxt = _push(endo, anchor)
@@ -578,10 +590,16 @@ def is_mittag_leffler(s):
 def stable_images(s):
     """Exact stable image subgroup at each represented level (1..k+p).
 
-    Tail levels get the eventual image of their period endomorphism; prefix
-    levels get the pushforward of the first tail level's eventual image.
-    The pushforward (rather than the raw intersection of images) is what
-    makes the restricted system surjective while preserving the limit.
+    The first tail level k+1 gets the eventual image W_{k+1} of its period
+    endomorphism; every other level n gets f_n(W_{n+1}), pushed down from
+    level k+1 around the cycle (from W_{k+p+1} = W_{k+1}) and then through
+    the prefix.  On the tail this is still each level's own eventual image:
+    with endo_n = f_{n,n+p} and g = f_{n+1,n+p}, f_n o endo_{n+1} =
+    endo_n o f_n makes f_n(W_{n+1}) endo_n-invariant, so it lies in W_n, and
+    g(W_n) lies in W_{n+1} likewise, so W_n = f_n(g(W_n)) lies in
+    f_n(W_{n+1}).  On the prefix, the pushforward (rather than the raw
+    intersection of images) is what makes the restricted system surjective
+    while preserving the limit.  A tower tail's levels are full.
     """
     _require_tail(s)
     k = s.prefix_len
@@ -591,12 +609,12 @@ def stable_images(s):
         for j in range(p):
             level = k + 1 + j
             out[level] = Subgroup.full(s.group_at(level))
-        w1 = Subgroup.full(s.group_at(k + 1))
-    else:
-        for j in range(p):
-            level = k + 1 + j
-            out[level] = eventual_image(s.map_between(level, level + p))
         w1 = out[k + 1]
+    else:
+        w1 = eventual_image(s.map_between(k + 1, k + 1 + p))
+        out[k + 1] = w = w1
+        for level in range(k + p, k + 1, -1):
+            out[level] = w = _push(s.map_at(level), w)
     for n in range(k, 0, -1):
         out[n] = _push(s.map_between(n, k + 1), w1)
     return out

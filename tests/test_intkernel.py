@@ -265,3 +265,24 @@ def test_every_kernel_primitive_has_a_caller():
         if not any(re.search(rf"\b{name}\(", text) for text in texts)
     ]
     assert uncalled == []
+
+
+def test_smith_and_hermite_determinants_agree():
+    # on a full-rank lattice the index in Z^n is both the product of the
+    # Smith invariant factors and the product of the Hermite pivots
+    rng = random.Random(2)
+    seen = 0
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        cols = [
+            [rng.randrange(-9, 10) for _ in range(n)]
+            for _ in range(n + rng.randrange(3))
+        ]
+        rank, volume = smith_rank_and_volume(cols, n)
+        if rank < n:
+            continue
+        seen += 1
+        basis = K.hermite_column_basis(cols, n)
+        assert len(basis) == n
+        assert volume == prod(basis[i][i] for i in range(n))
+    assert seen >= 150

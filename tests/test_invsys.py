@@ -4,6 +4,7 @@ import pytest
 
 from prolim import fgab as F
 from prolim import invsys as I
+from prolim._backend import kernel as K
 from prolim.errors import InputError, PreconditionError
 
 from conftest import (
@@ -326,3 +327,64 @@ def test_failing_chain_invariants(rng):
             assert all(F.subgroup_equal(t, tors[0]) for t in tors)
             assert e.index == chain[steps + 1].index_in(chain[steps])
     assert seen >= 10
+
+
+def test_tail_stable_images_are_per_level_eventual_images(rng):
+    # stable_images computes one eventual image per cycle and pushes it
+    # around; every tail level must still get its own eventual image
+    levels = failing = 0
+    while levels < 60 or failing < 10:
+        s = random_mixed_cycle_system(rng, max_period=3)
+        k, p = s.prefix_len, s.period
+        if p < 2:
+            continue
+        subs = I.stable_images(s)
+        for level in range(k + 1, k + p + 1):
+            endo = s.map_between(level, level + p)
+            assert subs[level].lattice_basis() == I.eventual_image(endo).lattice_basis()
+            levels += 1
+            failing += not I._image_chain(endo)[0]
+
+
+def _reference_image_chain(endo):
+    # the walk on torsion intersections and Smith-form free ranks
+    tblock = F.Subgroup.torsion_block(endo.source)
+    cur = F.Subgroup.full(endo.source)
+    cur_tors = cur.intersection(tblock)
+    steps = 0
+    while True:
+        nxt = I._push(endo, cur)
+        if nxt.equals(cur):
+            return True, steps, cur
+        nxt_tors = nxt.intersection(tblock)
+        settled = nxt.normal_form.free_rank == cur.normal_form.free_rank and (
+            nxt_tors.equals(cur_tors)
+        )
+        cur, cur_tors = nxt, nxt_tors
+        steps += 1
+        if settled:
+            return False, steps, cur
+
+
+def test_hermite_split_reads_free_rank_and_torsion_part(rng):
+    unstable = 0
+    for _ in range(120):
+        g = random_group(rng, max_rank=3, max_torsion=2)
+        endo = random_hom(rng, g, g, bound=3)
+        rho = g.free_rank
+        tblock = F.Subgroup.torsion_block(g)
+        cur = F.Subgroup.full(g)
+        for _ in range(5):
+            free, tors = I._hermite_split(cur)
+            assert len(free) == cur.normal_form.free_rank
+            assert tors == cur.intersection(tblock).lattice_basis()
+            assert free == K.hermite_column_basis(
+                [c[:rho] for c in cur.lattice_basis()], rho
+            )
+            cur = I._push(endo, cur)
+        stable, steps, anchor = I._image_chain(endo)
+        ref_stable, ref_steps, ref_anchor = _reference_image_chain(endo)
+        assert (stable, steps) == (ref_stable, ref_steps)
+        assert anchor.lattice_basis() == ref_anchor.lattice_basis()
+        unstable += not stable
+    assert unstable >= 10
