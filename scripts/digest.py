@@ -7,9 +7,13 @@ the groups they describe: Mittag-Leffler certificates, surjectivized
 systems, stable-image and eventual-image subgroups, kernels, images,
 quotients and minimal solutions.  This script computes all of them over
 seeded random systems and prints one `family count sha256` line per
-family.  To compare two checkouts, run it once with the default `--src`
-(this checkout's `src/`) and once with `--src` pointing at the other
-checkout's `src/`; equal lines mean byte-identical outputs.
+family.  Subgroup families get one line per field instead
+(`eventual_image.basis 301 <sha256>`, likewise `generators`,
+`normal_form` and `inclusion`), so a change that keeps the lattices but
+picks other generators shows exactly which field moved.  To compare two
+checkouts, run it once with the default `--src` (this checkout's `src/`)
+and once with `--src` pointing at the other checkout's `src/`; equal
+lines mean byte-identical outputs.
 
 The corpus comes from the benchmark's standard-library generator
 (`perfbench/generate.py`), at small ranks, so it does not depend on the
@@ -24,13 +28,20 @@ import random
 import sys
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+SUBGROUP_FIELDS = ("generators", "basis", "normal_form", "inclusion")
+
+
+def _fields(family):
+    return [f"{family}.{field}" for field in SUBGROUP_FIELDS]
+
+
 FAMILIES = (
     "ml",
     "surjectivize",
-    "stable_images",
-    "eventual_image",
-    "kernel",
-    "image",
+    *_fields("stable_images"),
+    *_fields("eventual_image"),
+    *_fields("kernel"),
+    *_fields("image"),
     "quotient",
     "solve_hom_minimal",
 )
@@ -61,6 +72,17 @@ def subgroup_json(sub):
     }
 
 
+def subgroup_lines(family, subs):
+    """One `family.field` pair per subgroup field; `subs` maps keys to
+    subgroups, or is a single subgroup."""
+    if isinstance(subs, dict):
+        jsons = {key: subgroup_json(sub) for key, sub in subs.items()}
+        for field in SUBGROUP_FIELDS:
+            yield f"{family}.{field}", {key: j[field] for key, j in jsons.items()}
+    else:
+        yield from ((f"{family}.{k}", v) for k, v in subgroup_json(subs).items())
+
+
 def outputs(doc, rng):
     """(family, JSON-ready value) pairs for one system document."""
     from prolim import fgab as F
@@ -70,18 +92,18 @@ def outputs(doc, rng):
     yield "ml", I.is_mittag_leffler(s).to_json()
     yield "surjectivize", I.surjectivize(s).to_json()
     images = I.stable_images(s)
-    yield "stable_images", {str(n): subgroup_json(images[n]) for n in sorted(images)}
+    yield from subgroup_lines("stable_images", {str(n): images[n] for n in sorted(images)})
     k, p = s.prefix_len, s.period
     if isinstance(s.tail, I.CycleTail):
         for level in range(k + 1, k + p + 1):
             endo = s.map_between(level, level + p)
-            yield "eventual_image", subgroup_json(I.eventual_image(endo))
+            yield from subgroup_lines("eventual_image", I.eventual_image(endo))
     for n in range(1, k + p + 1):
         h = s.map_at(n)
-        sub, incl = F.kernel(h)
-        yield "kernel", {**subgroup_json(sub), "kernel_inclusion": [list(r) for r in incl.matrix]}
+        sub, _incl = F.kernel(h)  # _incl is sub.inclusion()
+        yield from subgroup_lines("kernel", sub)
         img = F.image(h)
-        yield "image", subgroup_json(img)
+        yield from subgroup_lines("image", img)
         q, proj = F.quotient(h.target, img)
         yield "quotient", {"group": q.to_json(), "projection": [list(r) for r in proj.matrix]}
         for _ in range(3):

@@ -34,6 +34,12 @@ def load_document(path):
         raise InputError(
             f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: not UTF-8 text at byte offset {exc.start}: {exc.reason}"
+        ) from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: document must be a JSON object")
     if "system" not in doc:
@@ -113,14 +119,20 @@ def cmd_sample(args):
     return _report("sample", doc, [t.to_json() for t in tuples])
 
 
+def _tuple_arg(flag, text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{flag}: tuple argument is not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{flag}: tuple argument is nested too deeply") from exc
+
+
 def cmd_metric(args):
     doc = load_document(args.file)
     s = parse_system(doc)
-    try:
-        x = prospace.CoherentTuple.from_json(s, json.loads(args.x), "--x")
-        y = prospace.CoherentTuple.from_json(s, json.loads(args.y), "--y")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"tuple argument is not valid JSON: {exc.msg}") from exc
+    x = prospace.CoherentTuple.from_json(s, _tuple_arg("--x", args.x), "--x")
+    y = prospace.CoherentTuple.from_json(s, _tuple_arg("--y", args.y), "--y")
     d = prospace.metric(x, y)
     return _report("metric", doc, {"distance": str(d), **d.to_json()})
 

@@ -658,18 +658,26 @@ def direct_sum(*groups):
 
 
 def eventual_image_lattice(n_cols):
-    """Basis of the largest sublattice W of Z^r with N(W) = W, for square
-    integer N with nonzero determinant, given by its columns.
+    """Basis of the largest sublattice W of Z^r with N(W) = W, for a square
+    integer N given by its columns.
 
-    W is the intersection of the images N^j(Z^r) over all j; equivalently
-    the integer kernel of u(N) where u is the unit part of charpoly(N).
-    Read as rows, the columns are the transpose of N, which has the same
-    charpoly, and u of the transpose is the transpose of u(N): its rows are
-    the columns of u(N).  When `_modpoly.no_unit_factor` proves u = 1, W is
-    0 and neither the integer charpoly nor its factorization is computed.
+    W is the intersection of the images N^j(Z^r) over all j; by Fitting's
+    decomposition it is the integer kernel of u(N), where u is the unit
+    part of charpoly(N): N is an automorphism of that saturated lattice,
+    and the intersection meets the part belonging to the other factors
+    (t^a and the factors whose constant term is not +-1) only in 0.  Read
+    as rows, the columns are the transpose of N, which has the same
+    charpoly, and u of the transpose is the transpose of u(N): its rows
+    are the columns of u(N).  A unimodular N (Hermite basis of its columns
+    the identity) gives W = Z^r at once.  When `_modpoly.no_unit_factor`
+    proves u = 1, W is 0 and neither the integer charpoly nor its
+    factorization is computed.
     """
     from prolim import _modpoly
 
+    eye = _k.identity_matrix(len(n_cols))
+    if _k.hermite_column_basis(n_cols, len(n_cols)) == eye:
+        return eye
     if _modpoly.no_unit_factor(n_cols):
         return []
     u = _modpoly.unit_part(_k.charpoly(n_cols))

@@ -21,6 +21,7 @@ Bonding maps go downward: map_at(s, n) is f_n : G_{n+1} -> G_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from prolim._backend import kernel as _k
 from prolim import fgab
@@ -377,21 +378,21 @@ def _push(h, sub):
 
 
 def _hermite_split(sub):
-    """(free, tors): the subgroup's cached Hermite basis split at the free rows.
+    """(free rank, tors): the subgroup's cached Hermite basis split at the
+    free rows.
 
     Pivot rows increase, so the columns with a pivot row below the ambient
-    free rank r come first; `free` holds them truncated to rows < r, which
-    is the Hermite basis of the lattice's projection to the free part, and
-    len(free) is the subgroup's free rank.  The remaining columns, `tors`,
-    are zero in rows < r and form the Hermite basis of the lattice's
-    intersection with the torsion block, i.e. of the subgroup's torsion part.
+    free rank r come first; their count is the subgroup's free rank.  The
+    remaining columns, `tors`, are zero in rows < r and form the Hermite
+    basis of the lattice's intersection with the torsion block, i.e. of the
+    subgroup's torsion part.
     """
     r = sub.ambient.free_rank
     basis = sub.lattice_basis()
     n_free = 0
     while n_free < len(basis) and any(basis[n_free][:r]):
         n_free += 1
-    return [c[:r] for c in basis[:n_free]], basis[n_free:]
+    return n_free, basis[n_free:]
 
 
 def _image_chain(endo):
@@ -409,15 +410,15 @@ def _image_chain(endo):
     that repeats once repeats forever.
     """
     cur = Subgroup.full(endo.source)
-    free, tors = _hermite_split(cur)
+    rank, tors = _hermite_split(cur)
     steps = 0
     while True:
         nxt = _push(endo, cur)
         if nxt.equals(cur):
             return True, steps, cur
-        nxt_free, nxt_tors = _hermite_split(nxt)
-        settled = len(nxt_free) == len(free) and nxt_tors == tors
-        cur, free, tors = nxt, nxt_free, nxt_tors
+        nxt_rank, nxt_tors = _hermite_split(nxt)
+        settled = nxt_rank == rank and nxt_tors == tors
+        cur, rank, tors = nxt, nxt_rank, nxt_tors
         steps += 1
         if settled:
             return False, steps, cur
@@ -426,54 +427,35 @@ def _image_chain(endo):
 def eventual_image(endo):
     """The largest subgroup W of G with endo(W) = W, for an endomorphism.
 
-    Equals the intersection of the images of all powers of endo.  When the
-    image chain never stabilizes, W is assembled exactly from the settled
-    torsion part and the unimodular core of the endomorphism induced on the
-    free part of the chain's anchor term.
+    Equals the intersection of the images of all powers of endo.  Write
+    G = Z^r + T and let A be the free block of endo (its first r rows and
+    columns; torsion columns are zero there).  The projection to Z^r maps
+    endo^j(G) onto A^j(Z^r), so W projects into the eventual lattice W_A of
+    A, which is the integer kernel of u(A) for the unit part u of
+    charpoly(A) (`eventual_image_lattice`), and A is an automorphism of it.
+    The walk starts at H = W_A + T, the preimage of W_A: endo(H) lies in H,
+    every term endo^j(H) contains W and still projects onto W_A, so the
+    chain loses index only inside T and settles within log2|T| + 1 pushes,
+    at a term V with endo(V) = V, which lies in W.  So V = W.
     """
     if endo.source != endo.target:
         raise InputError("eventual_image needs an endomorphism")
-    stable, _steps, anchor = _image_chain(endo)
-    if stable:
-        return anchor
     g = endo.source
-    # Free part: the induced endomorphism on the settled image lattice.
-    rho = g.free_rank
-    lam, _tors = _hermite_split(anchor)
-    w_free = []
-    if lam:
-        e_free = [[endo.matrix[i][j] for j in range(rho)] for i in range(rho)]
-        n_cols = [_k.lattice_coordinates(lam, _k.mat_vec(e_free, col)) for col in lam]
-        if None in n_cols:
-            raise AssertionError("image lattice is not endo-invariant")
-        core = eventual_image_lattice(n_cols)
-        for col in core:
-            vec = [0] * rho
-            for c, b in zip(col, lam):
-                if c:
-                    for r in range(rho):
-                        vec[r] += c * b[r]
-            w_free.append(vec)
-
-    gens = list(anchor.intersection(Subgroup.torsion_block(g)).generators)
-    if w_free:
-        # lift each free basis vector into the anchor (torsion correction)
-        carrier = anchor.lattice_basis()
-        tors_cols = [list(gcol) for gcol in Subgroup.torsion_block(g).generators]
-        cols = carrier + tors_cols
-        for w in w_free:
-            target = list(w) + [0] * len(g.torsion)
-            sol = _k.solve(cols, target)
-            if sol is None:
-                raise AssertionError("free core must lift into the settled image")
-            corr = sol[len(carrier):]
-            lifted = list(target)
-            for c, tcol in zip(corr, tors_cols):
-                if c:
-                    for r in range(g.dim):
-                        lifted[r] -= c * tcol[r]
-            gens.append(g.reduce(lifted))
-    return Subgroup(g, gens)
+    r = g.free_rank
+    a_cols = [[endo.matrix[i][j] for i in range(r)] for j in range(r)]
+    w_free = eventual_image_lattice(a_cols) if r else []
+    pad = [0] * len(g.torsion)
+    gens = [list(c) + pad for c in w_free] + list(Subgroup.torsion_block(g).generators)
+    cur = Subgroup(g, gens)
+    nxt = _push(endo, cur)
+    basis = cur.lattice_basis()
+    if any(_k.lattice_coordinates(basis, c) is None for c in nxt.lattice_basis()):
+        raise AssertionError("eventual lattice of the free block is not endo-invariant")
+    for _ in range(prod(g.torsion).bit_length() + 1):
+        if nxt.equals(cur):
+            return cur
+        cur, nxt = nxt, _push(endo, nxt)
+    raise AssertionError("eventual image walk did not settle within log2|T| + 1 pushes")
 
 
 # -- Mittag-Leffler ------------------------------------------------------

@@ -411,6 +411,31 @@ def test_metric_tuple_input_names_path(entries, path):
     assert b"Traceback" not in res.stderr
 
 
+def test_non_utf8_document_exits_2(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b'\xff\xff\xff{"system":1}')
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert b"error:" in res.stderr and b"bad.json" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
+def test_deeply_nested_document_exits_2(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert b"error:" in res.stderr and b"deep.json" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
+def test_deeply_nested_tuple_argument_exits_2():
+    res = run_cli("metric", fixture("tower-z2"), "--x", "[" * 20000, "--y", "[]")
+    assert res.returncode == 2
+    assert b"error: --x:" in res.stderr
+    assert b"Traceback" not in res.stderr
+
+
 def test_dense_command():
     res = run_cli("dense", fixture("tower-z2"), "--budget", "2")
     out = json.loads(res.stdout)

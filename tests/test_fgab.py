@@ -223,6 +223,10 @@ def test_eventual_image_lattice_cases():
     # (N has rows (2, 1) and (0, 1); the argument is its columns)
     w2 = F.eventual_image_lattice([[2, 0], [1, 1]])
     assert len(w2) == 1 and sum(w2[0]) == 0
+    # singular N: nilpotent, a projection, and a unimodular shear
+    assert F.eventual_image_lattice([[0, 1], [0, 0]]) == []
+    assert F.eventual_image_lattice([[1, 0], [0, 0]]) == [[1, 0]]
+    assert F.eventual_image_lattice([[1, 1], [0, 1]]) == [[1, 0], [0, 1]]
 
 
 def test_subgroup_index_and_intersection():

@@ -1,17 +1,21 @@
+import functools
 import random
 
 import pytest
 
 from prolim import fgab as F
+from prolim import _modpoly as M
 from prolim import invsys as I
 from prolim._backend import kernel as K
 from prolim.errors import InputError, PreconditionError
 
 from conftest import (
+    random_cycle_system,
     random_finite_cycle_system,
     random_group,
     random_hom,
     random_mixed_cycle_system,
+    random_small_group,
     random_system,
 )
 
@@ -371,16 +375,12 @@ def test_hermite_split_reads_free_rank_and_torsion_part(rng):
     for _ in range(120):
         g = random_group(rng, max_rank=3, max_torsion=2)
         endo = random_hom(rng, g, g, bound=3)
-        rho = g.free_rank
         tblock = F.Subgroup.torsion_block(g)
         cur = F.Subgroup.full(g)
         for _ in range(5):
-            free, tors = I._hermite_split(cur)
-            assert len(free) == cur.normal_form.free_rank
+            rank, tors = I._hermite_split(cur)
+            assert rank == cur.normal_form.free_rank
             assert tors == cur.intersection(tblock).lattice_basis()
-            assert free == K.hermite_column_basis(
-                [c[:rho] for c in cur.lattice_basis()], rho
-            )
             cur = I._push(endo, cur)
         stable, steps, anchor = I._image_chain(endo)
         ref_stable, ref_steps, ref_anchor = _reference_image_chain(endo)
@@ -388,3 +388,146 @@ def test_hermite_split_reads_free_rank_and_torsion_part(rng):
         assert anchor.lattice_basis() == ref_anchor.lattice_basis()
         unstable += not stable
     assert unstable >= 10
+
+
+def _reference_eventual_image(endo):
+    # the walk-and-lift construction: the full image chain, then the free
+    # core of the endomorphism induced on the settled image lattice, lifted
+    # back into the chain's anchor term by solving for a torsion correction
+    stable, _steps, anchor = I._image_chain(endo)
+    if stable:
+        return anchor
+    g = endo.source
+    r = g.free_rank
+    lam = [c[:r] for c in anchor.lattice_basis() if any(c[:r])]
+    w_free = []
+    if lam:
+        e_free = [[endo.matrix[i][j] for j in range(r)] for i in range(r)]
+        n_cols = [K.lattice_coordinates(lam, K.mat_vec(e_free, col)) for col in lam]
+        assert None not in n_cols
+        for col in F.eventual_image_lattice(n_cols):
+            w_free.append([sum(c * b[i] for c, b in zip(col, lam)) for i in range(r)])
+    tblock = F.Subgroup.torsion_block(g)
+    gens = list(anchor.intersection(tblock).generators)
+    carrier = anchor.lattice_basis()
+    tors_cols = [list(t) for t in tblock.generators]
+    for w in w_free:
+        target = list(w) + [0] * len(g.torsion)
+        sol = K.solve(carrier + tors_cols, target)
+        assert sol is not None
+        lifted = list(target)
+        for c, tcol in zip(sol[len(carrier):], tors_cols):
+            for i in range(g.dim):
+                lifted[i] -= c * tcol[i]
+        gens.append(g.reduce(lifted))
+    return F.Subgroup(g, gens)
+
+
+def _oracle_endo(rng, i):
+    # rank <= 5 and at most 2 torsion factors; every third case duplicates
+    # a free column (singular free block), every other fixes a basis
+    # vector (a unit factor t - 1, so W has a free part)
+    g = random_group(rng, max_rank=5, factors=(2, 3, 4, 6, 8, 9), max_torsion=2)
+    endo = random_hom(rng, g, g, bound=2)
+    r = g.free_rank
+    cols = [list(c) for c in zip(*endo.matrix)] if g.dim else []
+    if r >= 2 and i % 3 == 0:
+        a, b = rng.sample(range(r), 2)
+        cols[b] = list(cols[a])
+    if r >= 1 and i % 2 == 0:
+        j = rng.randrange(r)
+        cols[j] = [int(x == j) for x in range(g.dim)]
+    return F.GroupHom(g, g, [list(row) for row in zip(*cols)] if g.dim else [])
+
+
+def test_eventual_image_matches_the_walk_and_lift_reference():
+    rng = random.Random(8108)
+    free_part = singular = unstable = 0
+    for i in range(2000):
+        endo = _oracle_endo(rng, i)
+        w = I.eventual_image(endo)
+        assert w.lattice_basis() == _reference_eventual_image(endo).lattice_basis()
+        free_part += I._hermite_split(w)[0] > 0
+        r = endo.source.free_rank
+        a_cols = [[endo.matrix[x][y] for x in range(r)] for y in range(r)]
+        singular += K.kernel_columns(a_cols) != []
+        unstable += not I._image_chain(endo)[0]
+    assert min(free_part, singular, unstable) >= 300
+
+
+def test_eventual_image_of_an_automorphism_skips_the_charpoly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("unimodular free block reached the unit part")
+
+    monkeypatch.setattr(K, "charpoly", refuse)
+    monkeypatch.setattr(M, "unit_part", refuse)
+    rng = random.Random(12)
+    n = 12
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(48):
+        a, b = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        cols[b] = [x + q * y for x, y in zip(cols[b], cols[a])]
+    g = F.Z(n)
+    endo = F.GroupHom(g, g, [list(row) for row in zip(*cols)])
+    assert I.eventual_image(endo).is_full()
+    z6 = I.constant_system(F.Z(6))
+    assert I.eventual_image(z6.map_between(1, 2)).is_full()
+
+
+def _change_of_basis(rng, g):
+    # an automorphism of G = Z^r + T: a unimodular U on the free part and
+    # a random hom Z^r -> T in the torsion rows; returns (phi, phi^-1)
+    r = g.free_rank
+    u = K.identity_matrix(r)
+    for j in range(r):
+        u[j][j] = rng.choice((-1, 1))
+    for _ in range(3 * r if r >= 2 else 0):
+        a, b = rng.sample(range(r), 2)
+        q = rng.choice((-1, 1))
+        for row in u:
+            row[b] += q * row[a]
+    cols = []
+    for j in range(g.dim):
+        col = [0] * g.dim
+        if j < r:
+            col[:r] = [u[i][j] for i in range(r)]
+            col[r:] = [rng.randrange(d) for d in g.torsion]
+        else:
+            col[j] = 1
+        cols.append(col)
+    phi = F.GroupHom(g, g, [list(row) for row in zip(*cols)] if g.dim else [])
+    inv = [F.solve_hom(phi, tuple(int(i == j) for i in range(g.dim))) for j in range(g.dim)]
+    phi_inv = F.GroupHom(g, g, [list(row) for row in zip(*inv)] if g.dim else [])
+    assert phi.compose(phi_inv) == F.GroupHom.identity(g)
+    return phi, phi_inv
+
+
+def test_verdicts_and_stable_images_survive_a_change_of_basis():
+    from prolim import classify as C
+
+    rng = random.Random(4096)
+    moved = 0
+    for i in range(120):
+        if i % 2:
+            s = random_mixed_cycle_system(rng, max_period=1)
+        else:
+            gen = functools.partial(random_small_group, max_rank=3)
+            s = random_cycle_system(rng, gen, max_period=1)
+        k = s.prefix_len
+        g = s.tail.groups[0]
+        phi, phi_inv = _change_of_basis(rng, g)
+        endo = phi.compose(s.tail.maps[0]).compose(phi_inv)
+        maps = list(s.maps)
+        if k:
+            maps[-1] = maps[-1].compose(phi_inv)
+        t = I.InverseSystem(s.prefix, maps, I.CycleTail((g,), (endo,)))
+        assert C.classify_limit(t)[0] == C.classify_limit(s)[0]
+        assert I.is_mittag_leffler(t).to_json() == I.is_mittag_leffler(s).to_json()
+        old, new = I.stable_images(s), I.stable_images(t)
+        pushed = I._push(phi, old[k + 1])
+        assert pushed.lattice_basis() == new[k + 1].lattice_basis()
+        for n in range(1, k + 1):
+            assert new[n].lattice_basis() == old[n].lattice_basis()
+        moved += phi != F.GroupHom.identity(g)
+    assert moved >= 60
