@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import reprlib
 import sys
 
 import prolim
@@ -45,7 +46,9 @@ def load_document(path):
     if "system" not in doc:
         raise InputError(f"{path}: missing field 'system'")
     if "name" in doc and not isinstance(doc["name"], str):
-        raise InputError(f"{path}: name: expected a string, got {doc['name']!r}")
+        raise InputError(
+            f"{path}: name: expected a string, got {reprlib.repr(doc['name'])}"
+        )
     return doc
 
 

@@ -12,6 +12,7 @@ spanned by its generators together with the ambient relation lattice.
 from __future__ import annotations
 
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 
 from prolim._backend import kernel as _k
@@ -21,15 +22,37 @@ from prolim.errors import EnumerationCapExceeded, InputError
 def json_list(obj, path):
     """obj if it is a JSON array; otherwise an InputError naming `path`."""
     if type(obj) is not list:
-        raise InputError(f"{path}: expected a JSON array, got {obj!r}")
+        raise InputError(f"{path}: expected a JSON array, got {reprlib.repr(obj)}")
     return obj
 
 
 def json_int(obj, path):
     """obj if it is a JSON integer (not a float, string or boolean)."""
     if type(obj) is not int:
-        raise InputError(f"{path}: expected an integer, got {obj!r}")
+        raise InputError(f"{path}: expected an integer, got {reprlib.repr(obj)}")
     return obj
+
+
+def _max_norm_ring(r, radius):
+    """The vectors of Z^r (r >= 1) with max-norm `radius`, lexicographic in
+    the coordinate order 0, 1, -1, 2, -2, ...
+
+    Built coordinate by coordinate, so the work is proportional to the
+    vectors taken: a first coordinate below `radius` leaves a ring in the
+    other coordinates, and one at +-radius leaves the whole cube.
+    """
+    top = (radius, -radius) if radius else (0,)
+    if r == 1:
+        for v in top:
+            yield (v,)
+        return
+    inner = ([0] + [s * k for k in range(1, radius) for s in (1, -1)]) if radius else []
+    for v in inner:
+        for rest in _max_norm_ring(r - 1, radius):
+            yield (v,) + rest
+    for v in top:
+        for rest in itertools.product(inner + list(top), repeat=r - 1):
+            yield (v,) + rest
 
 
 MAX_JSON_DIM = 100
@@ -132,35 +155,28 @@ class FgAbGroup:
         """Deterministic enumeration of at most `cap` elements.
 
         Free coordinates are swept in rings of increasing max-norm with the
-        order 0, 1, -1, 2, -2, ...; the torsion block is exhausted first.
+        order 0, 1, -1, 2, -2, ...; the torsion block is exhausted first.  A
+        finite group with more than `cap` elements raises before anything
+        is enumerated.
         """
         if self.is_finite():
-            count = 0
-            for x in self.elements():
-                if count >= cap:
-                    raise EnumerationCapExceeded(f"enumeration cap {cap} exceeded")
-                count += 1
-                yield x
+            if self.order() > cap:
+                raise EnumerationCapExceeded(f"enumeration cap {cap} exceeded")
+            yield from self.elements()
             return
         r = self.free_rank
+        # the first `cap` torsion tuples have every coordinate below `cap`
+        tors_ranges = [range(min(d, cap)) for d in self.torsion]
         count = 0
-        seen_radius = 0
+        radius = 0
         while True:
-            radius = seen_radius
-            # all free vectors with max-norm == radius, lexicographic in the
-            # 0,1,-1,2,-2,... coordinate order
-            ring = []
-            vals = [0] + [s * k for k in range(1, radius + 1) for s in (1, -1)]
-            for free in itertools.product(vals, repeat=r):
-                if max((abs(a) for a in free), default=0) == radius:
-                    ring.append(free)
-            for free in ring:
-                for tors in itertools.product(*(range(d) for d in self.torsion)):
+            for free in _max_norm_ring(r, radius):
+                for tors in itertools.product(*tors_ranges):
                     if count >= cap:
                         return
                     count += 1
                     yield free + tors
-            seen_radius += 1
+            radius += 1
 
     def to_json(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -169,7 +185,7 @@ class FgAbGroup:
     def from_json(cls, obj, path):
         """Read {"free_rank": n, "torsion": [d1, ...]}; errors name `path`."""
         if not isinstance(obj, dict):
-            raise InputError(f"{path}: expected a group object, got {obj!r}")
+            raise InputError(f"{path}: expected a group object, got {reprlib.repr(obj)}")
         for key in ("free_rank", "torsion"):
             if key not in obj:
                 raise InputError(f"{path}.{key}: missing field")
@@ -466,7 +482,7 @@ class Subgroup:
         return self.lattice_basis() == other.lattice_basis()
 
     def is_full(self):
-        return self.equals(Subgroup.full(self.ambient))
+        return self.lattice_basis() == _k.identity_matrix(self.ambient.dim)
 
     def is_trivial(self):
         return self.normal_form.is_trivial()

@@ -20,6 +20,7 @@ Bonding maps go downward: map_at(s, n) is f_n : G_{n+1} -> G_n.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from math import prod
 
@@ -266,7 +267,9 @@ class InverseSystem:
         tail = None
         if tobj is not None:
             if not isinstance(tobj, dict):
-                raise InputError(f"tail must be a JSON object or null, got {tobj!r}")
+                raise InputError(
+                    f"tail must be a JSON object or null, got {reprlib.repr(tobj)}"
+                )
             kind = tobj.get("kind")
             if kind == "cycle":
                 groups = _groups_from_json(tobj.get("groups", []), "tail.groups")
@@ -289,7 +292,9 @@ class InverseSystem:
                     _groups_from_json(tobj.get("layers", []), "tail.layers"),
                 )
             else:
-                raise InputError(f"tail.kind must be 'cycle' or 'tower', got {kind!r}")
+                raise InputError(
+                    f"tail.kind must be 'cycle' or 'tower', got {reprlib.repr(kind)}"
+                )
         raw_maps = json_list(obj.get("maps", []), "maps")
         maps = []
         k = len(prefix)
@@ -398,16 +403,22 @@ def _hermite_split(sub):
 def _image_chain(endo):
     """Walk the image chain C_j = Im(endo^j) of an endomorphism until it settles.
 
-    Returns (stable, steps, anchor) with anchor = C_steps.  The chain is
-    pushed while it makes strict progress in rank or in its torsion part,
-    both read off each term's Hermite basis by `_hermite_split`.  If it
-    becomes constant, stable is True and anchor is its value.  Otherwise
-    the free-part index is a constant >= 2 and the chain never stabilizes,
-    but its torsion part is already final.  Torsion maps to torsion, so the
-    torsion part C_j & T equals endo^j(P_j) with P_j = {x : endo^j(x) in T}.
-    Once the rank stops dropping, the kernels of the free-part powers have
-    stopped growing, so P_j is one fixed P, and a torsion part endo^j(P)
-    that repeats once repeats forever.
+    Returns (steps, index).  The chain is pushed while it makes strict
+    progress in rank or in its torsion part, both read off each term's
+    Hermite basis by `_hermite_split`.  If it becomes constant, C_steps is
+    its value and index is None.  Otherwise it settles at s = steps: the
+    chain never stabilizes, but its torsion part is already final.  Torsion
+    maps to torsion, so the torsion part C_j & T equals endo^j(P_j) with
+    P_j = {x : endo^j(x) in T}.  Once the rank stops dropping, the kernels
+    of the free-part powers have stopped growing, so P_j is one fixed P,
+    and a torsion part endo^j(P) that repeats once repeats forever.
+
+    The index [C_j : C_{j+1}] is then one constant >= 2 for all j >= s - 1:
+    for nested B <= A of finite index, [endo(A) : endo(B)] is [A : B]
+    divided by [ker & A : ker & B], and the kernel of endo on C_{s-1} is
+    finite (C_s has the same rank), so it lies in the torsion part, which
+    C_{s-1} and C_s share.  It is checked at two consecutive periods,
+    s-1 -> s and s -> s+1, and the second is returned.
     """
     cur = Subgroup.full(endo.source)
     rank, tors = _hermite_split(cur)
@@ -415,13 +426,18 @@ def _image_chain(endo):
     while True:
         nxt = _push(endo, cur)
         if nxt.equals(cur):
-            return True, steps, cur
+            return steps, None
         nxt_rank, nxt_tors = _hermite_split(nxt)
-        settled = nxt_rank == rank and nxt_tors == tors
-        cur, rank, tors = nxt, nxt_rank, nxt_tors
         steps += 1
-        if settled:
-            return False, steps, cur
+        if nxt_rank == rank and nxt_tors == tors:
+            c0 = nxt.index_in(cur)
+            c1 = _push(endo, nxt).index_in(nxt)
+            if c0 is None or c0 < 2 or c0 != c1:
+                raise AssertionError(
+                    f"failing chain index is not a constant >= 2: {c0}, {c1}"
+                )
+            return steps, c1
+        cur, rank, tors = nxt, nxt_rank, nxt_tors
 
 
 def eventual_image(endo):
@@ -467,7 +483,9 @@ class MLLevel:
 
     stable_from: horizon m with Im(f_{n,m}) = Im(f_{n,m'}) for all m' >= m
     (verified one further period); index: for failures, the constant index
-    of Im(f_{n,m+p}) inside Im(f_{n,m}) at two consecutive periods.
+    of Im(f_{n,m+p}) inside Im(f_{n,m}), checked at two consecutive
+    periods, m-p -> m and m -> m+p (s-1 -> s and s -> s+1 in the steps of
+    `_image_chain`).
     """
 
     level: int
@@ -499,24 +517,6 @@ class MLCertificate:
         }
 
 
-def _tail_image_chain_analysis(s, level):
-    """Settle analysis of Im(f_{level,m}) along the period grid.
-
-    Returns (stable: bool, steps: int, index or None).  On failure the
-    index is read off at two consecutive periods past the settled term.
-    """
-    endo = s.map_between(level, level + s.period)
-    stable, steps, anchor = _image_chain(endo)
-    if stable:
-        return True, steps, None
-    nxt = _push(endo, anchor)
-    c1 = nxt.index_in(anchor)
-    c2 = _push(endo, nxt).index_in(nxt)
-    if c1 is None or c1 < 2 or c1 != c2:
-        raise AssertionError(f"failing chain index is not a constant >= 2: {c1}, {c2}")
-    return False, steps, c1
-
-
 def is_mittag_leffler(s):
     """Eventual-constancy certificate for every image chain Im(f_{n,m}).
 
@@ -543,8 +543,8 @@ def is_mittag_leffler(s):
     verdict = True
     for j in range(p):
         level = k + 1 + j
-        stable, steps, idx = _tail_image_chain_analysis(s, level)
-        if stable:
+        steps, idx = _image_chain(s.map_between(level, level + p))
+        if idx is None:
             entries[level] = MLLevel(level, True, stable_from=level + steps * p)
             worst = max(worst, steps)
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import reprlib
 from dataclasses import dataclass
 
 from prolim._backend import kernel as _k
@@ -112,7 +113,9 @@ class CoherentTuple:
     def from_json(cls, system, obj, path):
         """Read {"level": n, "entries": [[...], ...]}; errors name `path`."""
         if not isinstance(obj, dict) or "entries" not in obj:
-            raise InputError(f"{path}: expected a tuple object with 'entries', got {obj!r}")
+            raise InputError(
+                f"{path}: expected a tuple object with 'entries', got {reprlib.repr(obj)}"
+            )
         entries = json_list(obj["entries"], f"{path}.entries")
         for n, entry in enumerate(entries):
             for i, x in enumerate(json_list(entry, f"{path}.entries[{n}]")):

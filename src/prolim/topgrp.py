@@ -2,9 +2,12 @@
 
 Topologies are explicit open-set families over the element set of a finite
 group, stored as integer bitmasks.  The checks are exhaustive over
-elements, sections and (via the minimal-open basis, which generates every
-open under unions) over opens: a finite topology is determined by its
-minimal neighborhoods, so basis checks are exact, not sampled.
+elements and sections, and exact over opens: a finite topology is
+determined by its minimal neighborhoods.  The minimal neighborhood of a
+point is the smallest open containing it, so a condition on every open
+around a point is checked at that one set (basis checks run at minimal
+neighborhoods), and the splitting checks run over the minimal-open basis,
+which generates every open under unions.
 """
 
 from __future__ import annotations
@@ -13,8 +16,24 @@ import itertools
 from dataclasses import dataclass
 
 from prolim import fgab
-from prolim.errors import InputError, PreconditionError
+from prolim.errors import InputError
 from prolim.fgab import FgAbGroup, Subgroup
+
+
+def _bits(mask):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _map_bits(table, mask):
+    """The mask with bit table[i] set for every bit i set in `mask`."""
+    out = 0
+    for i in _bits(mask):
+        out |= 1 << table[i]
+    return out
 
 
 class FiniteTopAbGroup:
@@ -66,20 +85,10 @@ class FiniteTopAbGroup:
         return m
 
     def elems_of(self, mask):
-        return [self.elements[i] for i in range(len(self.elements)) if mask >> i & 1]
+        return [self.elements[i] for i in _bits(mask)]
 
     def translate_mask(self, g, mask):
-        gi = self.index[tuple(g)]
-        row = self.add[gi]
-        out = 0
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                out |= 1 << row[i]
-            m >>= 1
-            i += 1
-        return out
+        return _map_bits(self.add[self.index[tuple(g)]], mask)
 
     # -- axioms ---------------------------------------------------------
 
@@ -103,34 +112,18 @@ class FiniteTopAbGroup:
             for u in opens:
                 if self.translate_mask(g, u) not in opens:
                     raise InputError("translation does not preserve opens")
-        # continuity of (x, y) -> x - y via minimal product neighborhoods
+        # continuity of (x, y) -> x - y via minimal product neighborhoods:
+        # the differences of mn[a] and mn[b] must lie in every open around
+        # a - b, that is, in their intersection mn[a - b]
         mn = self.min_nbhds()
-        for u in opens:
-            for ai in range(n):
-                for bi in range(n):
-                    diff = self.add[ai][self.neg[bi]]
-                    if not (u >> diff & 1):
-                        continue
-                    ok = True
-                    for xi in self.elems_idx(mn[ai]):
-                        for yi in self.elems_idx(mn[bi]):
-                            if not (u >> self.add[xi][self.neg[yi]] & 1):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        raise InputError("subtraction is not continuous")
-
-    def elems_idx(self, mask):
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
-        return out
+        neg_mn = [_map_bits(self.neg, m) for m in mn]
+        for ai in range(n):
+            for bi in range(n):
+                diffs = 0
+                for xi in _bits(mn[ai]):
+                    diffs |= _map_bits(self.add[xi], neg_mn[bi])
+                if diffs & ~mn[self.add[ai][self.neg[bi]]]:
+                    raise InputError("subtraction is not continuous")
 
     def min_nbhds(self):
         """mask of the minimal open neighborhood of each element."""
@@ -157,10 +150,7 @@ class FiniteTopAbGroup:
             return True
         # unions of minimal neighborhoods of members
         mn = self.min_nbhds()
-        for i in self.elems_idx(mask):
-            if mn[i] & ~mask:
-                return False
-        return True
+        return not any(mn[i] & ~mask for i in _bits(mask))
 
     # -- constructors ----------------------------------------------------
 
@@ -198,18 +188,13 @@ class FiniteTopAbGroup:
             for c in coset:
                 m |= 1 << index[c]
             coset_masks.append(m)
-        opens = []
-        for combo in range(1 << len(coset_masks)):
-            m = 0
-            for j in range(len(coset_masks)):
-                if combo >> j & 1:
-                    m |= coset_masks[j]
-            opens.append(m)
+        opens = [0]
+        for cm in coset_masks:
+            opens += [m | cm for m in opens]
         elem_coset = [0] * len(elements)
         for cm in coset_masks:
-            for i in range(len(elements)):
-                if cm >> i & 1:
-                    elem_coset[i] = cm
+            for i in _bits(cm):
+                elem_coset[i] = cm
         return cls(group, opens, validate=False, min_nbhds_hint=elem_coset)
 
     @classmethod
@@ -268,9 +253,10 @@ def closure_of_zero(g):
 
 
 def _closure_quotient(g):
-    """(quotient group, projection, coset preimage masks); checks that the
-    quotient topology is discrete (every coset of cl{0} is open)."""
-    cl_sub, _cl_elems = closure_of_zero(g)
+    """(quotient group, projection, coset preimage masks, cl{0} elements);
+    checks that the quotient topology is discrete (every coset of cl{0} is
+    open)."""
+    cl_sub, cl_elems = closure_of_zero(g)
     q_group, proj = fgab.quotient(g.group, cl_sub)
     q_elements = list(q_group.elements())
     preimage_masks = {qe: 0 for qe in q_elements}
@@ -279,12 +265,12 @@ def _closure_quotient(g):
     for qe in q_elements:
         if not g.is_open(preimage_masks[qe]):
             raise AssertionError("quotient by the closure of zero is not discrete")
-    return q_group, proj, preimage_masks
+    return q_group, proj, preimage_masks, cl_elems
 
 
 def quotient_topology(g):
     """The coset group of cl{0} with the quotient topology (discrete here)."""
-    q_group, proj, preimage_masks = _closure_quotient(g)
+    q_group, proj, preimage_masks, _cl_elems = _closure_quotient(g)
     return FiniteTopAbGroup.discrete(q_group), proj, preimage_masks
 
 
@@ -300,74 +286,62 @@ class SectionMap:
 
 
 class SplittingContext:
-    """Per-topology data shared by all section checks."""
+    """Per-topology data shared by all section checks.
+
+    The pairs (q, h) of G/cl{0} x cl{0} are numbered q-major: pair
+    qi * |cl{0}| + j is (q_elems[qi], the j-th element of cl{0}).  Pair
+    masks use these numbers as bit positions.
+    """
 
     __slots__ = (
         "g",
-        "proj",
         "q_elems",
-        "q_index",
         "elem_q",
-        "cl_set",
-        "cl_index",
-        "cl_min",
-        "pair_index",
-        "pairs",
-        "pair_min",
-        "pair_col",
+        "cl_pos",
         "basis",
-        "basic_at_zero",
+        "pair_min",
+        "inverse_masks",
+        "sandwich",
     )
 
     def __init__(self, g):
         self.g = g
-        _qg, proj, _pm = _closure_quotient(g)
-        self.proj = proj
-        _cl_sub, cl_elems = closure_of_zero(g)
-        self.cl_set = [tuple(e) for e in cl_elems]
-        self.cl_index = {h: i for i, h in enumerate(self.cl_set)}
-        self.elem_q = {e: proj.apply(e) for e in g.elements}
-        self.q_elems = sorted(set(self.elem_q.values()))
-        self.q_index = {q: i for i, q in enumerate(self.q_elems)}
-        # subspace topology on cl{0} and its minimal neighborhoods
-        nc = len(self.cl_set)
-        cl_opens = set()
-        for u in g.opens:
-            m = 0
-            for h in self.cl_set:
-                if u >> g.index[h] & 1:
-                    m |= 1 << self.cl_index[h]
-            cl_opens.add(m)
-        self.cl_min = []
-        for h in self.cl_set:
-            m = (1 << nc) - 1
-            for u in cl_opens:
-                if u >> self.cl_index[h] & 1:
-                    m &= u
-            self.cl_min.append(m)
-        # pairs (q, h) indexed q-major
-        self.pairs = [(q, h) for q in self.q_elems for h in self.cl_set]
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.pair_min = []
-        for q, h in self.pairs:
-            m = 0
-            hm = self.cl_min[self.cl_index[h]]
-            base = self.q_index[q] * nc
-            j = 0
-            while hm:
-                if hm & 1:
-                    m |= 1 << (base + j)
-                hm >>= 1
-                j += 1
-            self.pair_min.append(m)
-        self.pair_col = [
-            ((1 << nc) - 1) << (qi * nc) for qi in range(len(self.q_elems))
+        _qg, _proj, preimage_masks, cl_elems = _closure_quotient(g)
+        self.q_elems = sorted(preimage_masks)
+        self.elem_q = {
+            g.elements[i]: q for q in self.q_elems for i in _bits(preimage_masks[q])
+        }
+        self.cl_pos = [g.index[tuple(h)] for h in cl_elems]
+        nc = len(self.cl_pos)
+        # minimal neighborhoods in the subspace topology on cl{0}: those of
+        # G restricted to cl{0}
+        mn = g.min_nbhds()
+        cl_min = [
+            sum(1 << j for j, i in enumerate(self.cl_pos) if mn[h] >> i & 1)
+            for h in self.cl_pos
         ]
+        shifts = [qi * nc for qi in range(len(self.q_elems))]
+        self.pair_min = [m << s for s in shifts for m in cl_min]
+        # the sets {q} x V for basic opens V of cl{0}, whose images under f
+        # must be open
+        cl_basis = sorted(set(cl_min))
+        self.inverse_masks = [m << s for s in shifts for m in cl_basis]
         self.basis = g.basis_masks()
+        # (g + V, the pairs over every coset g + V meets) for each g and
+        # each basic open V at zero, the two sides of the preimage identity
+        q_index = {q: i for i, q in enumerate(self.q_elems)}
+        column = (1 << nc) - 1
+        elem_column = [column << shifts[q_index[self.elem_q[e]]] for e in g.elements]
         zero_i = g.index[g.group.zero()]
-        self.basic_at_zero = sorted(
-            {u for u in self.basis if u >> zero_i & 1} | {g.full_mask}
-        )
+        at_zero = sorted({u for u in self.basis if u >> zero_i & 1} | {g.full_mask})
+        self.sandwich = []
+        for gv in g.elements:
+            for u in at_zero:
+                shifted = g.translate_mask(gv, u)
+                columns = 0
+                for i in _bits(shifted):
+                    columns |= elem_column[i]
+                self.sandwich.append((shifted, columns))
 
     def sections(self):
         cosets = {}
@@ -426,82 +400,39 @@ def splitting_check(g, section, ctx=None):
 
     # f as a map pair-index -> element-index, and its preimage per element
     f_elem = []
+    for q in ctx.q_elems:
+        row = g.add[g.index[section(q)]]
+        f_elem += [row[i] for i in ctx.cl_pos]
     elem_pair = [-1] * len(g.elements)
-    for i, (q, h) in enumerate(ctx.pairs):
-        e = g.group.add(section(q), h)
-        ei = g.index[e]
-        f_elem.append(ei)
+    for i, ei in enumerate(f_elem):
         elem_pair[ei] = i
-    bijective = len(set(f_elem)) == len(g.elements) == len(ctx.pairs)
-
-    def pre_mask(elem_mask):
-        m = 0
-        i = 0
-        while elem_mask:
-            if elem_mask & 1:
-                m |= 1 << elem_pair[i]
-            elem_mask >>= 1
-            i += 1
-        return m
+    bijective = len(set(f_elem)) == len(g.elements) == len(f_elem)
 
     def product_open(pm):
-        rest = pm
-        i = 0
-        while rest:
-            if rest & 1 and ctx.pair_min[i] & ~pm:
-                return False
-            rest >>= 1
-            i += 1
-        return True
+        return not any(ctx.pair_min[i] & ~pm for i in _bits(pm))
 
-    opens_checked = 0
-    forward = True
-    for u in ctx.basis:
-        opens_checked += 1
-        if not product_open(pre_mask(u)):
-            forward = False
-            break
+    forward, n_forward = _until_failure(
+        product_open(_map_bits(elem_pair, u)) for u in ctx.basis
+    )
+    inverse, n_inverse = _until_failure(
+        g.is_open(_map_bits(f_elem, pm)) for pm in ctx.inverse_masks
+    )
+    sandwich, n_sandwich = _until_failure(
+        _map_bits(elem_pair, shifted) == columns for shifted, columns in ctx.sandwich
+    )
+    return SplittingReport(
+        bijective, forward, inverse, sandwich, n_forward + n_inverse + n_sandwich
+    )
 
-    inverse = True
-    nc = len(ctx.cl_set)
-    for qi in range(len(ctx.q_elems)):
-        for cm in sorted(set(ctx.cl_min)):
-            img = 0
-            j = 0
-            m = cm
-            while m:
-                if m & 1:
-                    img |= 1 << f_elem[qi * nc + j]
-                m >>= 1
-                j += 1
-            opens_checked += 1
-            if not g.is_open(img):
-                inverse = False
-                break
-        if not inverse:
-            break
 
-    sandwich = True
-    for gv in g.elements:
-        for u in ctx.basic_at_zero:
-            shifted = g.translate_mask(gv, u)
-            lhs = pre_mask(shifted)
-            rhs = 0
-            m = shifted
-            i = 0
-            while m:
-                if m & 1:
-                    rhs |= ctx.pair_col[ctx.q_index[ctx.elem_q[g.elements[i]]]]
-                m >>= 1
-                i += 1
-            opens_checked += 1
-            if lhs != rhs:
-                sandwich = False
-                break
-        if not sandwich:
-            break
-
-    return SplittingReport(bijective, forward, inverse, sandwich, opens_checked)
+def _until_failure(checks):
+    """(every check passed, number of checks run); stops at the first failure."""
+    count = 0
+    for ok in checks:
+        count += 1
+        if not ok:
+            return False, count
+    return True, count
 
 
 def translated_basis_check(g, basis_masks):
@@ -513,18 +444,16 @@ def translated_basis_check(g, basis_masks):
             raise InputError("basis member does not contain zero")
         if not g.is_open(v):
             raise InputError("basis member is not open")
+    # Every open around a point contains its minimal neighborhood, which is
+    # itself open (opens are closed under intersection), so a member inside
+    # it lies inside every open around the point.
     mn = g.min_nbhds()
-    # basis at zero: some member inside every open around zero
-    for u in g.opens:
-        if u >> zero_i & 1 and not any(v & ~u == 0 for v in basis_masks):
-            raise InputError("not a neighborhood basis at zero")
-    for gi, gv in enumerate(g.elements):
-        for u in g.opens:
-            if not (u >> gi & 1):
-                continue
-            if not any(g.translate_mask(gv, v) & ~u == 0 for v in basis_masks):
-                return False
-    return True
+    if not any(v & ~mn[zero_i] == 0 for v in basis_masks):
+        raise InputError("not a neighborhood basis at zero")
+    return all(
+        any(g.translate_mask(gv, v) & ~mn[gi] == 0 for v in basis_masks)
+        for gi, gv in enumerate(g.elements)
+    )
 
 
 # -- enumeration helpers (for the exhaustive acceptance sweep) -------------

@@ -429,6 +429,16 @@ def test_deeply_nested_document_exits_2(tmp_path):
     assert b"Traceback" not in res.stderr
 
 
+def test_bad_value_is_shown_shortened(tmp_path):
+    p = tmp_path / "deep-tail.json"
+    p.write_text('{"system": {"tail": ' + "[" * 980 + "]" * 980 + "}}")
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert b"tail" in res.stderr
+    assert len(res.stderr) < 200
+    assert b"Traceback" not in res.stderr
+
+
 def test_deeply_nested_tuple_argument_exits_2():
     res = run_cli("metric", fixture("tower-z2"), "--x", "[" * 20000, "--y", "[]")
     assert res.returncode == 2
@@ -440,6 +450,32 @@ def test_dense_command():
     res = run_cli("dense", fixture("tower-z2"), "--budget", "2")
     out = json.loads(res.stdout)
     assert len(out["verdict"]) == 4
+
+
+@pytest.mark.parametrize(
+    "group, matrix, args",
+    [
+        pytest.param({"free_rank": 0, "torsion": [10**40]}, [[3]], ["--budget", "3"], id="huge-torsion"),
+        pytest.param(
+            {"free_rank": 1, "torsion": [10**40]},
+            [[1, 0], [0, 1]],
+            ["--budget", "1", "--cap", "3"],
+            id="z-plus-huge-torsion",
+        ),
+        pytest.param(
+            {"free_rank": 30, "torsion": []},
+            [[int(i == j) for j in range(30)] for i in range(30)],
+            ["--budget", "1", "--cap", "1"],
+            id="z30",
+        ),
+    ],
+)
+def test_dense_takes_only_what_the_cap_allows(tmp_path, group, matrix, args):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(_system_doc(_cycle_tail([group], [matrix]))))
+    res = run_cli("dense", str(p), *args, timeout=5)
+    assert res.returncode in (0, 3), res.stderr
+    assert b"Traceback" not in res.stderr
 
 
 def test_dense_negative_budget_exits_2():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import prod
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prolim import fgab as F
-from prolim.errors import InputError
+from prolim.errors import EnumerationCapExceeded, InputError
 
 from conftest import random_group, random_hom
 
@@ -320,3 +321,49 @@ def test_json_group_dimension_bound():
         F.FgAbGroup.from_json({"free_rank": bound + 1, "torsion": []}, "g")
     with pytest.raises(InputError, match=r"^g\.torsion: .*dimension bound"):
         F.FgAbGroup.from_json({"free_rank": bound - 1, "torsion": [2, 2]}, "g")
+
+
+def _reference_elements_capped(g, cap):
+    # every ring built in full over the whole cube of its radius
+    if g.is_finite():
+        out = list(itertools.islice(g.elements(), cap + 1))
+        if len(out) > cap:
+            raise EnumerationCapExceeded(f"enumeration cap {cap} exceeded")
+        return out
+    out = []
+    radius = 0
+    while True:
+        vals = [0] + [s * k for k in range(1, radius + 1) for s in (1, -1)]
+        for free in itertools.product(vals, repeat=g.free_rank):
+            if max(abs(a) for a in free) == radius:
+                for tors in itertools.product(*(range(d) for d in g.torsion)):
+                    if len(out) == cap:
+                        return out
+                    out.append(free + tors)
+        radius += 1
+
+
+@pytest.mark.parametrize(
+    "free_rank, torsion",
+    [(0, ()), (0, (2, 6)), (1, ()), (2, ()), (3, ()), (1, (3,)), (2, (2, 4))],
+)
+def test_elements_capped_matches_the_full_ring_reference(free_rank, torsion):
+    g = F.FgAbGroup(free_rank, torsion)
+    for cap in (1, 2, 5, 12, 100, 400):
+        try:
+            expected = _reference_elements_capped(g, cap)
+        except EnumerationCapExceeded:
+            with pytest.raises(EnumerationCapExceeded):
+                list(g.elements_capped(cap))
+            continue
+        assert list(g.elements_capped(cap)) == expected
+    ring = list(F._max_norm_ring(free_rank or 1, 3))
+    assert len(ring) == len(set(ring)) == 7 ** (free_rank or 1) - 5 ** (free_rank or 1)
+
+
+def test_elements_capped_takes_only_what_the_cap_allows():
+    huge = 10**40
+    with pytest.raises(EnumerationCapExceeded):
+        next(F.Zmod(huge).elements_capped(10_000))
+    assert list(F.FgAbGroup(1, (huge,)).elements_capped(3)) == [(0, 0), (0, 1), (0, 2)]
+    assert list(F.Z(30).elements_capped(2)) == [(0,) * 30, (0,) * 29 + (1,)]

@@ -347,7 +347,7 @@ def test_tail_stable_images_are_per_level_eventual_images(rng):
             endo = s.map_between(level, level + p)
             assert subs[level].lattice_basis() == I.eventual_image(endo).lattice_basis()
             levels += 1
-            failing += not I._image_chain(endo)[0]
+            failing += I._image_chain(endo)[1] is not None
 
 
 def _reference_image_chain(endo):
@@ -382,11 +382,10 @@ def test_hermite_split_reads_free_rank_and_torsion_part(rng):
             assert rank == cur.normal_form.free_rank
             assert tors == cur.intersection(tblock).lattice_basis()
             cur = I._push(endo, cur)
-        stable, steps, anchor = I._image_chain(endo)
         ref_stable, ref_steps, ref_anchor = _reference_image_chain(endo)
-        assert (stable, steps) == (ref_stable, ref_steps)
-        assert anchor.lattice_basis() == ref_anchor.lattice_basis()
-        unstable += not stable
+        ref_index = None if ref_stable else I._push(endo, ref_anchor).index_in(ref_anchor)
+        assert I._image_chain(endo) == (ref_steps, ref_index)
+        unstable += not ref_stable
     assert unstable >= 10
 
 
@@ -394,7 +393,7 @@ def _reference_eventual_image(endo):
     # the walk-and-lift construction: the full image chain, then the free
     # core of the endomorphism induced on the settled image lattice, lifted
     # back into the chain's anchor term by solving for a torsion correction
-    stable, _steps, anchor = I._image_chain(endo)
+    stable, _steps, anchor = _reference_image_chain(endo)
     if stable:
         return anchor
     g = endo.source
@@ -451,7 +450,7 @@ def test_eventual_image_matches_the_walk_and_lift_reference():
         r = endo.source.free_rank
         a_cols = [[endo.matrix[x][y] for x in range(r)] for y in range(r)]
         singular += K.kernel_columns(a_cols) != []
-        unstable += not I._image_chain(endo)[0]
+        unstable += I._image_chain(endo)[1] is not None
     assert min(free_part, singular, unstable) >= 300
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prolim import fgab as F
@@ -12,10 +14,13 @@ def mixed_space():
 
 
 def test_validator_accepts_coset_topology():
-    g = F.Zmod(4)
-    top = T.FiniteTopAbGroup.from_subgroup(g, [(0,), (2,)])
-    # re-validate the constructed family explicitly
-    T.FiniteTopAbGroup(g, top.opens)
+    # re-validate every constructed coset family explicitly
+    for g in T.abelian_groups_upto(8):
+        for sub in T.all_subgroups(g):
+            top = T.FiniteTopAbGroup.from_subgroup(g, sub)
+            T.FiniteTopAbGroup(g, top.opens)
+    prod = mixed_space()
+    T.FiniteTopAbGroup(prod.group, prod.opens)
 
 
 def test_validator_rejects_non_topologies():
@@ -128,3 +133,211 @@ def test_invariant_factor_chains():
         [16],
     ]
     assert sum(1 for _ in T.abelian_groups_upto(16)) == 25
+
+
+# -- references: the verifier before it checked at minimal neighborhoods ---
+
+
+def _reference_translated_basis_check(g, basis_masks):
+    # walks every open around every point
+    zero_i = g.index[g.group.zero()]
+    for v in basis_masks:
+        if not (v >> zero_i & 1):
+            raise InputError("basis member does not contain zero")
+        if not g.is_open(v):
+            raise InputError("basis member is not open")
+    for u in g.opens:
+        if u >> zero_i & 1 and not any(v & ~u == 0 for v in basis_masks):
+            raise InputError("not a neighborhood basis at zero")
+    for gi, gv in enumerate(g.elements):
+        for u in g.opens:
+            if not (u >> gi & 1):
+                continue
+            if not any(g.translate_mask(gv, v) & ~u == 0 for v in basis_masks):
+                return False
+    return True
+
+
+def _naive_bits(mask):
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out
+
+
+def _reference_splitting_check(g, section):
+    # the per-section loop: the subspace topology of cl{0}, the pair
+    # neighborhoods and both sides of the preimage identity are rebuilt for
+    # every section, and every open of G is scanned
+    cl_sub, cl_elems = T.closure_of_zero(g)
+    _qg, proj = F.quotient(g.group, cl_sub)
+    cl_set = [tuple(e) for e in cl_elems]
+    cl_index = {h: i for i, h in enumerate(cl_set)}
+    elem_q = {e: proj.apply(e) for e in g.elements}
+    q_elems = sorted(set(elem_q.values()))
+    q_index = {q: i for i, q in enumerate(q_elems)}
+    nc = len(cl_set)
+    cl_opens = set()
+    for u in g.opens:
+        m = 0
+        for h in cl_set:
+            if u >> g.index[h] & 1:
+                m |= 1 << cl_index[h]
+        cl_opens.add(m)
+    cl_min = []
+    for h in cl_set:
+        m = (1 << nc) - 1
+        for u in cl_opens:
+            if u >> cl_index[h] & 1:
+                m &= u
+        cl_min.append(m)
+    pairs = [(q, h) for q in q_elems for h in cl_set]
+    pair_min = []
+    for q, h in pairs:
+        m = 0
+        for j in _naive_bits(cl_min[cl_index[h]]):
+            m |= 1 << (q_index[q] * nc + j)
+        pair_min.append(m)
+    pair_col = [((1 << nc) - 1) << (qi * nc) for qi in range(len(q_elems))]
+    zero_i = g.index[g.group.zero()]
+    basic_at_zero = sorted({u for u in g.basis_masks() if u >> zero_i & 1} | {g.full_mask})
+
+    for qe in q_elems:
+        if elem_q[section(qe)] != qe:
+            raise InputError("not a section of the quotient map")
+    f_elem = []
+    elem_pair = [-1] * len(g.elements)
+    for i, (q, h) in enumerate(pairs):
+        ei = g.index[g.group.add(section(q), h)]
+        f_elem.append(ei)
+        elem_pair[ei] = i
+    bijective = len(set(f_elem)) == len(g.elements) == len(pairs)
+
+    def pre_mask(elem_mask):
+        m = 0
+        for i in _naive_bits(elem_mask):
+            m |= 1 << elem_pair[i]
+        return m
+
+    opens_checked = 0
+    forward = True
+    for u in g.basis_masks():
+        opens_checked += 1
+        pm = pre_mask(u)
+        if any(pair_min[i] & ~pm for i in _naive_bits(pm)):
+            forward = False
+            break
+    inverse = True
+    for qi in range(len(q_elems)):
+        for cm in sorted(set(cl_min)):
+            img = 0
+            for j in _naive_bits(cm):
+                img |= 1 << f_elem[qi * nc + j]
+            opens_checked += 1
+            if not g.is_open(img):
+                inverse = False
+                break
+        if not inverse:
+            break
+    sandwich = True
+    for gv in g.elements:
+        for u in basic_at_zero:
+            shifted = g.translate_mask(gv, u)
+            rhs = 0
+            for i in _naive_bits(shifted):
+                rhs |= pair_col[q_index[elem_q[g.elements[i]]]]
+            opens_checked += 1
+            if pre_mask(shifted) != rhs:
+                sandwich = False
+                break
+        if not sandwich:
+            break
+    return T.SplittingReport(bijective, forward, inverse, sandwich, opens_checked)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InputError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_topology(rng, group):
+    # the union/intersection closure of a few random sets: a topology, but
+    # in general not a group topology, so the checks can fail
+    full = (1 << group.order()) - 1
+    opens = {0, full} | {rng.randrange(full + 1) for _ in range(rng.randrange(1, 4))}
+    while True:
+        new = {a | b for a in opens for b in opens} | {a & b for a in opens for b in opens}
+        if new <= opens:
+            return T.FiniteTopAbGroup(group, opens, validate=False)
+        opens |= new
+
+
+def _spaces():
+    for g in T.abelian_groups_upto(8):
+        for sub in T.all_subgroups(g):
+            yield T.FiniteTopAbGroup.from_subgroup(g, sub)
+    yield mixed_space()
+    rng = random.Random(907)
+    for _ in range(150):
+        group = rng.choice([F.Zmod(2), F.Zmod(3), F.Zmod(4), F.Zmod(2, 2), F.Zmod(6), F.Zmod(2, 4)])
+        yield _random_topology(rng, group)
+
+
+def test_bits_matches_the_naive_loop():
+    rng = random.Random(31)
+    masks = [0, 1, 2, 3, 1 << 70] + [rng.getrandbits(rng.randrange(1, 200)) for _ in range(500)]
+    for m in masks:
+        assert list(T._bits(m)) == _naive_bits(m)
+
+
+def test_splitting_check_matches_the_per_section_reference():
+    reports = failing = 0
+    for top in _spaces():
+        try:
+            ctx = T.SplittingContext(top)
+        except AssertionError:
+            continue
+        for sec in ctx.sections():
+            rep = T.splitting_check(top, sec, ctx)
+            assert rep.to_json() == _reference_splitting_check(top, sec).to_json()
+            reports += 1
+            failing += not rep.ok
+        sec = next(ctx.sections())
+        table = dict(sec.table)
+        if len(table) > 1:
+            a, b = sorted(table)[:2]
+            table[a], table[b] = table[b], table[a]
+            bad = T.SectionMap(table)
+            assert _outcome(T.splitting_check, top, bad, ctx) == _outcome(
+                _reference_splitting_check, top, bad
+            )
+    assert reports >= 500 and failing >= 100
+
+
+def test_translated_basis_check_matches_the_all_opens_reference():
+    rng = random.Random(4417)
+    outcomes = set()
+    for top in _spaces():
+        n = len(top.elements)
+        candidates = [[m] for m in range(1 << n)] + [[]]
+        opens = sorted(top.opens)
+        for _ in range(20):
+            candidates.append(rng.sample(opens, min(len(opens), rng.randrange(1, 4))))
+            candidates.append([rng.randrange(1 << n) for _ in range(rng.randrange(1, 4))])
+        for cand in candidates:
+            got = _outcome(T.translated_basis_check, top, cand)
+            assert got == _outcome(_reference_translated_basis_check, top, cand)
+            outcomes.add(got if isinstance(got, bool) else got[1])
+    assert outcomes == {
+        True,
+        False,
+        "basis member does not contain zero",
+        "basis member is not open",
+        "not a neighborhood basis at zero",
+    }
