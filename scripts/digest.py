@@ -5,7 +5,9 @@
 Several outputs depend on the bases the integer kernel picks, not only on
 the groups they describe: Mittag-Leffler certificates, surjectivized
 systems, stable-image and eventual-image subgroups, kernels, images,
-quotients and minimal solutions.  This script computes all of them over
+quotients, minimal solutions, direct-sum inclusions and projections, the
+surjectivization short exact sequence and the truncated-limit witness.
+This script computes all of them over
 seeded random systems and prints one `family count sha256` line per
 family.  Subgroup families get one line per field instead
 (`eventual_image.basis 301 <sha256>`, likewise `generators`,
@@ -44,6 +46,13 @@ FAMILIES = (
     *_fields("image"),
     "quotient",
     "solve_hom_minimal",
+    "direct_sum.inclusions",
+    "direct_sum.projections",
+    "surjectivization_ses.sub",
+    "surjectivization_ses.quotient",
+    "surjectivization_ses.inclusions",
+    "surjectivization_ses.projections",
+    "lim_truncated.witness",
 )
 
 
@@ -83,9 +92,14 @@ def subgroup_lines(family, subs):
         yield from ((f"{family}.{k}", v) for k, v in subgroup_json(subs).items())
 
 
+def rows(homs):
+    return [[list(r) for r in h.matrix] for h in homs]
+
+
 def outputs(doc, rng):
     """(family, JSON-ready value) pairs for one system document."""
     from prolim import fgab as F
+    from prolim import homalg as H
     from prolim import invsys as I
 
     s = I.InverseSystem.from_json(doc)
@@ -98,6 +112,16 @@ def outputs(doc, rng):
         for level in range(k + 1, k + p + 1):
             endo = s.map_between(level, level + p)
             yield from subgroup_lines("eventual_image", I.eventual_image(endo))
+        ses = H.surjectivization_ses(s)
+        yield "surjectivization_ses.sub", ses.sub.to_json()
+        yield "surjectivization_ses.quotient", ses.quot.to_json()
+        yield "surjectivization_ses.inclusions", rows(ses.inclusions)
+        yield "surjectivization_ses.projections", rows(ses.projections)
+    total, incls, projs = F.direct_sum(*(s.group_at(n) for n in range(1, k + p + 1)))
+    yield "direct_sum.inclusions", {"group": total.to_json(), "maps": rows(incls)}
+    yield "direct_sum.projections", rows(projs)
+    _lim, witness = H.lim_truncated(H.TruncatedChain.of_system(s, min(k + p + 1, 3)))
+    yield "lim_truncated.witness", witness.to_json()
     for n in range(1, k + p + 1):
         h = s.map_at(n)
         sub, _incl = F.kernel(h)  # _incl is sub.inclusion()

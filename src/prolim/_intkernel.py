@@ -3,11 +3,16 @@
 Lattices, kernels and solutions are all read off one Hermite (echelon)
 column basis: `kernel_columns` and `solve` reduce the columns of A stacked
 over unit cofactor vectors.  The Smith form serves only cokernel
-presentations, which need invariant factors.  Matrices are plain lists of
-rows and lattices plain lists of columns, all of Python ints, so arbitrary
-precision is preserved throughout.  This module is the hot inner
-loop of the whole package and imports nothing from the rest of it; the
-other modules reach it through prolim._backend.
+presentations, which need invariant factors.  Every entry point takes a
+matrix as the plain list of its columns, of Python ints, so arbitrary
+precision is preserved throughout.  Only `smith_with_transforms` hands
+back lists of rows (`transpose` turns them into columns), and `mat_mul`,
+`charpoly` and `poly_at_matrix` read either orientation: the transpose
+of a product is the reverse product of the transposes, the transpose has
+the same charpoly, and a polynomial in it is the transpose of the
+polynomial.  This module is the hot inner loop of the whole
+package and imports nothing from the rest of it; the other modules reach
+it through prolim._backend.
 """
 
 
@@ -19,7 +24,15 @@ def zero_matrix(m, n):
     return [[0] * n for _ in range(m)]
 
 
+def transpose(mat):
+    """The columns of a matrix given by its rows, or the rows of one given
+    by its columns."""
+    return [list(v) for v in zip(*mat)]
+
+
 def mat_mul(a, b):
+    """a*b for matrices given by their rows.  Given by their columns, the
+    same lists give b*a: a product transposes to the reverse product."""
     m = len(a)
     n = len(b[0]) if b else 0
     k = len(b)
@@ -36,28 +49,28 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        s = 0
-        for c, x in zip(row, v):
-            if c:
-                s += c * x
-        out.append(s)
+def combine(cols, coeffs, dim):
+    """The linear combination sum(c * col) of columns in Z^dim."""
+    out = [0] * dim
+    for c, col in zip(coeffs, cols):
+        if c:
+            for i in range(dim):
+                out[i] += c * col[i]
     return out
 
 
-def smith_with_transforms(a):
-    """Return (u, d, uinv) with u*a*v = d in Smith normal form for some v.
+def smith_with_transforms(cols):
+    """Return (u, d, uinv) with u*A*v = d in Smith normal form for some v,
+    A given by its columns; all three results are lists of rows.
 
     d is diagonal with nonnegative entries d1 | d2 | ... followed by zeros;
     u is unimodular and uinv is its exact inverse.  The column transform v
     is not built: only cokernel presentations read a Smith form, and they
-    need the row side alone.
+    need the row side alone.  The elimination runs on the rows of A.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [row[:] for row in a]
+    d = transpose(cols)
+    m = len(d)
+    n = len(cols)
     u = identity_matrix(m)
     uinv = identity_matrix(m)
 

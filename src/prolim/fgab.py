@@ -3,10 +3,13 @@
 A group is kept in invariant-factor normal form: free generators first,
 then torsion generators with orders d1 | d2 | ... (each >= 2).  Elements
 are plain tuples of ints with torsion coordinates reduced into [0, di).
-Homomorphisms are integer matrices (column j = image of source generator
-j in target coordinates).  Subgroups are generator lists with a lazily
-computed normal form; under the hood every subgroup is the lattice
-spanned by its generators together with the ambient relation lattice.
+A matrix is a list of its columns throughout: a homomorphism stores
+column j = the image of source generator j in target coordinates, and
+presentations and lattice bases are column lists too.  Rows appear only at
+the JSON boundary, in the `GroupHom` rows constructor and its `matrix`
+view.  Subgroups are generator lists with a lazily computed normal form;
+under the hood every subgroup is the lattice spanned by its generators
+together with the ambient relation lattice.
 """
 
 from __future__ import annotations
@@ -236,14 +239,17 @@ def Zmod(*ds):
 
 
 class GroupHom:
-    """Homomorphism between FgAbGroups as an integer matrix.
+    """Homomorphism between FgAbGroups, stored as its list of columns.
 
-    Column j is the image of source generator j in target coordinates.
-    Construction validates well-definedness: an order-d source generator
-    must map to an element killed by d.
+    Column j is the image of source generator j in target coordinates, with
+    the torsion entries reduced.  Construction validates well-definedness:
+    an order-d source generator must map to an element killed by d.
+    `GroupHom(source, target, rows)` reads a matrix given by its rows (the
+    JSON orientation) and `from_columns` one given by its columns; the
+    `matrix` property is the read-only row view.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "_cols")
 
     def __init__(self, source, target, matrix, check=True):
         matrix = tuple(tuple(int(x) for x in row) for row in matrix)
@@ -252,13 +258,23 @@ class GroupHom:
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
                 f"does not match target dim {target.dim} x source dim {source.dim}"
             )
-        # store with torsion rows reduced
-        matrix = tuple(
-            zip(*(target.reduce(col) for col in zip(*matrix)))
-        ) if matrix and matrix[0] else matrix
+        cols = zip(*matrix) if matrix else [()] * source.dim
+        self._init(source, target, cols, check)
+
+    @classmethod
+    def from_columns(cls, source, target, cols, check=True):
+        """The hom whose column j is the image of source generator j."""
+        h = object.__new__(cls)
+        h._init(source, target, cols, check)
+        return h
+
+    def _init(self, source, target, cols, check):
+        cols = tuple(target.reduce(c) for c in cols)
+        if len(cols) != source.dim:
+            raise InputError(f"{len(cols)} columns do not match source dim {source.dim}")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_cols", cols)
         if check:
             self._check_well_defined()
 
@@ -266,21 +282,26 @@ class GroupHom:
         raise AttributeError("GroupHom is immutable")
 
     def _check_well_defined(self):
-        src = self.source
-        tgt = self.target
-        r = src.free_rank
-        for j, d in enumerate(src.torsion):
-            col = [row[r + j] for row in self.matrix]
-            scaled = [d * x for x in col]
-            if any(tgt.reduce(tuple(scaled))):
+        r = self.source.free_rank
+        for j, d in enumerate(self.source.torsion):
+            if any(self.target.reduce(tuple(d * x for x in self._cols[r + j]))):
                 raise InputError(
                     f"column {r + j} of order-{d} generator does not vanish under {d}"
                 )
 
+    @property
+    def matrix(self):
+        """The matrix as a tuple of rows."""
+        return tuple(zip(*self._cols)) if self._cols else ((),) * self.target.dim
+
+    def columns(self):
+        """The images of the source generators, in target coordinates."""
+        return self._cols
+
     def apply(self, x):
         if len(x) != self.source.dim:
             raise InputError("element does not belong to the source group")
-        return self.target.reduce(_k.mat_vec(self.matrix, x))
+        return self.target.reduce(_k.combine(self._cols, x, self.target.dim))
 
     def __call__(self, x):
         return self.apply(x)
@@ -291,23 +312,21 @@ class GroupHom:
             raise InputError("composition mismatch")
         if self.source.dim == 0:
             return GroupHom.zero(other.source, self.target)
-        prod = _k.mat_mul(self.matrix, other.matrix)
-        return GroupHom(other.source, self.target, prod, check=False)
-
-    def columns(self):
-        """The images of the source generators, as lists of target coordinates."""
-        return [[row[j] for row in self.matrix] for j in range(self.source.dim)]
+        # the row product of the column lists, in reverse order
+        cols = _k.mat_mul(other._cols, self._cols)
+        return GroupHom.from_columns(other.source, self.target, cols, check=False)
 
     @classmethod
     def identity(cls, g):
-        return cls(g, g, _k.identity_matrix(g.dim), check=False)
+        return cls.from_columns(g, g, _k.identity_matrix(g.dim), check=False)
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target, _k.zero_matrix(target.dim, source.dim), check=False)
+        cols = _k.zero_matrix(source.dim, target.dim)
+        return cls.from_columns(source, target, cols, check=False)
 
     def is_zero(self):
-        return all(not x for row in self.matrix for x in row)
+        return not any(any(c) for c in self._cols)
 
     def to_json(self):
         return {
@@ -321,11 +340,11 @@ class GroupHom:
             isinstance(other, GroupHom)
             and self.source == other.source
             and self.target == other.target
-            and self.matrix == other.matrix
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        return hash((self.source, self.target, self._cols))
 
     def __repr__(self):
         return f"GroupHom({self.source} -> {self.target}, {self.matrix})"
@@ -336,8 +355,8 @@ class Presentation:
     """Cokernel presentation Z^n / columns, canonicalized.
 
     group: the invariant-factor normal form of the quotient
-    project: dim(group) x n matrix expressing the quotient map
-    lift: n x dim(group) matrix with project @ lift = identity (mod torsion)
+    project: the quotient map's n columns, the images of the unit vectors
+    lift: dim(group) columns in Z^n, one preimage per generator of group
     """
 
     group: FgAbGroup
@@ -350,28 +369,20 @@ def cokernel_presentation(n, rel_cols):
     if n == 0:
         return Presentation(ZERO_GROUP, (), ())
     if not rel_cols:
-        g = FgAbGroup(n, ())
-        eye = _k.identity_matrix(n)
-        return Presentation(g, tuple(map(tuple, eye)), tuple(map(tuple, eye)))
-    mat = [[col[i] for col in rel_cols] for i in range(n)]
-    u, d, uinv = _k.smith_with_transforms(mat)
+        eye = tuple(map(tuple, _k.identity_matrix(n)))
+        return Presentation(FgAbGroup(n, ()), eye, eye)
+    u, d, uinv = _k.smith_with_transforms(rel_cols)
     diag = _k.smith_diagonal(d)
     rank = sum(1 for x in diag if x)
     free_rows = list(range(rank, n))
     torsion_rows = [i for i in range(rank) if abs(diag[i]) >= 2]
-    torsion = [abs(diag[i]) for i in torsion_rows]
-    group = FgAbGroup(len(free_rows), torsion)
+    group = FgAbGroup(len(free_rows), [abs(diag[i]) for i in torsion_rows])
     order = free_rows + torsion_rows
-    project = [u[i][:] for i in order]
-    lift = [[uinv[r][i] for i in order] for r in range(n)]
-    # reduce torsion rows of the projection into canonical range
-    proj_reduced = []
-    for newi, row in enumerate(project):
-        if newi >= len(free_rows):
-            dmod = torsion[newi - len(free_rows)]
-            row = [x % dmod for x in row]
-        proj_reduced.append(tuple(row))
-    return Presentation(group, tuple(proj_reduced), tuple(tuple(r) for r in lift))
+    # Smith returns rows: the projection is u's rows in `order`, the lift
+    # uinv's columns in `order`
+    project = tuple(group.reduce([col[i] for i in order]) for col in _k.transpose(u))
+    lift = _k.transpose(uinv)
+    return Presentation(group, project, tuple(tuple(lift[i]) for i in order))
 
 
 class Subgroup:
@@ -397,8 +408,7 @@ class Subgroup:
 
     @classmethod
     def full(cls, ambient):
-        eye = _k.identity_matrix(ambient.dim)
-        return cls(ambient, [tuple(col) for col in zip(*eye)] if ambient.dim else [])
+        return cls(ambient, _k.identity_matrix(ambient.dim))
 
     @classmethod
     def trivial(cls, ambient):
@@ -448,17 +458,8 @@ class Subgroup:
         pres = self._presentation()
         basis = self.lattice_basis()
         amb = self.ambient
-        cols = []
-        for i in range(pres.group.dim):
-            coeff = [pres.lift[r][i] for r in range(len(basis))]
-            vec = [0] * amb.dim
-            for c, col in zip(coeff, basis):
-                if c:
-                    for r in range(amb.dim):
-                        vec[r] += c * col[r]
-            cols.append(amb.reduce(vec))
-        mat = [[col[r] for col in cols] for r in range(amb.dim)]
-        incl = GroupHom(pres.group, amb, mat, check=False)
+        cols = [_k.combine(basis, coeffs, amb.dim) for coeffs in pres.lift]
+        incl = GroupHom.from_columns(pres.group, amb, cols, check=False)
         object.__setattr__(self, "_incl", incl)
         return incl
 
@@ -468,7 +469,7 @@ class Subgroup:
         if sol is None:
             return None
         pres = self._presentation()
-        return pres.group.reduce(_k.mat_vec(pres.project, sol))
+        return pres.group.reduce(_k.combine(pres.project, sol, pres.group.dim))
 
     def contains(self, x):
         return self.coordinates_of(x) is not None
@@ -515,15 +516,7 @@ class Subgroup:
         a = self.lattice_basis()
         n = self.ambient.dim
         ker = _k.kernel_columns(a + [[-x for x in col] for col in other.lattice_basis()])
-        gens = []
-        for kcol in ker:
-            vec = [0] * n
-            for c, col in zip(kcol[: len(a)], a):
-                if c:
-                    for r in range(n):
-                        vec[r] += c * col[r]
-            gens.append(self.ambient.reduce(vec))
-        return Subgroup(self.ambient, gens)
+        return Subgroup(self.ambient, [_k.combine(a, kcol[: len(a)], n) for kcol in ker])
 
     def elements(self):
         """All elements (ambient coordinates); finite subgroups only."""
@@ -556,7 +549,7 @@ def image(h):
 
 def kernel(h):
     """(Subgroup of the source, inclusion hom) with h o inclusion = 0."""
-    ker = _k.kernel_columns(h.columns() + h.target.relation_columns())
+    ker = _k.kernel_columns([*h.columns(), *h.target.relation_columns()])
     sub = Subgroup(h.source, [col[: h.source.dim] for col in ker])
     return sub, sub.inclusion()
 
@@ -565,11 +558,8 @@ def quotient(ambient, sub):
     """(cokernel in normal form, surjective projection with kernel = sub)."""
     if sub.ambient != ambient:
         raise InputError("quotient: subgroup of a different ambient group")
-    pres = cokernel_presentation(ambient.dim, [list(c) for c in sub.lattice_basis()])
-    if ambient.dim == 0:
-        return pres.group, GroupHom(ambient, pres.group, [], check=False)
-    proj = GroupHom(ambient, pres.group, [list(r) for r in pres.project], check=False)
-    return pres.group, proj
+    pres = cokernel_presentation(ambient.dim, sub.lattice_basis())
+    return pres.group, GroupHom.from_columns(ambient, pres.group, pres.project, check=False)
 
 
 def is_injective(h):
@@ -586,16 +576,10 @@ def hom_into_subgroup(h, target_sub):
 
     Requires image(h) <= target_sub.  The source group is untouched.
     """
-    cols = []
-    for j in range(h.source.dim):
-        gen = [0] * h.source.dim
-        gen[j] = 1
-        coord = target_sub.coordinates_of(h.apply(tuple(gen)))
-        if coord is None:
-            raise InputError("hom does not map into the target subgroup")
-        cols.append(coord)
-    mat = [[col[r] for col in cols] for r in range(target_sub.normal_form.dim)]
-    return GroupHom(h.source, target_sub.normal_form, mat, check=False)
+    cols = [target_sub.coordinates_of(col) for col in h.columns()]
+    if None in cols:
+        raise InputError("hom does not map into the target subgroup")
+    return GroupHom.from_columns(h.source, target_sub.normal_form, cols, check=False)
 
 
 def hom_restrict(h, source_sub, target_sub):
@@ -603,23 +587,16 @@ def hom_restrict(h, source_sub, target_sub):
 
     Requires h(source_sub) <= target_sub.
     """
-    incl_s = source_sub.inclusion()
-    cols = []
-    for j in range(source_sub.normal_form.dim):
-        gen = tuple(incl_s.matrix[i][j] for i in range(h.source.dim))
-        img = h.apply(h.source.reduce(gen))
-        coord = target_sub.coordinates_of(img)
-        if coord is None:
-            raise InputError("hom does not map the source subgroup into the target subgroup")
-        cols.append(coord)
-    mat = [[col[r] for col in cols] for r in range(target_sub.normal_form.dim)]
-    return GroupHom(source_sub.normal_form, target_sub.normal_form, mat, check=False)
+    cols = [target_sub.coordinates_of(h.apply(col)) for col in source_sub.inclusion().columns()]
+    if None in cols:
+        raise InputError("hom does not map the source subgroup into the target subgroup")
+    return GroupHom.from_columns(source_sub.normal_form, target_sub.normal_form, cols, check=False)
 
 
 def solve_hom(h, y):
     """One x with h(x) = y, or None; torsion handled exactly."""
     src, tgt = h.source, h.target
-    sol = _k.solve(h.columns() + tgt.relation_columns(), tgt.reduce(y))
+    sol = _k.solve([*h.columns(), *tgt.relation_columns()], tgt.reduce(y))
     if sol is None:
         return None
     return src.reduce(sol[: src.dim])
@@ -657,20 +634,21 @@ def direct_sum(*groups):
     projs = []
     off = 0
     for g in groups:
-        if pres.group.dim:
-            inc_mat = [
-                [pres.project[r][off + j] for j in range(g.dim)]
-                for r in range(pres.group.dim)
-            ]
-        else:
-            inc_mat = []
-        incls.append(GroupHom(g, pres.group, inc_mat, check=False))
-        proj_mat = [
-            [pres.lift[off + i][c] for c in range(pres.group.dim)] for i in range(g.dim)
-        ]
-        projs.append(GroupHom(pres.group, g, proj_mat, check=False))
+        block = slice(off, off + g.dim)
+        incls.append(GroupHom.from_columns(g, pres.group, pres.project[block], check=False))
+        proj_cols = [col[block] for col in pres.lift]
+        projs.append(GroupHom.from_columns(pres.group, g, proj_cols, check=False))
         off += g.dim
     return pres.group, incls, projs
+
+
+def hom_sum(source, target, homs, coeffs):
+    """The hom sum(c * h) over homs h : source -> target."""
+    cols = [
+        _k.combine([h.columns()[j] for h in homs], coeffs, target.dim)
+        for j in range(source.dim)
+    ]
+    return GroupHom.from_columns(source, target, cols, check=False)
 
 
 def eventual_image_lattice(n_cols):

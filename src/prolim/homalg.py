@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from prolim._backend import kernel as _k
 from prolim import fgab
 from prolim.errors import InputError, PreconditionError
 from prolim.fgab import (
@@ -23,6 +22,7 @@ from prolim.fgab import (
     Subgroup,
     direct_sum,
     hom_into_subgroup,
+    hom_sum,
     image,
     kernel,
     quotient,
@@ -91,16 +91,13 @@ def _delta_hom(chain):
         cod = fgab.ZERO_GROUP
         return GroupHom.zero(dom, cod), (dom, dom_incl, dom_proj), (cod, [], [])
     cod, cod_incl, cod_proj = direct_sum(*groups[:-1])
-    mat = _k.zero_matrix(cod.dim, dom.dim)
+    terms = []
     for lvl in range(n - 1):
         # incl_cod[lvl] o (proj_dom[lvl] - f_lvl o proj_dom[lvl+1])
-        a = cod_incl[lvl].compose(dom_proj[lvl]).matrix
-        b = cod_incl[lvl].compose(chain.maps[lvl].compose(dom_proj[lvl + 1])).matrix
-        for i in range(cod.dim):
-            for j in range(dom.dim):
-                mat[i][j] += a[i][j] - b[i][j]
+        terms.append(cod_incl[lvl].compose(dom_proj[lvl]))
+        terms.append(cod_incl[lvl].compose(chain.maps[lvl].compose(dom_proj[lvl + 1])))
     return (
-        GroupHom(dom, cod, mat, check=False),
+        hom_sum(dom, cod, terms, [1, -1] * (n - 1)),
         (dom, dom_incl, dom_proj),
         (cod, cod_incl, cod_proj),
     )
@@ -117,16 +114,12 @@ def lim_truncated(chain):
     g_top = chain.groups[-1]
     # graph map G_N -> product
     comp = GroupHom.identity(g_top)
-    graph = _k.zero_matrix(dom.dim, g_top.dim)
+    parts = []
     for lvl in range(n - 1, -1, -1):
-        part = dom_incl[lvl].compose(comp).matrix
-        for i in range(dom.dim):
-            for j in range(g_top.dim):
-                graph[i][j] += part[i][j]
+        parts.append(dom_incl[lvl].compose(comp))
         if lvl:
             comp = chain.maps[lvl - 1].compose(comp)
-    graph_hom = GroupHom(g_top, dom, graph, check=False)
-    witness = hom_into_subgroup(graph_hom, ker_sub)
+    witness = hom_into_subgroup(hom_sum(g_top, dom, parts, [1] * n), ker_sub)
     return ker_sub.normal_form, witness
 
 
@@ -214,13 +207,9 @@ def check_ses(ses):
     for n in range(1, w + 1):
         inc_hi = ses.incl_at(n + 1)
         prj_hi = ses.proj_at(n + 1)
-        if ses.incl_at(n).compose(ses.sub.map_at(n)).matrix != ses.mid.map_at(
-            n
-        ).compose(inc_hi).matrix:
+        if ses.incl_at(n).compose(ses.sub.map_at(n)) != ses.mid.map_at(n).compose(inc_hi):
             return False
-        if ses.proj_at(n).compose(ses.mid.map_at(n)).matrix != ses.quot.map_at(
-            n
-        ).compose(prj_hi).matrix:
+        if ses.proj_at(n).compose(ses.mid.map_at(n)) != ses.quot.map_at(n).compose(prj_hi):
             return False
     return True
 
@@ -233,30 +222,32 @@ def surjectivization_ses(s):
     k, p = s.prefix_len, s.period
     w = k + p
     incls = [subs[n].inclusion() for n in range(1, w + 1)]
-    quot_data = {n: quotient(s.group_at(n), subs[n]) for n in range(1, w + 1)}
+    # each level's quotient presentation serves both its projection and,
+    # as the source of an induced map, its lift
+    pres = {
+        n: fgab.cokernel_presentation(s.group_at(n).dim, subs[n].lattice_basis())
+        for n in range(1, w + 1)
+    }
+    projs = {
+        n: GroupHom.from_columns(s.group_at(n), pr.group, pr.project, check=False)
+        for n, pr in pres.items()
+    }
 
     def induced(n):
         # quot-level map: project o f_n o (any lift); well-definedness holds
         # because the bonding maps preserve the stable images
-        q_tgt, proj_tgt = quot_data[n]
-        src_level = n + 1 if n + 1 <= w else k + 1
-        q_src, _proj_src = quot_data[src_level]
-        g_src = s.group_at(src_level)
-        pres = fgab.cokernel_presentation(
-            g_src.dim, [list(c) for c in subs[src_level].lattice_basis()]
-        )
-        mat = _k.mat_mul(proj_tgt.matrix, _k.mat_mul(s.map_at(n).matrix, pres.lift))
-        return GroupHom(q_src, q_tgt, mat)
+        src = pres[n + 1 if n + 1 <= w else k + 1]
+        down = projs[n].compose(s.map_at(n))
+        return GroupHom.from_columns(src.group, pres[n].group, [down.apply(c) for c in src.lift])
 
-    quot_prefix = [quot_data[n][0] for n in range(1, k + 1)]
+    quot_prefix = [pres[n].group for n in range(1, k + 1)]
     quot_maps = [induced(n) for n in range(1, k + 1)]
     quot_cycle = CycleTail(
-        tuple(quot_data[k + 1 + j][0] for j in range(p)),
+        tuple(pres[k + 1 + j].group for j in range(p)),
         tuple(induced(k + 1 + j) for j in range(p)),
     )
     quot_sys = InverseSystem(quot_prefix, quot_maps, quot_cycle)
-    projs = [quot_data[n][1] for n in range(1, w + 1)]
-    return SystemSES(sub_sys, s, quot_sys, tuple(incls), tuple(projs))
+    return SystemSES(sub_sys, s, quot_sys, tuple(incls), tuple(projs[n] for n in range(1, w + 1)))
 
 
 def six_term_report(ses):

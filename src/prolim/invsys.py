@@ -369,7 +369,7 @@ def system_equal(a, b, upto):
     for n in range(1, upto + 1):
         if a.group_at(n) != b.group_at(n):
             return False
-        if n < upto and a.map_at(n).matrix != b.map_at(n).matrix:
+        if n < upto and a.map_at(n).columns() != b.map_at(n).columns():
             return False
     return True
 
@@ -458,7 +458,7 @@ def eventual_image(endo):
         raise InputError("eventual_image needs an endomorphism")
     g = endo.source
     r = g.free_rank
-    a_cols = [[endo.matrix[i][j] for i in range(r)] for j in range(r)]
+    a_cols = [col[:r] for col in endo.columns()[:r]]
     w_free = eventual_image_lattice(a_cols) if r else []
     pad = [0] * len(g.torsion)
     gens = [list(c) + pad for c in w_free] + list(Subgroup.torsion_block(g).generators)
@@ -517,6 +517,14 @@ class MLCertificate:
         }
 
 
+def _stable_level(s, n, m):
+    """The certificate entry for level n, whose image chain is verified
+    stable from m: Im(f_{n,m}) = Im(f_{n,m+p})."""
+    if not subgroup_equal(image(s.map_between(n, m)), image(s.map_between(n, m + s.period))):
+        raise AssertionError(f"image chain at level {n} is not stable from {m}")
+    return MLLevel(n, True, stable_from=m)
+
+
 def is_mittag_leffler(s):
     """Eventual-constancy certificate for every image chain Im(f_{n,m}).
 
@@ -528,14 +536,7 @@ def is_mittag_leffler(s):
     k = s.prefix_len
     p = s.period
     if isinstance(s.tail, TowerTail):
-        entries = []
-        for n in range(1, k + p + 1):
-            m = max(n, k + 1)
-            a = image(s.map_between(n, m))
-            b = image(s.map_between(n, m + p))
-            if not subgroup_equal(a, b):
-                raise AssertionError(f"image chain at level {n} is not stable from {m}")
-            entries.append(MLLevel(n, True, stable_from=m))
+        entries = [_stable_level(s, n, max(n, k + 1)) for n in range(1, k + p + 1)]
         return MLCertificate(True, tuple(entries))
 
     entries = {}
@@ -554,12 +555,7 @@ def is_mittag_leffler(s):
             )
     if verdict:
         for n in range(1, k + 1):
-            m = k + 1 + worst * p
-            a = image(s.map_between(n, m))
-            b = image(s.map_between(n, m + p))
-            if not subgroup_equal(a, b):
-                raise AssertionError(f"image chain at level {n} is not stable from {m}")
-            entries[n] = MLLevel(n, True, stable_from=m)
+            entries[n] = _stable_level(s, n, k + 1 + worst * p)
     # With a failing tail the prefix chains are not analyzed: the verdict is
     # already decided and the certificate carries the tail failure witnesses.
     per_level = tuple(entries[n] for n in sorted(entries))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from prolim._backend import kernel as _k
 from prolim import fgab
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
-from prolim.fgab import GroupHom, direct_sum, json_int, json_list, solve_hom_minimal
+from prolim.fgab import GroupHom, direct_sum, hom_sum, json_int, json_list, solve_hom_minimal
 from prolim.invsys import TowerTail, stabilizes, surjectivize
 
 
@@ -364,15 +364,8 @@ def _tower_atom_route(s, restricted, stride, offset, new_level):
             routes.append(dst_lvl.atom_incls[j + 1].compose(inner))
     if len(routes) != len(src_lvl.atom_projs):
         raise AssertionError("restricted tower level has a different number of atoms")
-    dim_src = s.group_at(old_level).dim
-    dim_dst = restricted.group_at(new_level).dim
-    mat = _k.zero_matrix(dim_dst, dim_src)
-    for route, proj in zip(routes, src_lvl.atom_projs):
-        part = route.compose(proj).matrix
-        for i in range(dim_dst):
-            for jj in range(dim_src):
-                mat[i][jj] += part[i][jj]
-    return GroupHom(s.group_at(old_level), restricted.group_at(new_level), mat, check=False)
+    parts = [route.compose(proj) for route, proj in zip(routes, src_lvl.atom_projs)]
+    return hom_sum(s.group_at(old_level), restricted.group_at(new_level), parts, [1] * len(parts))
 
 
 def restrict_tuple(s, restricted, stride, offset, t):
@@ -402,6 +395,7 @@ def unrestrict_tuple(s, restricted, stride, offset, t, level):
     """Inverse transport: rebuild the unselected coordinates by mapping the
     nearest selected level down."""
     entries = []
+    backs = {}  # selected level i -> inverse tower isomorphism, shared by stride levels
     for n in range(1, level + 1):
         i = 1
         while offset + stride * i < n:
@@ -410,25 +404,19 @@ def unrestrict_tuple(s, restricted, stride, offset, t, level):
             raise PreconditionError("restricted tuple too short to unrestrict")
         coord = t.entries[i - 1]
         if isinstance(s.tail, TowerTail):
-            iso = _tower_atom_route(s, restricted, stride, offset, i)
-            back = _invert_iso(iso)
-            coord = back.apply(coord)
+            if i not in backs:
+                backs[i] = _invert_iso(_tower_atom_route(s, restricted, stride, offset, i))
+            coord = backs[i].apply(coord)
         entries.append(s.map_between(n, offset + stride * i).apply(coord))
     return CoherentTuple(s, entries)
 
 
 def _invert_iso(h):
     """Inverse of a group isomorphism, solved columnwise."""
-    cols = []
-    for j in range(h.target.dim):
-        e = [0] * h.target.dim
-        e[j] = 1
-        x = fgab.solve_hom(h, tuple(e))
-        if x is None:
-            raise InputError("hom is not invertible")
-        cols.append(x)
-    mat = [[col[r] for col in cols] for r in range(h.source.dim)]
-    return GroupHom(h.target, h.source, mat, check=False)
+    cols = [fgab.solve_hom(h, e) for e in _k.identity_matrix(h.target.dim)]
+    if None in cols:
+        raise InputError("hom is not invertible")
+    return GroupHom.from_columns(h.target, h.source, cols, check=False)
 
 
 def enumerate_tuples(s, level, cap=None):

@@ -76,6 +76,33 @@ def test_bad_map_names_index(tmp_path):
     assert b"tail.maps[0]" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "matrix, shape",
+    [([[1, 0]], "1x2"), ([[1, 0], [0]], "2x2"), ([], "0x0")],
+)
+def test_wrong_shaped_matrix_exits_2(tmp_path, matrix, shape):
+    doc = {
+        "name": "broken",
+        "system": {
+            "prefix": [],
+            "maps": [],
+            "tail": {
+                "kind": "cycle",
+                "groups": [{"free_rank": 1, "torsion": [4]}],
+                "maps": [matrix],
+            },
+        },
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    res = run_cli("classify", str(p))
+    assert res.returncode == 2
+    assert res.stderr.decode().strip() == (
+        f"error: tail.maps[0]: matrix shape {shape} does not match"
+        " target dim 2 x source dim 2"
+    )
+
+
 TOWER_WITHOUT_BASE = {"kind": "tower", "layers": [{"free_rank": 0, "torsion": [2]}]}
 
 

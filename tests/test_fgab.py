@@ -51,6 +51,49 @@ def test_hom_well_definedness():
         F.GroupHom(F.Zmod(2), F.Z(), [[1]])
 
 
+def _both_ways(source, target, cols):
+    """The hom with these columns, built from its rows and from its columns."""
+    rows = [[c[i] for c in cols] for i in range(target.dim)]
+    return F.GroupHom(source, target, rows), F.GroupHom.from_columns(source, target, cols)
+
+
+def test_rows_and_columns_constructors_agree():
+    rng = random.Random(41)
+    # source and target dimension 0 first, then random shapes
+    cases = [
+        (F.ZERO_GROUP, F.ZERO_GROUP),
+        (F.ZERO_GROUP, F.FgAbGroup(1, (4,))),
+        (F.FgAbGroup(1, (6,)), F.ZERO_GROUP),
+    ]
+    cases += [(random_group(rng), random_group(rng)) for _ in range(150)]
+    for src, tgt in cases:
+        cols = [list(c) for c in random_hom(rng, src, tgt).columns()]
+        for col in cols:
+            for i, d in enumerate(tgt.torsion):  # unreduced torsion entries
+                col[tgt.free_rank + i] += d * rng.randrange(-3, 4)
+        by_rows, by_cols = _both_ways(src, tgt, cols)
+        assert by_rows.matrix == by_cols.matrix
+        assert len(by_rows.matrix) == tgt.dim
+        assert all(len(r) == src.dim for r in by_rows.matrix)
+        assert by_rows == by_cols and hash(by_rows) == hash(by_cols)
+        assert by_rows.to_json() == by_cols.to_json()
+        x = tuple(rng.randrange(-5, 6) for _ in range(src.dim))
+        assert by_rows.apply(x) == by_cols.apply(x)
+        pre = random_group(rng) if rng.randrange(3) else F.ZERO_GROUP
+        first = [list(c) for c in random_hom(rng, pre, src).columns()]
+        pre_rows, pre_cols = _both_ways(pre, src, first)
+        composite = by_rows.compose(pre_rows)
+        assert composite == by_cols.compose(pre_cols)
+        assert composite.matrix == by_cols.compose(pre_cols).matrix
+        assert composite.to_json() == by_cols.compose(pre_cols).to_json()
+
+
+def test_columns_constructor_checks_well_definedness():
+    with pytest.raises(InputError, match="does not vanish under 2"):
+        F.GroupHom.from_columns(F.Zmod(2), F.Zmod(4), [[1]])
+    assert F.GroupHom.from_columns(F.Zmod(2), F.Zmod(4), [[6]]).matrix == ((2,),)
+
+
 def test_kernel_examples():
     # x2 on Z is injective
     ker, incl = F.kernel(F.GroupHom(F.Z(), F.Z(), [[2]]))
@@ -184,8 +227,8 @@ def test_quotient_by_image_matches_stacked_cokernel():
 def test_snf_property_random_matrices(rows):
     from prolim._backend import kernel as K
 
-    u, d, ui = K.smith_with_transforms(rows)
     m, n = len(rows), len(rows[0])
+    u, d, ui = K.smith_with_transforms([[r[j] for r in rows] for j in range(n)])
     assert K.mat_mul(u, ui) == K.identity_matrix(m)
     assert abs(K.charpoly(u)[0]) == 1
     # u*a*v = d for a unimodular v: u*a and d span the same column lattice
@@ -298,8 +341,7 @@ def test_index_in_matches_smith_reference_on_free_and_mixed_groups():
             assert a.index_in(b) is None
             continue
         coords = [K.solve(big, col) for col in small]
-        square = [[c[i] for c in coords] for i in range(len(big))]
-        _u, d, _ui = K.smith_with_transforms(square)
+        _u, d, _ui = K.smith_with_transforms(coords)
         assert a.index_in(b) == abs(prod(K.smith_diagonal(d)))
         finite += 1
     assert finite > 20

@@ -13,7 +13,7 @@ from prolim._backend import kernel as K
 
 
 def snf(a):
-    return K.smith_with_transforms([list(r) for r in a])
+    return K.smith_with_transforms(transpose(a, len(a[0])))
 
 
 def transpose(mat, k):
@@ -125,7 +125,7 @@ def test_kernel_columns_is_the_saturated_kernel():
         rank, _vol = smith_rank_and_volume(cols, m)
         assert len(ker) == n - rank
         for k in ker:
-            assert K.mat_vec(transpose(cols, m), k) == [0] * m
+            assert K.combine(cols, k, m) == [0] * m
         # all-ones Smith diagonal: saturated, x is in it whenever c*x is
         assert smith_rank_and_volume(ker, n) == (len(ker), 1)
 
@@ -137,7 +137,7 @@ def test_kernel_entries_stay_small():
     ker = K.kernel_columns(transpose(a, 26))
     assert len(ker) == 2
     for k in ker:
-        assert K.mat_vec(a, k) == [0] * 24
+        assert K.combine(transpose(a, 26), k, 24) == [0] * 24
     assert max(abs(x).bit_length() for k in ker for x in k) < 1000
 
 
@@ -231,8 +231,8 @@ def test_lattice_coordinates_match_smith_membership():
         sol = K.solve(cols, other)
         assert (got is not None) == (sol is not None) == inside
         if inside:
-            assert K.mat_vec(transpose(basis, dim), got) == other
-            assert K.mat_vec(transpose(cols, dim), sol) == other
+            assert K.combine(basis, got, dim) == other
+            assert K.combine(cols, sol, dim) == other
         outside += not inside
     assert outside > 20
 

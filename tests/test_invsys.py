@@ -401,8 +401,8 @@ def _reference_eventual_image(endo):
     lam = [c[:r] for c in anchor.lattice_basis() if any(c[:r])]
     w_free = []
     if lam:
-        e_free = [[endo.matrix[i][j] for j in range(r)] for i in range(r)]
-        n_cols = [K.lattice_coordinates(lam, K.mat_vec(e_free, col)) for col in lam]
+        e_free = [c[:r] for c in endo.columns()[:r]]
+        n_cols = [K.lattice_coordinates(lam, K.combine(e_free, col, r)) for col in lam]
         assert None not in n_cols
         for col in F.eventual_image_lattice(n_cols):
             w_free.append([sum(c * b[i] for c, b in zip(col, lam)) for i in range(r)])
