@@ -53,6 +53,8 @@ FAMILIES = (
     "surjectivization_ses.inclusions",
     "surjectivization_ses.projections",
     "lim_truncated.witness",
+    "tower.drops",
+    "restrict_tuple",
 )
 
 
@@ -136,6 +138,31 @@ def outputs(doc, rng):
             for target in (h.apply(h.source.reduce(x)), h.target.reduce(y)):
                 sol = F.solve_hom_minimal(h, target)
                 yield "solve_hom_minimal", None if sol is None else list(sol)
+    if isinstance(s.tail, I.TowerTail):
+        yield "tower.drops", rows(s.map_at(n) for n in range(k + 1, k + 2 * p + 1))
+    yield from restricted_tuples(s, random.Random(json.dumps(doc, sort_keys=True)))
+
+
+def restricted_tuples(s, rng):
+    """`restrict_tuple` pairs: each cofinal restriction at strides 2 and 3
+    and offsets 0 and 1, then three tuples from random tops moved to it
+    and back."""
+    from prolim import invsys as I
+    from prolim import prospace as P
+
+    level = s.prefix_len + s.period + 4
+    tops = [
+        tuple(rng.randint(-5, 5) for _ in range(s.group_at(level).dim)) for _ in range(3)
+    ]
+    tuples = [P.CoherentTuple.from_top(s, level, top) for top in tops]
+    for stride in (2, 3):
+        for offset in (0, 1):
+            r = I.restrict_cofinal(s, stride, offset)
+            yield "restrict_tuple", r.to_json()
+            for t in tuples:
+                rt = P.restrict_tuple(s, r, stride, offset, t)
+                back = P.unrestrict_tuple(s, r, stride, offset, rt, offset + stride * rt.level)
+                yield "restrict_tuple", [rt.to_json(), back.to_json()]
 
 
 def main(argv=None):

@@ -67,16 +67,6 @@ class TowerTail:
         return len(self.layers)
 
 
-class _TowerLevel:
-    __slots__ = ("group", "atom_incls", "atom_projs", "drop")
-
-    def __init__(self, group, atom_incls, atom_projs, drop):
-        self.group = group
-        self.atom_incls = atom_incls
-        self.atom_projs = atom_projs
-        self.drop = drop  # hom to the previous level (None at the base)
-
-
 class InverseSystem:
     """prefix levels 1..k, then the tail (or nothing, for a finite chain).
 
@@ -170,29 +160,22 @@ class InverseSystem:
         return len(self.prefix)
 
     def _tower_level(self, t):
-        """Materialized tower level t (0 = base), with atom data and drop map."""
+        """Tower level t (0 = base) as (group, inclusions, projections).
+
+        Level t >= 1 is `direct_sum(level t-1, layer)` as returned, so its
+        drop map to level t-1 is projections[0]; the base is the sum of one
+        group, with identity maps.
+        """
         cache = self._tower_cache
-        if t in cache:
-            return cache[t]
-        tail = self.tail
-        if t == 0:
-            lvl = _TowerLevel(
-                tail.base,
-                [GroupHom.identity(tail.base)],
-                [GroupHom.identity(tail.base)],
-                None,
-            )
-        else:
-            prev = self._tower_level(t - 1)
-            layer = tail.layers[(t - 1) % tail.period]
-            total, (i_prev, i_layer), (p_prev, p_layer) = _direct_sum2(
-                prev.group, layer
-            )
-            incls = [i_prev.compose(h) for h in prev.atom_incls] + [i_layer]
-            projs = [h.compose(p_prev) for h in prev.atom_projs] + [p_layer]
-            lvl = _TowerLevel(total, incls, projs, p_prev)
-        cache[t] = lvl
-        return lvl
+        if t not in cache:
+            tail = self.tail
+            if t == 0:
+                ident = GroupHom.identity(tail.base)
+                cache[t] = (tail.base, [ident], [ident])
+            else:
+                layer = tail.layers[(t - 1) % tail.period]
+                cache[t] = direct_sum(self._tower_level(t - 1)[0], layer)
+        return cache[t]
 
     def group_at(self, n):
         if n < 1:
@@ -205,7 +188,7 @@ class InverseSystem:
             raise PreconditionError(f"level {n} is out of range for a chain of length {k}")
         if isinstance(tail, CycleTail):
             return tail.groups[(n - k - 1) % tail.period]
-        return self._tower_level(n - k - 1).group
+        return self._tower_level(n - k - 1)[0]
 
     def map_at(self, n):
         """The bonding map f_n : G_{n+1} -> G_n."""
@@ -223,14 +206,16 @@ class InverseSystem:
             return self.maps[n - 1]
         if isinstance(tail, CycleTail):
             return tail.maps[(n - k - 1) % tail.period]
-        return self._tower_level(n - k).drop
+        return self._tower_level(n - k)[2][0]
 
     def map_between(self, n, m):
         """Composite f_{n,m} : G_m -> G_n (identity when n = m)."""
         if n > m:
             raise PreconditionError(f"map_between needs n <= m, got {n} > {m}")
-        h = GroupHom.identity(self.group_at(n))
-        for j in range(n, m):
+        if n == m:
+            return GroupHom.identity(self.group_at(n))
+        h = self.map_at(n)
+        for j in range(n + 1, m):
             h = h.compose(self.map_at(j))
         return h
 
@@ -331,11 +316,6 @@ def _hom_from_json(source, target, obj, path):
         return GroupHom(source, target, obj)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _direct_sum2(a, b):
-    total, incls, projs = direct_sum(a, b)
-    return total, (incls[0], incls[1]), (projs[0], projs[1])
 
 
 def constant_system(group, endo_matrix=None):
@@ -486,6 +466,10 @@ class MLLevel:
     of Im(f_{n,m+p}) inside Im(f_{n,m}), checked at two consecutive
     periods, m-p -> m and m -> m+p (s-1 -> s and s -> s+1 in the steps of
     `_image_chain`).
+
+    On a tower tail every entry is stable: the certificate verifies that each
+    drop map of the first period (levels k+1..k+p) is surjective, so every
+    composite of drops is, and records stable_from = max(n, k+1).
     """
 
     level: int
@@ -536,7 +520,13 @@ def is_mittag_leffler(s):
     k = s.prefix_len
     p = s.period
     if isinstance(s.tail, TowerTail):
-        entries = [_stable_level(s, n, max(n, k + 1)) for n in range(1, k + p + 1)]
+        # Every drop is a direct-sum projection; checking one period's drops
+        # makes every composite f_{n,m} with n >= k+1 surjective, so
+        # Im f_{n,m} = Im f_{n,max(n,k+1)} for all m >= max(n, k+1).
+        for n in range(k + 1, k + p + 1):
+            if not fgab.is_surjective(s.map_at(n)):
+                raise AssertionError(f"tower drop map at level {n} is not surjective")
+        entries = [MLLevel(n, True, stable_from=max(n, k + 1)) for n in range(1, k + p + 1)]
         return MLCertificate(True, tuple(entries))
 
     entries = {}
@@ -604,30 +594,22 @@ def surjectivize_with_inclusions(s):
     k = s.prefix_len
     p = s.period
     subs = stable_images(s)
-    if isinstance(s.tail, TowerTail):
-        new_prefix = [subs[n].normal_form for n in range(1, k + 1)]
-        new_maps = []
-        for n in range(1, k + 1):
-            if n < k:
-                new_maps.append(hom_restrict(s.map_at(n), subs[n + 1], subs[n]))
-            else:
-                # junction keeps the tower base's own generators
-                new_maps.append(hom_into_subgroup(s.map_at(n), subs[n]))
-        out = InverseSystem(new_prefix, new_maps, s.tail)
-        return out, subs
     new_prefix = [subs[n].normal_form for n in range(1, k + 1)]
-    new_maps = []
-    for n in range(1, k + 1):
-        lvl_next = subs[n + 1]
-        new_maps.append(hom_restrict(s.map_at(n), lvl_next, subs[n]))
-    cyc_groups = tuple(subs[k + 1 + j].normal_form for j in range(p))
-    cyc_maps = []
-    for j in range(p):
-        level = k + 1 + j
-        src_sub = subs[k + 1 + ((j + 1) % p)]
-        cyc_maps.append(hom_restrict(s.map_at(level), src_sub, subs[level]))
-    out = InverseSystem(new_prefix, new_maps, CycleTail(cyc_groups, tuple(cyc_maps)))
-    return out, subs
+    new_maps = [hom_restrict(s.map_at(n), subs[n + 1], subs[n]) for n in range(1, k)]
+    if isinstance(s.tail, TowerTail):
+        if k:
+            # the junction keeps the tower base's own generators: the full
+            # subgroup's inclusion permutes free coordinates when free_rank >= 2
+            new_maps.append(hom_into_subgroup(s.map_at(k), subs[k]))
+        return InverseSystem(new_prefix, new_maps, s.tail), subs
+    if k:
+        new_maps.append(hom_restrict(s.map_at(k), subs[k + 1], subs[k]))
+    cyc_groups = tuple(subs[n].normal_form for n in range(k + 1, k + p + 1))
+    cyc_maps = tuple(
+        hom_restrict(s.map_at(n), subs[n + 1 if n < k + p else k + 1], subs[n])
+        for n in range(k + 1, k + p + 1)
+    )
+    return InverseSystem(new_prefix, new_maps, CycleTail(cyc_groups, cyc_maps)), subs
 
 
 def surjectivize(s):

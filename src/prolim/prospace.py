@@ -337,6 +337,23 @@ def cauchy_limit(seq, level):
 # -- transport along cofinal restriction ----------------------------------
 
 
+def _tower_atoms(s, t, side):
+    """The atom inclusions (side 1) or projections (side 2) of tower level t:
+    the base's, then one per appended layer, each composed through the
+    direct sums of the levels in between.  Memoized on the system."""
+    key = ("atoms", side, t)
+    cache = s._stab_cache
+    if key not in cache:
+        maps = s._tower_level(t)[side]
+        if t == 0:
+            cache[key] = maps
+        elif side == 1:
+            cache[key] = [maps[0].compose(h) for h in _tower_atoms(s, t - 1, 1)] + [maps[1]]
+        else:
+            cache[key] = [h.compose(maps[0]) for h in _tower_atoms(s, t - 1, 2)] + [maps[1]]
+    return cache[key]
+
+
 def _tower_atom_route(s, restricted, stride, offset, new_level):
     """Isomorphism group_at(s, old(new_level)) -> group_at(restricted, new_level)
     for tower tails, by matching the two product decompositions atomwise."""
@@ -347,24 +364,23 @@ def _tower_atom_route(s, restricted, stride, offset, new_level):
         t0 += 1
     if new_level < t0:
         return GroupHom.identity(s.group_at(old_level))
-    src_lvl = s._tower_level(old_level - k - 1)
-    dst_lvl = restricted._tower_level(new_level - t0)
+    src_projs = _tower_atoms(s, old_level - k - 1, 2)
+    dst_incls = _tower_atoms(restricted, new_level - t0, 1)
     base_level = offset + stride * t0
     # destination atoms: the base block, then one block per restricted step
-    routes = []  # per source atom: hom atom -> destination group
-    base_inner = s._tower_level(base_level - k - 1)
-    for a, inner in enumerate(base_inner.atom_incls):
-        routes.append(dst_lvl.atom_incls[0].compose(inner))
+    routes = [  # per source atom: hom atom -> destination group
+        dst_incls[0].compose(inner) for inner in _tower_atoms(s, base_level - k - 1, 1)
+    ]
     p = s.period
     for j in range(new_level - t0):
         lo = base_level + j * stride
         atoms = [s.tail.layers[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)]
         blk, incs, _prjs = direct_sum(*atoms)
         for inner in incs:
-            routes.append(dst_lvl.atom_incls[j + 1].compose(inner))
-    if len(routes) != len(src_lvl.atom_projs):
+            routes.append(dst_incls[j + 1].compose(inner))
+    if len(routes) != len(src_projs):
         raise AssertionError("restricted tower level has a different number of atoms")
-    parts = [route.compose(proj) for route, proj in zip(routes, src_lvl.atom_projs)]
+    parts = [route.compose(proj) for route, proj in zip(routes, src_projs)]
     return hom_sum(s.group_at(old_level), restricted.group_at(new_level), parts, [1] * len(parts))
 
 

@@ -1,3 +1,5 @@
+import glob
+import json
 import os
 import random
 import sys
@@ -112,3 +114,21 @@ def random_system(rng):
     if roll < 0.8:
         return random_tower_system(rng)
     return random_tower_system(rng, infinite_layers=True)
+
+
+def seeded_towers(seed, count):
+    """`count` towers from the benchmark generator (`perfbench/generate.py`),
+    with periods 1..3 and prefixes of length 0..2, then every tower fixture."""
+    perfbench = os.path.join(REPO_ROOT, "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import generate
+
+    rng = random.Random(seed)
+    docs = [
+        generate.tower_system(rng, rng.randint(1, 3), rng.randrange(3)) for _ in range(count)
+    ]
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "tower-*.json"))):
+        with open(path) as fh:
+            docs.append(json.load(fh)["system"])
+    return [I.InverseSystem.from_json(doc) for doc in docs]

@@ -17,6 +17,7 @@ from conftest import (
     random_mixed_cycle_system,
     random_small_group,
     random_system,
+    seeded_towers,
 )
 
 
@@ -158,6 +159,39 @@ def test_ml_certificate_horizon_verified(rng):
             a = F.image(s.map_between(entry.level, m))
             b = F.image(s.map_between(entry.level, m + p))
             assert F.subgroup_equal(a, b)
+
+
+def _reference_tower_certificate(s):
+    """The tower certificate by comparing composite images at every level:
+    Im f_{n,m} = Im f_{n,m+p} with m = max(n, k+1)."""
+    k, p = s.prefix_len, s.period
+    entries = []
+    for n in range(1, k + p + 1):
+        m = max(n, k + 1)
+        lo, hi = F.image(s.map_between(n, m)), F.image(s.map_between(n, m + p))
+        assert F.subgroup_equal(lo, hi), (n, m)
+        entries.append(I.MLLevel(n, True, stable_from=m))
+    return I.MLCertificate(True, tuple(entries))
+
+
+def test_tower_certificate_matches_the_image_reference():
+    towers = seeded_towers(11, 30)
+    assert {s.period for s in towers} == {1, 2, 3}
+    assert {s.prefix_len for s in towers} == {0, 1, 2}
+    for s in towers:
+        assert I.is_mittag_leffler(s) == _reference_tower_certificate(s)
+
+
+def test_tower_certificate_composes_no_maps(monkeypatch):
+    towers = seeded_towers(12, 10)
+    expected = [_reference_tower_certificate(s).to_json() for s in towers]
+
+    def refuse(self, n, m):
+        raise AssertionError("the tower certificate composed bonding maps")
+
+    monkeypatch.setattr(I.InverseSystem, "map_between", refuse)
+    fresh = [I.InverseSystem.from_json(s.to_json()) for s in towers]
+    assert [I.is_mittag_leffler(s).to_json() for s in fresh] == expected
 
 
 def test_restrict_cofinal_examples():

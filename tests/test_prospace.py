@@ -9,7 +9,7 @@ from prolim import invsys as I
 from prolim import prospace as P
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
 
-from conftest import random_finite_cycle_system, random_tower_system
+from conftest import random_finite_cycle_system, random_tower_system, seeded_towers
 
 
 def z2_chain(levels=3):
@@ -232,6 +232,23 @@ def test_cofinal_bijection_on_towers():
         rt = P.restrict_tuple(tower, r, 2, 0, t)
         back = P.unrestrict_tuple(tower, r, 2, 0, rt, 4)
         assert back.entries == t.entries
+
+
+def test_tower_atom_maps_split_each_level():
+    for s in seeded_towers(13, 20):
+        for t in range(5):
+            g = s.group_at(s.prefix_len + 1 + t)
+            incls, projs = P._tower_atoms(s, t, 1), P._tower_atoms(s, t, 2)
+            assert len(incls) == len(projs) == t + 1
+            parts = [i.compose(q) for i, q in zip(incls, projs)]
+            assert F.hom_sum(g, g, parts, [1] * len(parts)) == F.GroupHom.identity(g)
+            for a, q in enumerate(projs):
+                for b, i in enumerate(incls):
+                    composite = q.compose(i)
+                    if a == b:
+                        assert composite == F.GroupHom.identity(i.source)
+                    else:
+                        assert composite.is_zero()
 
 
 def test_surjectivization_preserves_extendable_counts(rng):
