@@ -202,22 +202,30 @@ def hermite_column_basis(cols, dim):
     basis = []
     for r in range(dim):
         live = [c for c in work if c[r]]
-        rest = [c for c in work if not c[r]]
         if not live:
-            work = rest
             continue
+        rest = [c for c in work if not c[r]]
+        # Work columns are zero above row r, so row operations start there.
+        rows = range(r, dim)
         # Euclid over all live columns at once, always dividing by the
         # smallest entry.  Running it pair by pair instead lets the entries
         # in the other rows grow to hundreds of thousands of bits on a
         # 24x26 kernel before the pivot-row reduction shrinks them again.
-        # Work columns are zero above row r, so row operations start there.
         while len(live) > 1:
-            piv = min(live, key=lambda c: abs(c[r]))
+            # the first live column of least |entry| in row r
+            piv = live[0]
+            best = abs(piv[r])
+            for c in live:
+                x = c[r]
+                if -best < x < best:
+                    piv = c
+                    best = abs(x)
+            p = piv[r]
             nxt = [piv]
             for c in live:
                 if c is not piv:
-                    q = c[r] // piv[r]
-                    for k in range(r, dim):
+                    q = c[r] // p
+                    for k in rows:
                         c[k] -= q * piv[k]
                     if c[r]:
                         nxt.append(c)
@@ -227,10 +235,11 @@ def hermite_column_basis(cols, dim):
         piv = live[0]
         if piv[r] < 0:
             piv = [-x for x in piv]
+        p = piv[r]
         for b in basis:
-            q = b[r] // piv[r]
+            q = b[r] // p
             if q:
-                for k in range(r, dim):
+                for k in rows:
                     b[k] -= q * piv[k]
         basis.append(piv)
         work = rest

@@ -43,14 +43,14 @@ def _sub(f, g, p):
 
 
 def _mul(f, g):
-    """f * g with entries left unreduced, for `_divmod` to reduce."""
+    """f * g with entries left unreduced, for `_divmod` or `_rem` to reduce."""
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
+            for j, b in enumerate(g, i):
+                out[j] += a * b
     return out
 
 
@@ -61,21 +61,38 @@ def _divmod(f, g, p):
     if len(f) <= dg:
         return [], _trim([c % p for c in f])
     r = list(f)
-    inv = pow(g[-1], -1, p)
+    inv = 1 if g[-1] == 1 else pow(g[-1], -1, p)
+    low = g[:-1]
     q = [0] * (len(r) - dg)
-    for k in range(len(r) - 1, dg - 1, -1):
-        c = r[k] * inv % p
+    for base in range(len(r) - 1 - dg, -1, -1):
+        c = r[base + dg] * inv % p
         if c:
-            q[k - dg] = c
-            base = k - dg
-            for j in range(dg):
-                r[base + j] -= c * g[j]
+            q[base] = c
+            for j, y in enumerate(low, base):
+                r[j] -= c * y
     return q, _trim([c % p for c in r[:dg]])
+
+
+def _rem(f, g, p):
+    """f mod a nonzero g, for callers that drop the quotient; f's entries
+    may lie outside [0, p)."""
+    dg = len(g) - 1
+    r = list(f)
+    if len(r) > dg:
+        inv = 1 if g[-1] == 1 else pow(g[-1], -1, p)
+        low = g[:-1]
+        for base in range(len(r) - 1 - dg, -1, -1):
+            c = r[base + dg] * inv % p
+            if c:
+                for j, y in enumerate(low, base):
+                    r[j] -= c * y
+        del r[dg:]
+    return _trim([c % p for c in r])
 
 
 def _monic_gcd(f, g, p):
     while g:
-        f, g = g, _divmod(f, g, p)[1]
+        f, g = g, _rem(f, g, p)
     if not f:
         return f
     inv = pow(f[-1], -1, p)
@@ -87,11 +104,11 @@ def _powmod(f, e, m, p):
     out = None
     while True:
         if e & 1:
-            out = f if out is None else _divmod(_mul(out, f), m, p)[1]
+            out = f if out is None else _rem(_mul(out, f), m, p)
         e >>= 1
         if not e:
             return out
-        f = _divmod(_mul(f, f), m, p)[1]
+        f = _rem(_mul(f, f), m, p)
 
 
 def _squarefree(f, p):
@@ -123,7 +140,7 @@ def _distinct_degree(f, p):
         # frob[i] = x**(i*p) mod f, so h**p mod f is sum(h[i] * frob[i])
         frob = [[1], _powmod(x, p, f, p)]
         while len(frob) < len(f) - 1:
-            frob.append(_divmod(_mul(frob[-1], frob[1]), f, p)[1])
+            frob.append(_rem(_mul(frob[-1], frob[1]), f, p))
     h = x
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
@@ -230,14 +247,19 @@ def unit_degrees(f, p):
     return {d for d, c in reach if d and c in (1, p - 1)}
 
 
-def no_unit_factor(a):
+def no_unit_factor(a, first=None):
     """True only if charpoly(a) provably has no irreducible factor over Z
-    with constant term +-1; False means undecided."""
+    with constant term +-1; False means undecided.
+
+    `first` is charpoly_mod(a, PRIMES[0]) when the caller has already
+    computed it, so that it is not computed twice.
+    """
     possible = None
     for p in PRIMES:
         if p <= len(a):
             continue
-        degrees = unit_degrees(charpoly_mod(a, p), p)
+        f = first if p == PRIMES[0] and first is not None else charpoly_mod(a, p)
+        degrees = unit_degrees(f, p)
         possible = degrees if possible is None else possible & degrees
         if not possible:
             return True

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import reprlib
 from dataclasses import dataclass, field
+from operator import mod
 
 from prolim._backend import kernel as _k
 from prolim.errors import EnumerationCapExceeded, InputError
@@ -121,8 +122,10 @@ class FgAbGroup:
         vec = tuple(vec)
         if len(vec) != self.dim:
             raise InputError(f"coordinate length {len(vec)} != dim {self.dim}")
+        if not self.torsion:
+            return vec
         r = self.free_rank
-        return vec[:r] + tuple(x % d for x, d in zip(vec[r:], self.torsion))
+        return vec[:r] + tuple(map(mod, vec[r:], self.torsion))
 
     def add(self, x, y):
         return self.reduce(tuple(a + b for a, b in zip(x, y)))
@@ -252,7 +255,7 @@ class GroupHom:
     __slots__ = ("source", "target", "_cols")
 
     def __init__(self, source, target, matrix, check=True):
-        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        matrix = tuple(tuple(map(int, row)) for row in matrix)
         if len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
             raise InputError(
                 f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
@@ -662,17 +665,29 @@ def eventual_image_lattice(n_cols):
     (t^a and the factors whose constant term is not +-1) only in 0.  Read
     as rows, the columns are the transpose of N, which has the same
     charpoly, and u of the transpose is the transpose of u(N): its rows
-    are the columns of u(N).  A unimodular N (Hermite basis of its columns
-    the identity) gives W = Z^r at once.  When `_modpoly.no_unit_factor`
-    proves u = 1, W is 0 and neither the integer charpoly nor its
-    factorization is computed.
+    are the columns of u(N).
+
+    A unimodular N (Hermite basis of its columns the identity: r pivots,
+    all 1) gives W = Z^r at once.  That Hermite check runs only when
+    det N = +-1 mod p, for p = `_modpoly.PRIMES[0]`, read off the constant
+    term (-1)^r det N of charpoly(N) mod p.  The gate is exact: a unimodular
+    N has det N = +-1, so any other residue proves N is not unimodular, and
+    the check is skipped only then (it always runs when r >= p).  The same
+    charpoly mod p is handed to `_modpoly.no_unit_factor`; when that proves
+    u = 1, W is 0 and neither the integer charpoly nor its factorization is
+    computed.
     """
     from prolim import _modpoly
 
-    eye = _k.identity_matrix(len(n_cols))
-    if _k.hermite_column_basis(n_cols, len(n_cols)) == eye:
-        return eye
-    if _modpoly.no_unit_factor(n_cols):
+    r = len(n_cols)
+    p = _modpoly.PRIMES[0]
+    first = _modpoly.charpoly_mod(n_cols, p) if r < p else None
+    if first is None or first[0] in (1, p - 1):
+        basis = _k.hermite_column_basis(n_cols, r)
+        # r pivots, all 1: every other entry in a pivot row is reduced to 0
+        if len(basis) == r and all(c[i] == 1 for i, c in enumerate(basis)):
+            return basis
+    if _modpoly.no_unit_factor(n_cols, first):
         return []
     u = _modpoly.unit_part(_k.charpoly(n_cols))
     return _k.kernel_columns(_k.poly_at_matrix(u, n_cols))

@@ -310,8 +310,10 @@ def _groups_from_json(obj, path):
 def _hom_from_json(source, target, obj, path):
     """The hom whose matrix `obj` is a JSON array of rows of JSON integers."""
     for i, row in enumerate(json_list(obj, path)):
-        for j, x in enumerate(json_list(row, f"{path}[{i}]")):
-            json_int(x, f"{path}[{i}][{j}]")
+        if not (type(row) is list and all(type(x) is int for x in row)):
+            # walk the bad row entry by entry, for the error's JSON path
+            for j, x in enumerate(json_list(row, f"{path}[{i}]")):
+                json_int(x, f"{path}[{i}][{j}]")
     try:
         return GroupHom(source, target, obj)
     except InputError as exc:
@@ -695,7 +697,10 @@ def kernel_sequence(s, upto=None):
     """[(level, X_n, finite?)] with X_1 = G_1 and X_n = ker f_{n-1} for n >= 2.
 
     Reported through one full tail period (levels 1..k+p+1 by default);
-    deeper kernels repeat with period p.
+    deeper kernels repeat with period p.  On a tower, the bonding map into
+    a tail level is the drop `G_t + L -> G_t` of a direct sum, whose kernel
+    is the layer L itself (already in normal form), so those kernels are
+    read off the layers instead of reducing the drop maps.
     """
     _require_tail(s)
     k = s.prefix_len
@@ -703,12 +708,15 @@ def kernel_sequence(s, upto=None):
     if upto is None:
         upto = k + p + 1
     _check_surjective_window(s, upto)
+    layers = s.tail.layers if isinstance(s.tail, TowerTail) else None
     out = []
     g1 = s.group_at(1)
     out.append((1, g1, g1.is_finite()))
     for n in range(2, upto + 1):
-        sub, _incl = kernel(s.map_at(n - 1))
-        x = sub.normal_form
+        if layers is not None and n >= k + 2:
+            x = layers[(n - k - 2) % p]
+        else:
+            x = kernel(s.map_at(n - 1))[0].normal_form
         out.append((n, x, x.is_finite()))
     return out
 

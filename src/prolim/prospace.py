@@ -356,14 +356,23 @@ def _tower_atoms(s, t, side):
 
 def _tower_atom_route(s, restricted, stride, offset, new_level):
     """Isomorphism group_at(s, old(new_level)) -> group_at(restricted, new_level)
-    for tower tails, by matching the two product decompositions atomwise."""
+    for tower tails, by matching the two product decompositions atomwise.
+
+    `restricted` is restrict_cofinal(s, stride, offset), so the route
+    depends only on the stride, the offset and the level: memoized on s.
+    """
+    key = ("route", stride, offset, new_level)
+    cache = s._stab_cache
+    if key in cache:
+        return cache[key]
     k = s.prefix_len
     old_level = offset + stride * new_level
     t0 = 1
     while offset + stride * t0 < k + 1:
         t0 += 1
     if new_level < t0:
-        return GroupHom.identity(s.group_at(old_level))
+        cache[key] = GroupHom.identity(s.group_at(old_level))
+        return cache[key]
     src_projs = _tower_atoms(s, old_level - k - 1, 2)
     dst_incls = _tower_atoms(restricted, new_level - t0, 1)
     base_level = offset + stride * t0
@@ -381,7 +390,10 @@ def _tower_atom_route(s, restricted, stride, offset, new_level):
     if len(routes) != len(src_projs):
         raise AssertionError("restricted tower level has a different number of atoms")
     parts = [route.compose(proj) for route, proj in zip(routes, src_projs)]
-    return hom_sum(s.group_at(old_level), restricted.group_at(new_level), parts, [1] * len(parts))
+    cache[key] = hom_sum(
+        s.group_at(old_level), restricted.group_at(new_level), parts, [1] * len(parts)
+    )
+    return cache[key]
 
 
 def restrict_tuple(s, restricted, stride, offset, t):

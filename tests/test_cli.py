@@ -103,6 +103,53 @@ def test_wrong_shaped_matrix_exits_2(tmp_path, matrix, shape):
     )
 
 
+def matrix_error_document(where, bad):
+    z2 = {"free_rank": 2, "torsion": []}
+    prefix_map = [[1, 0], [0, 1]]
+    tail_map = [[2, 0], [0, 1]]
+    if where == "maps":
+        prefix_map = [[1, 0], [bad, 1]]
+    elif where == "tail.maps":
+        tail_map = [[2, 0], [0, bad]]
+    elif where == "maps row":
+        prefix_map = [[1, 0], bad]
+    else:
+        tail_map = [bad, [0, 1]]
+    return {
+        "system": {
+            "prefix": [z2, z2],
+            "maps": [[[1, 0], [0, 1]], prefix_map],
+            "tail": {"kind": "cycle", "groups": [z2], "maps": [tail_map]},
+        }
+    }
+
+
+@pytest.mark.parametrize(
+    "where, bad, message",
+    [
+        ("maps", True, "maps[1][1][0]: expected an integer, got True"),
+        ("maps", 1.5, "maps[1][1][0]: expected an integer, got 1.5"),
+        ("maps", "3", "maps[1][1][0]: expected an integer, got '3'"),
+        ("maps", None, "maps[1][1][0]: expected an integer, got None"),
+        ("tail.maps", True, "tail.maps[0][1][1]: expected an integer, got True"),
+        ("tail.maps", 1.5, "tail.maps[0][1][1]: expected an integer, got 1.5"),
+        ("tail.maps", "3", "tail.maps[0][1][1]: expected an integer, got '3'"),
+        ("tail.maps", None, "tail.maps[0][1][1]: expected an integer, got None"),
+        ("maps row", 5, "maps[1][1]: expected a JSON array, got 5"),
+        ("maps row", None, "maps[1][1]: expected a JSON array, got None"),
+        ("tail.maps row", {"a": 1}, "tail.maps[0][0]: expected a JSON array, got {'a': 1}"),
+        ("tail.maps row", "xy", "tail.maps[0][0]: expected a JSON array, got 'xy'"),
+    ],
+)
+def test_bad_matrix_entry_names_its_path(tmp_path, capsys, where, bad, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(matrix_error_document(where, bad)))
+    assert cli.main(["classify", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
 TOWER_WITHOUT_BASE = {"kind": "tower", "layers": [{"free_rank": 0, "torsion": [2]}]}
 
 

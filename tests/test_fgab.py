@@ -273,6 +273,24 @@ def test_eventual_image_lattice_cases():
     assert F.eventual_image_lattice([[1, 1], [0, 1]]) == [[1, 0], [0, 1]]
 
 
+def test_eventual_image_lattice_skips_hermite_when_det_is_not_a_unit_mod_p(monkeypatch):
+    # det N != +-1 mod 101 proves N is not unimodular, so no Hermite basis
+    # is taken; the certificate then settles u = 1 without one either
+    def refuse(cols, dim):
+        raise AssertionError("Hermite basis taken")
+
+    monkeypatch.setattr(F._k, "hermite_column_basis", refuse)
+    cases = [
+        [[2]],
+        [[0, 1], [0, 0]],
+        [[3, 1], [1, 2]],
+        [[2, 1, 0], [0, 2, 1], [1, 0, 2]],
+        [[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [3, 0, 0, 2]],
+    ]
+    for n_cols in cases:
+        assert F.eventual_image_lattice(n_cols) == []
+
+
 def test_subgroup_index_and_intersection():
     z2 = F.Z(2)
     a = F.Subgroup(z2, [(2, 0), (0, 2)])

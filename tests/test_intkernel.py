@@ -286,3 +286,78 @@ def test_smith_and_hermite_determinants_agree():
         assert len(basis) == n
         assert volume == prod(basis[i][i] for i in range(n))
     assert seen >= 150
+
+
+def reference_hermite_column_basis(cols, dim):
+    # the straightforward all-live Euclid, kept as the reference for the
+    # tuned kernel routine: smallest pivot by min(), both partitions per row
+    work = [list(c) for c in cols if any(c)]
+    basis = []
+    for r in range(dim):
+        live = [c for c in work if c[r]]
+        rest = [c for c in work if not c[r]]
+        if not live:
+            work = rest
+            continue
+        while len(live) > 1:
+            piv = min(live, key=lambda c: abs(c[r]))
+            nxt = [piv]
+            for c in live:
+                if c is not piv:
+                    q = c[r] // piv[r]
+                    for k in range(r, dim):
+                        c[k] -= q * piv[k]
+                    if c[r]:
+                        nxt.append(c)
+                    elif any(c):
+                        rest.append(c)
+            live = nxt
+        piv = live[0]
+        if piv[r] < 0:
+            piv = [-x for x in piv]
+        for b in basis:
+            q = b[r] // piv[r]
+            if q:
+                for k in range(r, dim):
+                    b[k] -= q * piv[k]
+        basis.append(piv)
+        work = rest
+    return basis
+
+
+def hermite_corpus():
+    rng = random.Random(12)
+    yield [], 0
+    yield [[], []], 0
+    yield [[0, 0, 0]], 3
+    yield [[-3, 0], [0, -5]], 2
+    for _ in range(400):
+        dim = rng.randrange(0, 9)
+        n = rng.randrange(0, 12)
+        spread = rng.choice((1, 3, 20, 10**6))
+        cols = [[rng.randint(-spread, spread) for _ in range(dim)] for _ in range(n)]
+        shape = rng.randrange(5)
+        if shape == 0 and cols:
+            # rank-deficient: repeat combinations of the first columns
+            cols += [[2 * a - b for a, b in zip(cols[0], cols[-1])] for _ in range(2)]
+        elif shape == 1:
+            # zero columns mixed in
+            cols[rng.randrange(len(cols) + 1) : 0] = [[0] * dim]
+        elif shape == 2 and dim:
+            # torsion relation columns d_i * e_i appended, as for a group
+            for i in rng.sample(range(dim), rng.randrange(1, dim + 1)):
+                cols.append([rng.randint(2, 12) if k == i else 0 for k in range(dim)])
+        elif shape == 3:
+            # negative leading entries
+            cols = [[-abs(x) for x in c] for c in cols]
+        yield cols, dim
+
+
+def test_hermite_basis_matches_the_reference_routine():
+    seen = 0
+    for cols, dim in hermite_corpus():
+        before = [list(c) for c in cols]
+        assert K.hermite_column_basis(cols, dim) == reference_hermite_column_basis(cols, dim)
+        assert cols == before  # the input columns are left alone
+        seen += 1
+    assert seen == 404

@@ -194,6 +194,27 @@ def test_tower_certificate_composes_no_maps(monkeypatch):
     assert [I.is_mittag_leffler(s).to_json() for s in fresh] == expected
 
 
+def test_tower_kernel_sequence_matches_the_drop_map_kernels(monkeypatch):
+    # the kernel of a tower drop is its layer; the reference reduces every
+    # bonding map, through two periods, while the engine reduces only the
+    # prefix and junction maps
+    towers = [I.surjectivize(s) for s in seeded_towers(13, 10)]
+    expected = []
+    for s in towers:
+        upto = s.prefix_len + 2 * s.period + 1
+        seq = [(1, s.group_at(1))]
+        seq += [(n, F.kernel(s.map_at(n - 1))[0].normal_form) for n in range(2, upto + 1)]
+        expected.append([(n, x, x.is_finite()) for n, x in seq])
+    reduced = []
+    kernel = I.kernel
+    monkeypatch.setattr(I, "kernel", lambda h: reduced.append(h) or kernel(h))
+    for s, want in zip(towers, expected):
+        reduced.clear()
+        upto = s.prefix_len + 2 * s.period + 1
+        assert I.kernel_sequence(s, upto) == want
+        assert len(reduced) == s.prefix_len
+
+
 def test_restrict_cofinal_examples():
     s = z_times(2)
     assert I.restrict_cofinal(s, 1, 0) is s

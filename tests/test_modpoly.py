@@ -150,10 +150,28 @@ def test_certificate_is_sound_on_random_polynomials():
             assert sympy_unit_factors(coeffs) == [], coeffs
 
 
+# Unimodular matrices, whose eventual lattice is everything, and matrices
+# with det = +-1 mod 101 that are not unimodular, so the determinant gate
+# lets the Hermite check run and it fails: 100 = -1 mod 101 is settled by
+# the certificate at 103, and 102 = 1 mod 101 and -1 mod 103 falls through
+# to the unit part over Z.
+DET_GATE_CASES = [
+    [[1, 1], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[2, 1, 0], [1, 1, 0], [0, 0, -1]],
+    [[102]],
+    [[100]],
+]
+
+
 def test_eventual_image_lattice_matches_the_factoring_reference():
-    for a, _unit in CORPUS:
+    for a in [a for a, _unit in CORPUS] + DET_GATE_CASES:
         reference = K.kernel_columns(K.poly_at_matrix(sympy_unit_part(K.charpoly(a)), a))
         assert F.eventual_image_lattice(a) == reference
+    for a in DET_GATE_CASES[:3]:
+        assert F.eventual_image_lattice(a) == K.identity_matrix(len(a))
+    assert not M.no_unit_factor([[102]])
+    assert M.no_unit_factor([[100]])
 
 
 def test_unit_part_matches_sympy_on_the_corpus():

@@ -261,3 +261,26 @@ def test_surjectivization_preserves_extendable_counts(rng):
         horizon = n + 4 * s.period
         im = F.image(s.map_between(n, horizon))
         assert im.normal_form.order() == so.group_at(n).order()
+
+
+def test_tower_routes_are_memoized_per_stride_offset_and_level(monkeypatch):
+    towers = seeded_towers(14, 6)
+    keys = [(st, off, lvl) for st in (1, 2, 3) for off in (0, 1, 2) for lvl in (1, 2, 3)]
+    # reference: every route on its own fresh copy of the system
+    expected = {}
+    for idx, s in enumerate(towers):
+        for stride, offset, level in keys:
+            fresh = I.InverseSystem.from_json(s.to_json())
+            r = I.restrict_cofinal(fresh, stride, offset)
+            expected[idx, stride, offset, level] = P._tower_atom_route(
+                fresh, r, stride, offset, level
+            )
+    built = []
+    hom_sum = P.hom_sum
+    monkeypatch.setattr(P, "hom_sum", lambda *args: built.append(args) or hom_sum(*args))
+    for idx, s in enumerate(towers):
+        for stride, offset, level in keys + keys:
+            r = I.restrict_cofinal(s, stride, offset)
+            route = P._tower_atom_route(s, r, stride, offset, level)
+            assert route == expected[idx, stride, offset, level]
+    assert len(built) <= len(towers) * len(keys)
