@@ -3,7 +3,7 @@
     python3 benchmarks/bench.py --base 6b05e9c --tag kernel-constants \\
         --pairs 3 --seconds 20 --workload cycle-rank --workload fixtures-cli
 
-Exports the base commit and the head commit (default HEAD) with
+Exports the base commit and HEAD (the head side) with
 `git archive` into fresh directories and runs `perfbench/run.py --trace 0`
 from each export, with PYTHONDONTWRITEBYTECODE=1: `setup_s` includes
 compiling the package, so it depends on which `.pyc` files lie on disk,
@@ -125,7 +125,6 @@ def summarize(runs, metrics):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="commit to compare against")
-    ap.add_argument("--head", default="HEAD")
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append")
@@ -134,7 +133,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     seeds = args.seed or [1]
 
-    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
+    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", "HEAD")}
     work = tempfile.mkdtemp(prefix="prolim-bench-")
     runs = []
     try:

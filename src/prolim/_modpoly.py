@@ -43,7 +43,7 @@ def _sub(f, g, p):
 
 
 def _mul(f, g):
-    """f * g with entries left unreduced, for `_divmod` or `_rem` to reduce."""
+    """f * g with entries left unreduced, for `_divmod` to reduce."""
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
@@ -73,26 +73,9 @@ def _divmod(f, g, p):
     return q, _trim([c % p for c in r[:dg]])
 
 
-def _rem(f, g, p):
-    """f mod a nonzero g, for callers that drop the quotient; f's entries
-    may lie outside [0, p)."""
-    dg = len(g) - 1
-    r = list(f)
-    if len(r) > dg:
-        inv = 1 if g[-1] == 1 else pow(g[-1], -1, p)
-        low = g[:-1]
-        for base in range(len(r) - 1 - dg, -1, -1):
-            c = r[base + dg] * inv % p
-            if c:
-                for j, y in enumerate(low, base):
-                    r[j] -= c * y
-        del r[dg:]
-    return _trim([c % p for c in r])
-
-
 def _monic_gcd(f, g, p):
     while g:
-        f, g = g, _rem(f, g, p)
+        f, g = g, _divmod(f, g, p)[1]
     if not f:
         return f
     inv = pow(f[-1], -1, p)
@@ -104,11 +87,11 @@ def _powmod(f, e, m, p):
     out = None
     while True:
         if e & 1:
-            out = f if out is None else _rem(_mul(out, f), m, p)
+            out = f if out is None else _divmod(_mul(out, f), m, p)[1]
         e >>= 1
         if not e:
             return out
-        f = _rem(_mul(f, f), m, p)
+        f = _divmod(_mul(f, f), m, p)[1]
 
 
 def _squarefree(f, p):
@@ -140,7 +123,7 @@ def _distinct_degree(f, p):
         # frob[i] = x**(i*p) mod f, so h**p mod f is sum(h[i] * frob[i])
         frob = [[1], _powmod(x, p, f, p)]
         while len(frob) < len(f) - 1:
-            frob.append(_rem(_mul(frob[-1], frob[1]), f, p))
+            frob.append(_divmod(_mul(frob[-1], frob[1]), f, p)[1])
     h = x
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
