@@ -9,7 +9,10 @@ quotients, minimal solutions, direct-sum inclusions and projections, the
 surjectivization short exact sequence and the truncated-limit witness.
 This script computes all of them over
 seeded random systems and prints one `family count sha256` line per
-family.  Subgroup families get one line per field instead
+family.  The `factor_mod` family hashes the factors mod p, in the order
+listed, and the unit degrees of seeded monic polynomials of degree 1..40
+at 101, at 103 and at the least prime above the degree: Hensel lifting
+consumes the factors in that order.  Subgroup families get one line per field instead
 (`eventual_image.basis 301 <sha256>`, likewise `generators`,
 `normal_form` and `inclusion`), so a change that keeps the lattices but
 picks other generators shows exactly which field moved.  To compare two
@@ -24,6 +27,7 @@ package under test.
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -55,7 +59,9 @@ FAMILIES = (
     "lim_truncated.witness",
     "tower.drops",
     "restrict_tuple",
+    "factor_mod",
 )
+MAX_FACTOR_DEGREE = 40
 
 
 def corpus(seed, count):
@@ -165,6 +171,46 @@ def restricted_tuples(s, rng):
                 yield "restrict_tuple", [rt.to_json(), back.to_json()]
 
 
+def next_prime(n):
+    q = n + 1
+    while any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+        q += 1
+    return q
+
+
+def monic_mod(rng, n, p):
+    """A seeded monic polynomial of degree n over F_p, ascending: random,
+    or g**2 * h with deg g >= 1, or divisible by t."""
+    kind = rng.randrange(3) if n >= 3 else 0
+    if kind != 1:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if kind == 2:
+            f[0] = 0
+        return f
+    k = rng.randint(1, n // 3)
+    g = [rng.randrange(p) for _ in range(k)] + [1]
+    f = [1]
+    for h in (g, g, [rng.randrange(p) for _ in range(n - 2 * k)] + [1]):
+        prod = [0] * (len(f) + len(h) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(h):
+                prod[i + j] += a * b
+        f = [c % p for c in prod]
+    return f
+
+
+def factor_outputs(seed):
+    """`factor_mod` pairs: a polynomial, its prime, its factor list and its
+    unit degrees, for each degree 1..MAX_FACTOR_DEGREE and prime."""
+    from prolim import _modpoly as M
+
+    rng = random.Random(f"digest-factor/{seed}")
+    for n in range(1, MAX_FACTOR_DEGREE + 1):
+        for p in (101, 103, next_prime(n)):
+            f = monic_mod(rng, n, p)
+            yield "factor_mod", [f, p, M.factor_mod(f, p), sorted(M.unit_degrees(f, p))]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -178,10 +224,10 @@ def main(argv=None):
     hashes = {f: hashlib.sha256() for f in FAMILIES}
     counts = dict.fromkeys(FAMILIES, 0)
     rng = random.Random(f"digest-points/{args.seed}")
-    for doc in corpus(args.seed, args.count):
-        for family, value in outputs(doc, rng):
-            hashes[family].update(json.dumps(value, sort_keys=True).encode() + b"\n")
-            counts[family] += 1
+    per_doc = [outputs(doc, rng) for doc in corpus(args.seed, args.count)]
+    for family, value in itertools.chain(*per_doc, factor_outputs(args.seed)):
+        hashes[family].update(json.dumps(value, sort_keys=True).encode() + b"\n")
+        counts[family] += 1
     for f in FAMILIES:
         print(f"{f} {counts[f]} {hashes[f].hexdigest()}")
 

@@ -16,12 +16,25 @@ Each prime used exceeds the degree, so a polynomial of degree n < p with
 zero derivative is constant and the square-free decomposition of
 characteristic zero holds.  Polynomials are lists of coefficients,
 ascending, with a nonzero last entry; [] is zero.  Over F_p the entries
-lie in [0, p).  This module imports nothing from the rest of the package.
+lie in [0, p).  Every function takes and returns such lists, and gcds,
+exact divisions, the square-free split and the Hensel and Zassenhaus
+steps work on them.  Inside `factor_mod`, the residues modulo the
+polynomial being split are packed instead (`_Residues`, Kronecker
+substitution): coefficient i of a residue sits in the W-bit slot i of one
+int, so a product of residues is one int multiplication.  This serves
+x**p mod f, the table of x**(i*p) mod f and its use in the distinct-degree
+step, and the power a**((p**d - 1) / 2) of the equal-degree step.  A slot
+of a product is a sum of at most n products of coefficients in [0, p),
+and folding the top slots back adds at most n - 1 more, so it stays below
+2 * n * p**2; W is chosen with 2 * n * p**2 < 2**W, so no slot carries into
+the next.  This module imports nothing from the rest of the package.
 """
 
 import itertools
 import math
+import operator
 import random
+import struct
 from fractions import Fraction
 
 PRIMES = (101, 103)
@@ -82,16 +95,76 @@ def _monic_gcd(f, g, p):
     return [c * inv % p for c in f]
 
 
-def _powmod(f, e, m, p):
-    """f**e mod m, for e >= 1 and f already reduced mod m."""
-    out = None
-    while True:
-        if e & 1:
-            out = f if out is None else _divmod(_mul(out, f), m, p)[1]
-        e >>= 1
-        if not e:
-            return out
-        f = _divmod(_mul(f, f), m, p)[1]
+def _slot_code(n, p):
+    """The struct code of the W-bit slots of `_Residues` mod a degree-n
+    polynomial over F_p: W = 32 or 64, the narrower with 2 * n * p**2 < 2**W."""
+    for code in "IQ":
+        if 2 * n * p * p < 1 << 8 * struct.calcsize("<" + code):
+            return code
+    raise ValueError(f"residues of degree {n} over F_{p} do not fit 64-bit slots")
+
+
+class _Residues:
+    """F_p[t]/(f) for a monic f of degree n >= 1, each element packed into
+    one int: its coefficient i, in [0, p), sits in the W-bit slot i.
+
+    A product of two elements is one int multiplication.  Its slots n..2n-2
+    are reduced mod p and folded back through fold[k] = t**(n + k) mod f,
+    and the n slots of the sum are reduced mod p (the module docstring
+    says why no slot carries).
+    """
+
+    __slots__ = ("p", "n", "slots", "top_slots", "shift", "low", "fold")
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        code = _slot_code(n, p)
+        self.p = p
+        self.n = n
+        # little-endian, so slot i holds the bits from i * W up
+        self.slots = struct.Struct(f"<{n}{code}")
+        self.top_slots = struct.Struct(f"<{n - 1}{code}")
+        self.shift = 8 * self.slots.size
+        self.low = (1 << self.shift) - 1
+        self.fold = []
+        r = [-c % p for c in f[:-1]]
+        for _ in range(n - 1):
+            self.fold.append(self.pack(r))
+            top = r[-1]
+            r = [(c - top * y) % p for c, y in zip([0] + r[:-1], f)]
+
+    def pack(self, f):
+        """The element with the coefficient list f, of length at most n."""
+        return int.from_bytes(self.slots.pack(*f, *[0] * (self.n - len(f))), "little")
+
+    def _reduced(self, x, slots):
+        """The slots of x, read by the struct `slots`, reduced mod p."""
+        p = self.p
+        return [c % p for c in slots.unpack(x.to_bytes(slots.size, "little"))]
+
+    def unpack(self, x):
+        """The coefficient list of x, an element or a sum of at most n
+        elements times coefficients in [0, p), whose slots stay below
+        n * p**2."""
+        return _trim(self._reduced(x, self.slots))
+
+    def mul(self, a, b):
+        x = a * b
+        top = x >> self.shift
+        if top:
+            x = sum(map(operator.mul, self._reduced(top, self.top_slots), self.fold), x & self.low)
+        return int.from_bytes(self.slots.pack(*self._reduced(x, self.slots)), "little")
+
+    def pow(self, a, e):
+        """a**e, for e >= 1."""
+        out = None
+        while True:
+            if e & 1:
+                out = a if out is None else self.mul(out, a)
+            e >>= 1
+            if not e:
+                return out
+            a = self.mul(a, a)
 
 
 def _squarefree(f, p):
@@ -120,21 +193,17 @@ def _distinct_degree(f, p):
     out = []
     x = [0, 1]
     if len(f) > 2:
+        ring = _Residues(f, p)
         # frob[i] = x**(i*p) mod f, so h**p mod f is sum(h[i] * frob[i])
-        frob = [[1], _powmod(x, p, f, p)]
-        while len(frob) < len(f) - 1:
-            frob.append(_divmod(_mul(frob[-1], frob[1]), f, p)[1])
+        frob = [1, ring.pow(ring.pack(x), p)]
+        while len(frob) < ring.n:
+            frob.append(ring.mul(frob[-1], frob[1]))
     h = x
     d = 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         # h = x**(p**d) mod the original f, which the current f divides
-        acc = [0] * len(frob)
-        for c, row in zip(h, frob):
-            if c:
-                for j, y in enumerate(row):
-                    acc[j] += c * y
-        h = _trim([c % p for c in acc])
+        h = ring.unpack(sum(map(operator.mul, h, frob)))
         g = _monic_gcd(f, _sub(h, x, p), p)
         if len(g) > 1:
             out.append((g, d))
@@ -150,12 +219,13 @@ def _equal_degree(g, d, p, rng=None):
     if len(g) - 1 == d:
         return [g]
     rng = rng or random.Random(0)
+    ring = _Residues(g, p)
     e = (p**d - 1) // 2
     while True:
         a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
         if len(a) < 2:
             continue
-        h = _monic_gcd(g, _sub(_powmod(a, e, g, p), [1], p), p)
+        h = _monic_gcd(g, _sub(ring.unpack(ring.pow(ring.pack(a), e)), [1], p), p)
         if 1 < len(h) < len(g):
             return _equal_degree(h, d, p, rng) + _equal_degree(
                 _divmod(g, h, p)[0], d, p, rng

@@ -411,7 +411,11 @@ class Subgroup:
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, _k.identity_matrix(ambient.dim))
+        # the relations lie in Z^dim, whose Hermite basis is the identity
+        ident = _k.identity_matrix(ambient.dim)
+        sub = cls(ambient, ident)
+        object.__setattr__(sub, "_basis", ident)
+        return sub
 
     @classmethod
     def trivial(cls, ambient):

@@ -361,7 +361,10 @@ def system_equal(a, b, upto):
 
 def _push(h, sub):
     """Image of a subgroup under a hom (as a subgroup of the target)."""
-    return Subgroup(h.target, [h.apply(g) for g in sub.generators] or [])
+    if sub.ambient != h.source:
+        raise InputError("subgroup does not lie in the source of the hom")
+    cols, dim = h.columns(), h.target.dim
+    return Subgroup(h.target, [_k.combine(cols, g, dim) for g in sub.generators])
 
 
 def _hermite_split(sub):

@@ -22,5 +22,6 @@ def test_digest_prints_one_line_per_family():
     assert res.returncode == 0, res.stderr.decode()
     lines = res.stdout.decode().splitlines()
     assert [line.split()[0] for line in lines] == list(digest.FAMILIES)
+    assert "factor_mod" in digest.FAMILIES
     for line in lines:
         assert re.fullmatch(r"\S+ [1-9][0-9]* [0-9a-f]{64}", line), line

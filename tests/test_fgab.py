@@ -291,6 +291,15 @@ def test_eventual_image_lattice_skips_hermite_when_det_is_not_a_unit_mod_p(monke
         assert F.eventual_image_lattice(n_cols) == []
 
 
+def test_full_subgroup_basis_is_the_hermite_basis_of_identity_plus_relations(rng):
+    groups = [F.FgAbGroup(0, (2,)), F.FgAbGroup(2, (3, 6)), F.ZERO_GROUP]
+    groups += [random_group(rng, max_rank=3, max_torsion=3) for _ in range(40)]
+    for g in groups:
+        cols = F._k.identity_matrix(g.dim) + g.relation_columns()
+        assert F.Subgroup.full(g).lattice_basis() == F._k.hermite_column_basis(cols, g.dim)
+        assert F.Subgroup.full(g).equals(F.Subgroup(g, F._k.identity_matrix(g.dim)))
+
+
 def test_subgroup_index_and_intersection():
     z2 = F.Z(2)
     a = F.Subgroup(z2, [(2, 0), (0, 2)])

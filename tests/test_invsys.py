@@ -272,6 +272,17 @@ def test_stabilizes_examples():
     assert I.stabilizes(s) == (True, 2)
 
 
+def test_push_rejects_a_subgroup_of_another_group():
+    z2, z_z2 = F.Z(2), F.FgAbGroup(1, (2,))
+    h = F.GroupHom.identity(z2)
+    assert I._push(h, F.Subgroup(z2, [(1, 1)])).equals(F.Subgroup(z2, [(1, 1)]))
+    # same dimension, other group
+    with pytest.raises(InputError, match="source"):
+        I._push(h, F.Subgroup.full(z_z2))
+    with pytest.raises(InputError, match="source"):
+        I._push(h, F.Subgroup.full(F.Z(3)))
+
+
 def test_validation_errors_name_the_map():
     z = F.Z()
     with pytest.raises(InputError):

@@ -2,6 +2,7 @@
 part over Z, with sympy as the oracle."""
 
 import random
+import struct
 
 import pytest
 from sympy import GF, Poly, symbols
@@ -203,16 +204,151 @@ def test_unit_part_matches_sympy_on_products():
     assert M.unit_part([2, 1]) == [1]
 
 
+def seeded_monic(rng, n, p):
+    """A monic polynomial of degree n over F_p: random, or with a repeated
+    factor, or divisible by t."""
+    kind = rng.randrange(3)
+    if kind == 0 or n < 3:
+        return [rng.randrange(p) for _ in range(n)] + [1]
+    if kind == 1:
+        k = rng.randint(1, n // 3)
+        g = [rng.randrange(p) for _ in range(k)] + [1]
+        rest = [rng.randrange(p) for _ in range(n - 2 * k)] + [1]
+        return [c % p for c in poly_mul(poly_mul(g, g), rest)]
+    return [0] + [rng.randrange(p) for _ in range(n - 1)] + [1]
+
+
+def next_prime(n):
+    """The least prime above n."""
+    q = n + 1
+    while any(q % d == 0 for d in range(2, int(q**0.5) + 1)):
+        q += 1
+    return q
+
+
+def sympy_factor_mod(f, p):
+    theirs = Poly(list(reversed(f)), T, domain=GF(p, symmetric=False)).factor_list()[1]
+    return sorted((tuple(int(c) % p for c in reversed(g.all_coeffs())), i) for g, i in theirs)
+
+
 @pytest.mark.parametrize("p", [101, 103])
 def test_factor_mod_matches_sympy(p):
-    for a, _unit in CORPUS[:60]:
-        f = M.charpoly_mod(a, p)
+    polys = [M.charpoly_mod(a, p) for a, _unit in CORPUS[:60]]
+    rng = random.Random(p)
+    polys += [seeded_monic(rng, n, p) for n in range(1, 41) for _ in range(2)]
+    for f in polys:
         ours = sorted((tuple(g), i) for g, i in M.factor_mod(f, p))
-        theirs = Poly(list(reversed(f)), T, domain=GF(p, symmetric=False)).factor_list()[1]
-        theirs = sorted(
-            (tuple(int(c) % p for c in reversed(g.all_coeffs())), i) for g, i in theirs
-        )
-        assert ours == theirs
+        assert ours == sympy_factor_mod(f, p), f
+
+
+def test_factor_mod_matches_sympy_at_degree_100():
+    # the largest free rank a JSON group may have, at the prime Zassenhaus picks
+    rng = random.Random(100)
+    f = [rng.randint(-9, 9) for _ in range(100)] + [1]
+    p = next(q for q in M._primes_above(100) if M._is_squarefree_mod(f, q))
+    fp = [c % p for c in f]
+    assert sorted((tuple(g), i) for g, i in M.factor_mod(fp, p)) == sympy_factor_mod(fp, p)
+
+
+# The factoring of the parent commit, on coefficient lists throughout: the
+# reference for the order of `factor_mod`'s factors, which Hensel lifting
+# and recombination consume in that order.
+def list_powmod(f, e, m, p):
+    out = None
+    while True:
+        if e & 1:
+            out = f if out is None else M._divmod(M._mul(out, f), m, p)[1]
+        e >>= 1
+        if not e:
+            return out
+        f = M._divmod(M._mul(f, f), m, p)[1]
+
+
+def list_distinct_degree(f, p):
+    out = []
+    x = [0, 1]
+    if len(f) > 2:
+        frob = [[1], list_powmod(x, p, f, p)]
+        while len(frob) < len(f) - 1:
+            frob.append(M._divmod(M._mul(frob[-1], frob[1]), f, p)[1])
+    h = x
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        acc = [0] * len(frob)
+        for c, row in zip(h, frob):
+            for j, y in enumerate(row):
+                acc[j] += c * y
+        h = M._trim([c % p for c in acc])
+        g = M._monic_gcd(f, M._sub(h, x, p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = M._divmod(f, g, p)[0]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def list_equal_degree(g, d, p, rng=None):
+    if len(g) - 1 == d:
+        return [g]
+    rng = rng or random.Random(0)
+    e = (p**d - 1) // 2
+    while True:
+        a = M._trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        if len(a) < 2:
+            continue
+        h = M._monic_gcd(g, M._sub(list_powmod(a, e, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return list_equal_degree(h, d, p, rng) + list_equal_degree(
+                M._divmod(g, h, p)[0], d, p, rng
+            )
+
+
+def list_factor_mod(f, p):
+    out = []
+    for s, i in M._squarefree(f, p):
+        for g, d in list_distinct_degree(s, p):
+            out.extend((h, i) for h in list_equal_degree(g, d, p))
+    return out
+
+
+def test_factor_mod_lists_the_factors_in_the_list_reference_order():
+    rng = random.Random(14)
+    for n in range(1, 41):
+        for p in (101, 103, next_prime(n)):
+            for _ in range(3):
+                f = seeded_monic(rng, n, p)
+                assert M.factor_mod(f, p) == list_factor_mod(f, p), (f, p)
+
+
+@pytest.mark.parametrize(
+    "n, p, bits",
+    [
+        # the certificate's largest degree and prime
+        (M.PRIMES[-1] - 1, M.PRIMES[-1], 32),
+        # the largest JSON rank, at the first prime Zassenhaus tries
+        (F.MAX_JSON_DIM, next_prime(F.MAX_JSON_DIM), 32),
+        # the least prime whose products at degree 40 no longer fit 32 bits
+        (40, next_prime(7328), 64),
+    ],
+)
+def test_slot_width_holds_the_largest_products(n, p, bits):
+    assert struct.calcsize("<" + M._slot_code(n, p)) * 8 == bits
+    assert 2 * n * p * p < 2**bits
+    f = [1] * (n + 1)
+    ring = M._Residues(f, p)
+    # the square of the all-(p - 1) element has the largest product slots,
+    # n * (p - 1)**2, and so does a Frobenius step with every h[i] = p - 1
+    a = [p - 1] * n
+    x = ring.pack(a)
+    assert ring.unpack(ring.mul(x, x)) == M._divmod(M._mul(a, a), f, p)[1]
+    assert ring.unpack(sum([(p - 1) * x] * n)) == M._trim([n * (p - 1) ** 2 % p] * n)
+
+
+def test_slot_width_refuses_products_past_64_bits():
+    with pytest.raises(ValueError):
+        M._slot_code(2, 2**31 + 11)
 
 
 def test_unit_degrees_by_hand():
