@@ -9,16 +9,16 @@ quotients, minimal solutions, direct-sum inclusions and projections, the
 surjectivization short exact sequence and the truncated-limit witness.
 This script computes all of them over
 seeded random systems and prints one `family count sha256` line per
-family.  The `factor_mod` family hashes the factors mod p, in the order
-listed, and the unit degrees of seeded monic polynomials of degree 1..40
-at 101, at 103 and at the least prime above the degree: Hensel lifting
-consumes the factors in that order.  Subgroup families get one line per field instead
+family.  Subgroup families get one line per field instead
 (`eventual_image.basis 301 <sha256>`, likewise `generators`,
 `normal_form` and `inclusion`), so a change that keeps the lattices but
-picks other generators shows exactly which field moved.  To compare two
-checkouts, run it once with the default `--src` (this checkout's `src/`)
-and once with `--src` pointing at the other checkout's `src/`; equal
-lines mean byte-identical outputs.
+picks other generators shows exactly which field moved.  The `factor_mod`
+family hashes the factor lists mod p, in order (Hensel lifting consumes
+them in that order), and the unit degrees of seeded monic polynomials of
+degree 1..40 at 101, at 103 and at the least prime above the degree.  To
+compare two checkouts, run it once with the default `--src` (this
+checkout's `src/`) and once with `--src` pointing at the other checkout's
+`src/`; equal lines mean byte-identical outputs.
 
 The corpus comes from the benchmark's standard-library generator
 (`perfbench/generate.py`), at small ranks, so it does not depend on the

@@ -297,7 +297,6 @@ def test_full_subgroup_basis_is_the_hermite_basis_of_identity_plus_relations(rng
     for g in groups:
         cols = F._k.identity_matrix(g.dim) + g.relation_columns()
         assert F.Subgroup.full(g).lattice_basis() == F._k.hermite_column_basis(cols, g.dim)
-        assert F.Subgroup.full(g).equals(F.Subgroup(g, F._k.identity_matrix(g.dim)))
 
 
 def test_subgroup_index_and_intersection():
