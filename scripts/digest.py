@@ -12,7 +12,11 @@ seeded random systems and prints one `family count sha256` line per
 family.  Subgroup families get one line per field instead
 (`eventual_image.basis 301 <sha256>`, likewise `generators`,
 `normal_form` and `inclusion`), so a change that keeps the lattices but
-picks other generators shows exactly which field moved.  The `factor_mod`
+picks other generators shows exactly which field moved.  The
+`eventual_lattice` family hashes `fgab.eventual_image_lattice` on seeded
+square matrices of rank 1..12, block sums of companion matrices of
+polynomials with and without a factor of constant term +-1, coupled and
+conjugated; most of them reach the unit part over Z.  The `factor_mod`
 family hashes the factor lists mod p, in order (Hensel lifting consumes
 them in that order), and the unit degrees of seeded monic polynomials of
 degree 1..40 at 101, at 103 and at the least prime above the degree.  To
@@ -59,9 +63,16 @@ FAMILIES = (
     "lim_truncated.witness",
     "tower.drops",
     "restrict_tuple",
+    "eventual_lattice",
     "factor_mod",
 )
 MAX_FACTOR_DEGREE = 40
+MAX_LATTICE_RANK = 12
+# Ascending monic polynomials: each of the first has an irreducible factor
+# with constant term +-1, none of the second has one.  The two of degree 4
+# are Swinnerton-Dyer polynomials: irreducible over Z, split mod every prime.
+UNIT_POLYS = ([-1, 1], [1, 1], [1, 1, 1], [1, -2, 1], [1, -3, 1], [1, 0, -10, 0, 1])
+NON_UNIT_POLYS = ([-2, 1], [3, 1], [2, -1, 1], [9, 0, -14, 0, 1])
 
 
 def corpus(seed, count):
@@ -199,6 +210,59 @@ def monic_mod(rng, n, p):
     return f
 
 
+def companion(f):
+    n = len(f) - 1
+    return [
+        [(1 if i == j + 1 else 0) - (f[i] if j == n - 1 else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def lattice_matrix(rng, n):
+    """A seeded n x n integer matrix: a block sum of companion matrices,
+    the first with a unit factor in three cases of four, coupled above the
+    blocks by entries in -1..1 and conjugated by 2n elementary operations."""
+    polys = []
+    dim = 0
+    while dim < n:
+        if not polys and rng.random() < 0.75:
+            table = UNIT_POLYS
+        else:
+            table = rng.choice((UNIT_POLYS, NON_UNIT_POLYS))
+        f = rng.choice([f for f in table if len(f) - 1 <= n - dim])
+        polys.append(f)
+        dim += len(f) - 1
+    a = [[0] * n for _ in range(n)]
+    off = 0
+    for f in polys:
+        d = len(f) - 1
+        for i, row in enumerate(companion(f)):
+            a[off + i][off : off + d] = row
+            for j in range(off + d, n):
+                a[off + i][j] = rng.randint(-1, 1)
+        off += d
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        # row i += c * row j, then col j -= c * col i
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[j] -= c * row[i]
+    return a
+
+
+def lattice_outputs(seed):
+    """`eventual_lattice` pairs: a matrix and its eventual lattice, ten
+    matrices at each rank 1..MAX_LATTICE_RANK."""
+    from prolim import fgab as F
+
+    rng = random.Random(f"digest-lattice/{seed}")
+    for n in range(1, MAX_LATTICE_RANK + 1):
+        for _ in range(10):
+            a = lattice_matrix(rng, n)
+            yield "eventual_lattice", [a, F.eventual_image_lattice(a)]
+
+
 def factor_outputs(seed):
     """`factor_mod` pairs: a polynomial, its prime, its factor list and its
     unit degrees, for each degree 1..MAX_FACTOR_DEGREE and prime."""
@@ -225,7 +289,8 @@ def main(argv=None):
     counts = dict.fromkeys(FAMILIES, 0)
     rng = random.Random(f"digest-points/{args.seed}")
     per_doc = [outputs(doc, rng) for doc in corpus(args.seed, args.count)]
-    for family, value in itertools.chain(*per_doc, factor_outputs(args.seed)):
+    extra = (lattice_outputs(args.seed), factor_outputs(args.seed))
+    for family, value in itertools.chain(*per_doc, *extra):
         hashes[family].update(json.dumps(value, sort_keys=True).encode() + b"\n")
         counts[family] += 1
     for f in FAMILIES:

@@ -6,11 +6,9 @@ over unit cofactor vectors.  The Smith form serves only cokernel
 presentations, which need invariant factors.  Every entry point takes a
 matrix as the plain list of its columns, of Python ints, so arbitrary
 precision is preserved throughout.  Only `smith_with_transforms` hands
-back lists of rows (`transpose` turns them into columns), and `mat_mul`,
-`charpoly` and `poly_at_matrix` read either orientation: the transpose
-of a product is the reverse product of the transposes, the transpose has
-the same charpoly, and a polynomial in it is the transpose of the
-polynomial.  This module is the hot inner loop of the whole
+back lists of rows (`transpose` turns them into columns), and `mat_mul`
+reads either orientation: the transpose of a product is the reverse
+product of the transposes.  This module is the hot inner loop of the whole
 package and imports nothing from the rest of it; the other modules reach
 it through prolim._backend.
 """
@@ -324,44 +322,3 @@ def reduce_mod_lattice(vec, basis):
                 x[k] -= q * col[k]
     return x
 
-
-def charpoly(a):
-    """Coefficients [c0, ..., cn] of det(tI - a), ascending, exact over Z.
-
-    Faddeev-LeVerrier; every division is exact.
-    """
-    n = len(a)
-    if n == 0:
-        return [1]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m_prev = identity_matrix(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m_prev)
-        tr = 0
-        for i in range(n):
-            tr += am[i][i]
-        c = -tr // k
-        coeffs[n - k] = c
-        if k < n:
-            m_prev = [row[:] for row in am]
-            for i in range(n):
-                m_prev[i][i] += c
-    return coeffs
-
-
-def poly_at_matrix(coeffs, a):
-    """Evaluate a polynomial (ascending integer coeffs) at a square matrix."""
-    n = len(a)
-    out = zero_matrix(n, n)
-    power = identity_matrix(n)
-    for k, c in enumerate(coeffs):
-        if c:
-            for i in range(n):
-                oi = out[i]
-                pi = power[i]
-                for j in range(n):
-                    oi[j] += c * pi[j]
-        if k + 1 < len(coeffs):
-            power = mat_mul(power, a)
-    return out

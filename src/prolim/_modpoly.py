@@ -10,7 +10,9 @@ degrees such sub-multisets can have; when no degree d >= 1 is possible at
 every prime, N has no unit factor.  The proof needs no integer charpoly:
 charpoly(N) mod p comes from a Hessenberg reduction mod p.  When the proof
 fails, `unit_part` factors the integer charpoly over Z (Zassenhaus: factor
-mod p, Hensel lifting, recombination) and keeps the unit factors.
+mod p, Hensel lifting, recombination) and keeps the unit factors.  The
+integer charpoly is itself read off charpoly(N) mod large primes, joined
+by the Chinese remainder theorem (`charpoly`).
 
 Each prime used exceeds the degree, so a polynomial of degree n < p with
 zero derivative is constant and the square-free decomposition of
@@ -289,6 +291,36 @@ def charpoly_mod(a, p):
     return polys[n]
 
 
+def charpoly(a):
+    """det(tI - a), ascending, exact over Z, for a square integer matrix a
+    (rows).
+
+    `charpoly_mod` at the primes counting down from 2**61 - 1, joined by the
+    Chinese remainder theorem.  The coefficient of t**(n - k) is, up to
+    sign, the sum of the k x k principal minors of a; by Hadamard's
+    inequality each is at most the product of the norms |r_i| of the k rows
+    of a that it takes entries from, so the coefficient is at most the k-th
+    elementary symmetric function of |r_1|, ..., |r_n|, and every
+    coefficient is at most prod(1 + |r_i|) in absolute value.  Once the
+    modulus exceeds twice that, the symmetric residues are the coefficients.
+    """
+    n = len(a)
+    # 2 + isqrt(|r|**2) exceeds 1 + |r|
+    bound = 2 * math.prod(2 + math.isqrt(sum(x * x for x in row)) for row in a)
+    coeffs = [0] * (n + 1)
+    m = 1
+    q = 2**61 - 1
+    while m <= bound:
+        while not _is_prime(q):
+            q -= 2
+        # x + m * ((y - x) / m mod q) is x mod m and y mod q
+        inv = pow(m, -1, q)
+        coeffs = [x + m * ((y - x) * inv % q) for x, y in zip(coeffs, charpoly_mod(a, q))]
+        m *= q
+        q -= 2
+    return [x - m if 2 * x > m else x for x in coeffs]
+
+
 def unit_degrees(f, p):
     """Degrees d >= 1 of the sub-multisets of the irreducible factors of a
     monic f over F_p whose constant terms multiply to +-1."""
@@ -380,11 +412,40 @@ def _lift(f, gs, p, m):
     return _lift(g, gs[:k], p, m) + _lift(h, gs[k:], p, m)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below 3.3 * 10**24 (Sorenson-Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(q):
+    """Whether q is prime, exactly for q < 3.3 * 10**24: every q tested
+    here is below 2**61."""
+    if q < 2:
+        return False
+    for b in _WITNESSES:
+        if q % b == 0:
+            return q == b
+    # q - 1 = d * 2**s with d odd
+    s = ((q - 1) & (1 - q)).bit_length() - 1
+    d = (q - 1) >> s
+    for b in _WITNESSES:
+        x = pow(b, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _primes_above(n):
     """The primes from max(n + 1, PRIMES[0]) upwards."""
     q = max(n + 1, PRIMES[0])
     while True:
-        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+        if _is_prime(q):
             yield q
         q += 1
 

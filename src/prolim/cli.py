@@ -266,6 +266,11 @@ def build_parser():
 
 
 def main(argv=None):
+    # Documents and reports hold exact integers of any length; the default
+    # 4300-digit limit on int <-> str conversion (Python 3.10.7+) would turn
+    # a long one into a traceback.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

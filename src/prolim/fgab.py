@@ -679,7 +679,9 @@ def eventual_image_lattice(n_cols):
     the check is skipped only then (it always runs when r >= p).  The same
     charpoly mod p is handed to `_modpoly.no_unit_factor`; when that proves
     u = 1, W is 0 and neither the integer charpoly nor its factorization is
-    computed.
+    computed.  Otherwise the integer charpoly comes from charpoly mod large
+    primes by the Chinese remainder theorem (`_modpoly.charpoly`), u from
+    factoring it over Z, and u(N) by Horner's rule.
     """
     from prolim import _modpoly
 
@@ -693,5 +695,10 @@ def eventual_image_lattice(n_cols):
             return basis
     if _modpoly.no_unit_factor(n_cols, first):
         return []
-    u = _modpoly.unit_part(_k.charpoly(n_cols))
-    return _k.kernel_columns(_k.poly_at_matrix(u, n_cols))
+    u = _modpoly.unit_part(_modpoly.charpoly(n_cols))
+    u_of_n = _k.identity_matrix(r)
+    for c in reversed(u[:-1]):
+        u_of_n = _k.mat_mul(u_of_n, n_cols)
+        for i in range(r):
+            u_of_n[i][i] += c
+    return _k.kernel_columns(u_of_n)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from prolim._backend import kernel as _k
 from prolim import fgab
@@ -629,12 +629,6 @@ def surjectivize(s):
 # -- cofinal restriction -------------------------------------------------
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def restrict_cofinal(s, stride, offset=0):
     """System indexed by the levels offset + stride*i, with composite maps."""
     if stride < 1:
@@ -661,7 +655,7 @@ def restrict_cofinal(s, stride, offset=0):
     t0 = 1
     while old(t0) < k + 1:
         t0 += 1
-    new_p = p // _gcd(p, stride)
+    new_p = p // gcd(p, stride)
     new_prefix = [s.group_at(old(i)) for i in range(1, t0)]
     new_maps = [s.map_between(old(i), old(i + 1)) for i in range(1, t0)]
     if isinstance(s.tail, CycleTail):

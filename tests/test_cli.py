@@ -485,6 +485,48 @@ def test_metric_tuple_input_names_path(entries, path):
     assert b"Traceback" not in res.stderr
 
 
+# Integers longer than Python's default 4300-digit str conversion limit,
+# written and checked as digit strings so this process needs no raised limit.
+TEN_TO_4999 = "1" + "0" * 4999
+
+
+def test_entry_past_the_str_digit_limit_is_exact(tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text(
+        '{"name":"long-entry","system":{"prefix":[],"maps":[],"tail":{"kind":"cycle",'
+        f'"groups":[{{"free_rank":1,"torsion":[]}}],"maps":[[[{TEN_TO_4999}]]]}}}}}}'
+    )
+    for cmd in ("ml", "classify", "surjectivize"):
+        res = run_cli(cmd, str(p), timeout=60)
+        assert res.returncode == 0, (cmd, res.stderr[-300:])
+        assert b"Traceback" not in res.stderr
+    # multiplication by 10^4999 on Z: each image has index 10^4999 in the last
+    assert run_cli("ml", str(p)).stdout.startswith(
+        b'{"command":"ml","name":"long-entry","verdict":{"per_level":[{"index":'
+        + TEN_TO_4999.encode()
+        + b","
+    )
+    x = f'{{"level":2,"entries":[[{TEN_TO_4999}],[{TEN_TO_4999}]]}}'
+    y = f'{{"level":2,"entries":[[{TEN_TO_4999[:-1]}1],[{TEN_TO_4999[:-1]}1]]}}'
+    res = run_cli("metric", fixture("const-z"), "--x", x, "--y", y, timeout=60)
+    assert res.returncode == 0, res.stderr[-300:]
+    assert json.loads(res.stdout)["verdict"]["distance"] == "2^-1"
+
+
+def test_cardinality_past_the_str_digit_limit_is_exact(tmp_path):
+    t = "1" + "0" * 4000
+    p = tmp_path / "doc.json"
+    p.write_text(
+        '{"name":"long-cardinality","system":{"prefix":[],"maps":[],"tail":{"kind":"cycle",'
+        f'"groups":[{{"free_rank":0,"torsion":[{t},{t}]}}],"maps":[[[1,0],[0,1]]]}}}}}}'
+    )
+    res = run_cli("classify", str(p), timeout=60)
+    assert res.returncode == 0, res.stderr[-300:]
+    assert b"Traceback" not in res.stderr
+    # the identity on Z/10^4000 + Z/10^4000: the limit is the group itself
+    assert b'"class":{"cardinality":1' + b"0" * 8000 + b',"tag":"Finite"}' in res.stdout
+
+
 def test_non_utf8_document_exits_2(tmp_path):
     p = tmp_path / "bad.json"
     p.write_bytes(b'\xff\xff\xff{"system":1}')

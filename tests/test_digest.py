@@ -23,5 +23,6 @@ def test_digest_prints_one_line_per_family():
     lines = res.stdout.decode().splitlines()
     assert [line.split()[0] for line in lines] == list(digest.FAMILIES)
     assert "factor_mod" in digest.FAMILIES
+    assert "eventual_lattice" in digest.FAMILIES
     for line in lines:
         assert re.fullmatch(r"\S+ [1-9][0-9]* [0-9a-f]{64}", line), line

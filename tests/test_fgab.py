@@ -225,12 +225,13 @@ def test_quotient_by_image_matches_stacked_cokernel():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_snf_property_random_matrices(rows):
+    from prolim import _modpoly
     from prolim._backend import kernel as K
 
     m, n = len(rows), len(rows[0])
     u, d, ui = K.smith_with_transforms([[r[j] for r in rows] for j in range(n)])
     assert K.mat_mul(u, ui) == K.identity_matrix(m)
-    assert abs(K.charpoly(u)[0]) == 1
+    assert abs(_modpoly.charpoly(u)[0]) == 1
     # u*a*v = d for a unimodular v: u*a and d span the same column lattice
     ua = K.mat_mul(u, rows)
     assert K.hermite_column_basis([[r[j] for r in ua] for j in range(n)], m) == (

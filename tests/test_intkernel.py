@@ -164,48 +164,6 @@ def test_reduce_mod_lattice_symmetric_range():
     assert K.reduce_mod_lattice([7, 13], basis) == [-1, 1]
 
 
-def _brute_charpoly3(a):
-    # det(tI - a) expanded by permutations, n <= 3
-    n = len(a)
-    import itertools
-
-    coeffs = [0] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            ln = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
-        # product over i of (t*delta - a)[i][perm[i]]
-        poly = [sign]
-        for i in range(n):
-            term = [-a[i][perm[i]], 1 if perm[i] == i else 0]
-            new = [0] * (len(poly) + 1)
-            for p, cp in enumerate(poly):
-                new[p] += cp * term[0]
-                new[p + 1] += cp * term[1]
-            poly = new
-        for p, cp in enumerate(poly):
-            coeffs[p] += cp
-    return coeffs
-
-
-def test_charpoly_against_permanent_expansion():
-    rng = random.Random(3)
-    for _ in range(25):
-        n = rng.randrange(1, 4)
-        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
-        assert K.charpoly(a) == _brute_charpoly3(a)
-
-
 def test_backend_is_the_interpreted_kernel():
     import prolim
 

@@ -524,7 +524,7 @@ def test_eventual_image_of_an_automorphism_skips_the_charpoly(monkeypatch):
     def refuse(*args):
         raise AssertionError("unimodular free block reached the unit part")
 
-    monkeypatch.setattr(K, "charpoly", refuse)
+    monkeypatch.setattr(M, "charpoly", refuse)
     monkeypatch.setattr(M, "unit_part", refuse)
     rng = random.Random(12)
     n = 12

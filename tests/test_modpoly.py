@@ -1,11 +1,13 @@
 """The mod-p certificate that a charpoly has no unit factor, and the unit
 part over Z, with sympy as the oracle."""
 
+import itertools
+import math
 import random
 import struct
 
 import pytest
-from sympy import GF, Poly, symbols
+from sympy import GF, Matrix, Poly, eye, symbols
 
 from prolim import _intkernel as K
 from prolim import _modpoly as M
@@ -99,6 +101,21 @@ CORPUS = corpus(20261018, 160)
 T = symbols("t")
 
 
+def sympy_charpoly(a):
+    """det(tI - a), ascending, by sympy."""
+    return [int(c) for c in reversed(Matrix(a).charpoly(T).all_coeffs())]
+
+
+def sympy_poly_at(coeffs, a):
+    """The polynomial with ascending `coeffs` at the square matrix a, as
+    rows, by sympy."""
+    x = Matrix(a)
+    out = Matrix.zeros(len(a), len(a))
+    for c in reversed(coeffs):
+        out = out * x + c * eye(len(a))
+    return [[int(v) for v in out.row(i)] for i in range(len(a))]
+
+
 def sympy_unit_factors(coeffs):
     poly = Poly(list(reversed(coeffs)), T)
     return [f for f, _ in poly.factor_list()[1] if abs(int(f.all_coeffs()[-1])) == 1]
@@ -130,15 +147,86 @@ def test_corpus_reaches_both_outcomes():
 @pytest.mark.parametrize("p", [2, 3, 101, 103])
 def test_charpoly_mod_is_the_reduced_charpoly(p):
     for a, _unit in CORPUS:
-        assert M.charpoly_mod(a, p) == [c % p for c in K.charpoly(a)]
+        assert M.charpoly_mod(a, p) == [c % p for c in sympy_charpoly(a)]
     assert M.charpoly_mod([], p) == [1]
+
+
+def _brute_charpoly3(a):
+    # det(tI - a) expanded by permutations, n <= 3
+    n = len(a)
+    coeffs = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            if seen[i]:
+                continue
+            j = i
+            ln = 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                ln += 1
+            if ln % 2 == 0:
+                sign = -sign
+        # product over i of (t*delta - a)[i][perm[i]]
+        poly = [sign]
+        for i in range(n):
+            term = [-a[i][perm[i]], 1 if perm[i] == i else 0]
+            new = [0] * (len(poly) + 1)
+            for p, cp in enumerate(poly):
+                new[p] += cp * term[0]
+                new[p + 1] += cp * term[1]
+            poly = new
+        for p, cp in enumerate(poly):
+            coeffs[p] += cp
+    return coeffs
+
+
+def test_charpoly_against_permanent_expansion():
+    rng = random.Random(3)
+    for _ in range(25):
+        n = rng.randrange(1, 4)
+        a = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        assert M.charpoly(a) == _brute_charpoly3(a)
+
+
+def test_charpoly_matches_sympy(monkeypatch):
+    primes = []
+    inner = M.charpoly_mod
+    monkeypatch.setattr(M, "charpoly_mod", lambda a, p: primes.append(p) or inner(a, p))
+    rng = random.Random(15)
+    most = negative = 0
+    for n in range(1, 13):
+        for bits in (1, 8, 40):
+            a = [[rng.randint(-(2**bits), 2**bits) for _ in range(n)] for _ in range(n)]
+            primes.clear()
+            f = M.charpoly(a)
+            assert f == sympy_charpoly(a), a
+            most = max(most, len(primes))
+            negative += min(f) < 0
+    # entries up to 2**40 need many 61-bit primes, and random signs give
+    # negative coefficients
+    assert most >= 8
+    assert negative >= 18
+    assert M.charpoly([]) == [1]
+    assert M.charpoly([[0, 0], [0, 0]]) == [0, 0, 1]
+
+
+def test_is_prime_is_exact():
+    for q in range(-2, 10**5):
+        assert M._is_prime(q) == (q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))), q
+    assert M._is_prime(2**61 - 1)
+    # strong pseudoprimes to every prime base up to 7, 23 and 37
+    for q in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not M._is_prime(q)
 
 
 def test_certificate_is_sound():
     for a, has_unit_block in CORPUS:
         if M.no_unit_factor(a):
             assert not has_unit_block
-            assert sympy_unit_factors(K.charpoly(a)) == []
+            assert sympy_unit_factors(sympy_charpoly(a)) == []
 
 
 def test_certificate_is_sound_on_random_polynomials():
@@ -167,7 +255,8 @@ DET_GATE_CASES = [
 
 def test_eventual_image_lattice_matches_the_factoring_reference():
     for a in [a for a, _unit in CORPUS] + DET_GATE_CASES:
-        reference = K.kernel_columns(K.poly_at_matrix(sympy_unit_part(K.charpoly(a)), a))
+        u = sympy_unit_part(sympy_charpoly(a))
+        reference = K.kernel_columns(sympy_poly_at(u, a))
         assert F.eventual_image_lattice(a) == reference
     for a in DET_GATE_CASES[:3]:
         assert F.eventual_image_lattice(a) == K.identity_matrix(len(a))
@@ -177,8 +266,8 @@ def test_eventual_image_lattice_matches_the_factoring_reference():
 
 def test_unit_part_matches_sympy_on_the_corpus():
     for a, has_unit_block in CORPUS:
-        u = M.unit_part(K.charpoly(a))
-        assert u == sympy_unit_part(K.charpoly(a))
+        u = M.unit_part(M.charpoly(a))
+        assert u == sympy_unit_part(sympy_charpoly(a))
         if has_unit_block:
             assert len(u) > 1
 
@@ -186,7 +275,7 @@ def test_unit_part_matches_sympy_on_the_corpus():
 def test_unit_part_matches_sympy_on_products():
     # products of the blocks' charpolys, with repeats, so the square-free
     # part, the Hensel lifting and the recombination all get exercised
-    blocks = [K.charpoly(b) for b in (*UNIT_BLOCKS.values(), *NON_UNIT_BLOCKS.values())]
+    blocks = [sympy_charpoly(b) for b in (*UNIT_BLOCKS.values(), *NON_UNIT_BLOCKS.values())]
     blocks += [[-6, 1], [5, 0, 0, 1], [-1, 0, 0, 0, 0, 1], [0, 1]]
     rng = random.Random(11)
     for _ in range(150):
