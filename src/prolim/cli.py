@@ -19,8 +19,11 @@ from prolim import fgab, homalg, invsys, prospace, topgrp
 from prolim.errors import InputError, PreconditionError
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 def load_document(path):
@@ -202,7 +205,8 @@ def build_parser():
     """The argument parser, built on the first call and shared by later ones.
 
     Parsing does not change it, and help, usage and errors look up the
-    terminal width and sys.stdout/sys.stderr when they are printed.
+    terminal width and sys.stdout/sys.stderr when they are printed.  Its
+    `commands` attribute maps each command name to that command's parser.
     """
     ap = argparse.ArgumentParser(
         prog="prolim",
@@ -262,7 +266,25 @@ def build_parser():
     p.add_argument("name")
     p.set_defaults(fn=cmd_split_demo)
 
+    ap.commands = sub.choices
     return ap
+
+
+def parse_args(argv):
+    """The parsed arguments; argparse exits on help, version and errors.
+
+    A call that names a command is parsed by that command's parser alone.
+    Anything else, and a call that leaves arguments over, goes through the
+    full parser, so every help, usage and error text is the one it prints.
+    """
+    ap = build_parser()
+    if argv and argv[0] in ap.commands:
+        args, rest = ap.commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if not rest:
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None):
@@ -271,8 +293,7 @@ def main(argv=None):
     # a long one into a traceback.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         report = args.fn(args)
     except InputError as exc:

@@ -66,7 +66,7 @@ MAX_JSON_DIM = 100
 class FgAbGroup:
     """Z^free_rank + Z/d1 + ... + Z/dk with d1 | d2 | ... | dk, all di >= 2."""
 
-    __slots__ = ("free_rank", "torsion")
+    __slots__ = ("free_rank", "torsion", "dim")
 
     def __init__(self, free_rank=0, torsion=()):
         torsion = tuple(int(d) for d in torsion)
@@ -80,6 +80,7 @@ class FgAbGroup:
                 raise InputError(f"invariant factors must form a divisibility chain, got {torsion}")
         object.__setattr__(self, "free_rank", int(free_rank))
         object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "dim", self.free_rank + len(torsion))
 
     def __setattr__(self, name, value):
         raise AttributeError("FgAbGroup is immutable")
@@ -94,10 +95,6 @@ class FgAbGroup:
         n = len(diag)
         cols = [[x if i == j else 0 for i in range(n)] for j, x in enumerate(diag)]
         return cokernel_presentation(n, cols).group
-
-    @property
-    def dim(self):
-        return self.free_rank + len(self.torsion)
 
     def is_finite(self):
         return self.free_rank == 0
@@ -241,6 +238,15 @@ def Zmod(*ds):
     return FgAbGroup.from_diagonal(list(ds))
 
 
+def check_matrix_shape(rows, source, target):
+    """An InputError unless `rows` form a target.dim x source.dim matrix."""
+    if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
+        raise InputError(
+            f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
+            f"does not match target dim {target.dim} x source dim {source.dim}"
+        )
+
+
 class GroupHom:
     """Homomorphism between FgAbGroups, stored as its list of columns.
 
@@ -256,11 +262,7 @@ class GroupHom:
 
     def __init__(self, source, target, matrix, check=True):
         matrix = tuple(tuple(map(int, row)) for row in matrix)
-        if len(matrix) != target.dim or any(len(r) != source.dim for r in matrix):
-            raise InputError(
-                f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
-                f"does not match target dim {target.dim} x source dim {source.dim}"
-            )
+        check_matrix_shape(matrix, source, target)
         cols = zip(*matrix) if matrix else [()] * source.dim
         self._init(source, target, cols, check)
 
@@ -327,9 +329,6 @@ class GroupHom:
     def zero(cls, source, target):
         cols = _k.zero_matrix(source.dim, target.dim)
         return cls.from_columns(source, target, cols, check=False)
-
-    def is_zero(self):
-        return not any(any(c) for c in self._cols)
 
     def to_json(self):
         return {
@@ -490,16 +489,15 @@ class Subgroup:
         return self.lattice_basis() == other.lattice_basis()
 
     def is_full(self):
-        return self.lattice_basis() == _k.identity_matrix(self.ambient.dim)
+        # the Hermite basis of Z^dim is the identity: dim pivots, all 1
+        b = self.lattice_basis()
+        return len(b) == self.ambient.dim and all(c[i] == 1 for i, c in enumerate(b))
 
     def is_trivial(self):
         return self.normal_form.is_trivial()
 
     def order(self):
         return self.normal_form.order()
-
-    def index_in_ambient(self):
-        return self.index_in(Subgroup.full(self.ambient))
 
     def index_in(self, other):
         """[other : self] for self <= other; None when the index is infinite."""

@@ -31,6 +31,7 @@ from prolim.fgab import (
     FgAbGroup,
     GroupHom,
     Subgroup,
+    check_matrix_shape,
     direct_sum,
     eventual_image_lattice,
     hom_into_subgroup,
@@ -272,10 +273,11 @@ class InverseSystem:
             elif kind == "tower":
                 if "base" not in tobj:
                     raise InputError("tail.base: a tower tail needs a base group")
-                tail = TowerTail(
-                    FgAbGroup.from_json(tobj["base"], "tail.base"),
-                    _groups_from_json(tobj.get("layers", []), "tail.layers"),
-                )
+                base = FgAbGroup.from_json(tobj["base"], "tail.base")
+                layers = _groups_from_json(tobj.get("layers", []), "tail.layers")
+                if not layers:
+                    raise InputError("tail.layers must be nonempty")
+                tail = TowerTail(base, layers)
             else:
                 raise InputError(
                     f"tail.kind must be 'cycle' or 'tower', got {reprlib.repr(kind)}"
@@ -294,6 +296,10 @@ class InverseSystem:
             if src is None:
                 raise InputError(f"maps[{i}]: chain of length {k} takes {k - 1} maps")
             maps.append(_hom_from_json(src, tgt, mat, f"maps[{i}]"))
+        # k - 1 maps join the prefix levels, and one more joins the tail
+        needed = k - (tail is None) if k else 0
+        if len(maps) < needed:
+            raise InputError(f"maps: expected {needed} matrices, got {len(maps)}")
         return cls(prefix, maps, tail)
 
     def __repr__(self):
@@ -307,15 +313,22 @@ def _groups_from_json(obj, path):
     return tuple(FgAbGroup.from_json(g, f"{path}[{i}]") for i, g in enumerate(groups))
 
 
+_INT = frozenset((int,))
+
+
 def _hom_from_json(source, target, obj, path):
     """The hom whose matrix `obj` is a JSON array of rows of JSON integers."""
-    for i, row in enumerate(json_list(obj, path)):
-        if not (type(row) is list and all(type(x) is int for x in row)):
-            # walk the bad row entry by entry, for the error's JSON path
+    rows = json_list(obj, path)
+    for i, row in enumerate(rows):
+        # one type scan per row (bool, float, str, None and lists all fail
+        # it); a bad row is walked entry by entry for the error's JSON path
+        if type(row) is not list or not set(map(type, row)) <= _INT:
             for j, x in enumerate(json_list(row, f"{path}[{i}]")):
                 json_int(x, f"{path}[{i}][{j}]")
     try:
-        return GroupHom(source, target, obj)
+        check_matrix_shape(rows, source, target)
+        cols = zip(*rows) if rows else [()] * source.dim
+        return GroupHom.from_columns(source, target, cols)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -344,16 +357,6 @@ def _require_tail(s):
             "operation needs the infinite part of the system; "
             "this is a truncated finite chain"
         )
-
-
-def system_equal(a, b, upto):
-    """Levelwise equality of groups and bonding-map matrices up to a level."""
-    for n in range(1, upto + 1):
-        if a.group_at(n) != b.group_at(n):
-            return False
-        if n < upto and a.map_at(n).columns() != b.map_at(n).columns():
-            return False
-    return True
 
 
 # -- stable images -------------------------------------------------------

@@ -78,12 +78,6 @@ class FiniteTopAbGroup:
 
     # -- masks ---------------------------------------------------------
 
-    def mask_of(self, elems):
-        m = 0
-        for e in elems:
-            m |= 1 << self.index[tuple(e)]
-        return m
-
     def elems_of(self, mask):
         return [self.elements[i] for i in _bits(mask)]
 

@@ -37,6 +37,10 @@ def random_group(rng, max_rank=2, factors=(2, 3, 4, 6, 8, 9), max_torsion=2):
     return F.FgAbGroup.from_diagonal([0] * rank + diag)
 
 
+def hom_is_zero(h):
+    return not any(any(c) for c in h.columns())
+
+
 def random_hom(rng, source, target, bound=3):
     """Random well-defined hom source -> target."""
     cols = []

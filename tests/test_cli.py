@@ -7,6 +7,7 @@ import pytest
 
 from conftest import FIXTURES, REPO_ROOT
 from prolim import _modpoly, cli
+from prolim.errors import InputError
 
 
 def run_cli(*args, env=None, timeout=None):
@@ -78,28 +79,53 @@ def test_bad_map_names_index(tmp_path):
 
 @pytest.mark.parametrize(
     "matrix, shape",
-    [([[1, 0]], "1x2"), ([[1, 0], [0]], "2x2"), ([], "0x0")],
+    [
+        ([[1, 0]], "1x2"),
+        ([[1, 0], [0]], "2x2"),
+        ([], "0x0"),
+        ([[1], [0, 1]], "2x1"),
+        ([[1, 0, 0], [0, 1]], "2x3"),
+        ([[1, 0], [0, 1], [0, 0]], "3x2"),
+        ([[], []], "2x0"),
+    ],
 )
-def test_wrong_shaped_matrix_exits_2(tmp_path, matrix, shape):
+@pytest.mark.parametrize("where", ["tail.maps[0]", "maps[0]"])
+def test_wrong_shaped_matrix_exits_2(tmp_path, capsys, matrix, shape, where):
+    g = {"free_rank": 1, "torsion": [4]}
+    good = [[1, 0], [0, 1]]
+    prefix_map, tail_map = (matrix, good) if where == "maps[0]" else (good, matrix)
     doc = {
         "name": "broken",
         "system": {
-            "prefix": [],
-            "maps": [],
-            "tail": {
-                "kind": "cycle",
-                "groups": [{"free_rank": 1, "torsion": [4]}],
-                "maps": [matrix],
-            },
+            "prefix": [g],
+            "maps": [prefix_map],
+            "tail": {"kind": "cycle", "groups": [g], "maps": [tail_map]},
+        },
+    }
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: {where}: matrix shape {shape} does not match"
+        " target dim 2 x source dim 2\n"
+    )
+
+
+def test_wrong_shaped_matrix_exits_2_from_the_command_line(tmp_path):
+    doc = {
+        "system": {
+            "tail": {"kind": "cycle", "groups": [{"free_rank": 2, "torsion": []}], "maps": [[[1, 0], [0]]]},
         },
     }
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(doc))
     res = run_cli("classify", str(p))
     assert res.returncode == 2
-    assert res.stderr.decode().strip() == (
-        f"error: tail.maps[0]: matrix shape {shape} does not match"
-        " target dim 2 x source dim 2"
+    assert res.stdout == b""
+    assert res.stderr == (
+        b"error: tail.maps[0]: matrix shape 2x2 does not match target dim 2 x source dim 2\n"
     )
 
 
@@ -129,12 +155,18 @@ def matrix_error_document(where, bad):
     [
         ("maps", True, "maps[1][1][0]: expected an integer, got True"),
         ("maps", 1.5, "maps[1][1][0]: expected an integer, got 1.5"),
+        ("maps", 1.0, "maps[1][1][0]: expected an integer, got 1.0"),
         ("maps", "3", "maps[1][1][0]: expected an integer, got '3'"),
+        ("maps", "1", "maps[1][1][0]: expected an integer, got '1'"),
         ("maps", None, "maps[1][1][0]: expected an integer, got None"),
+        ("maps", [1], "maps[1][1][0]: expected an integer, got [1]"),
         ("tail.maps", True, "tail.maps[0][1][1]: expected an integer, got True"),
         ("tail.maps", 1.5, "tail.maps[0][1][1]: expected an integer, got 1.5"),
+        ("tail.maps", 1.0, "tail.maps[0][1][1]: expected an integer, got 1.0"),
         ("tail.maps", "3", "tail.maps[0][1][1]: expected an integer, got '3'"),
+        ("tail.maps", "1", "tail.maps[0][1][1]: expected an integer, got '1'"),
         ("tail.maps", None, "tail.maps[0][1][1]: expected an integer, got None"),
+        ("tail.maps", [1], "tail.maps[0][1][1]: expected an integer, got [1]"),
         ("maps row", 5, "maps[1][1]: expected a JSON array, got 5"),
         ("maps row", None, "maps[1][1]: expected a JSON array, got None"),
         ("tail.maps row", {"a": 1}, "tail.maps[0][0]: expected a JSON array, got {'a': 1}"),
@@ -165,6 +197,27 @@ def test_malformed_tail_names_path(tmp_path, tail, path):
 
 
 Z_GROUP = {"free_rank": 1, "torsion": []}
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (
+            {"prefix": [Z_GROUP, Z_GROUP], "tail": None},
+            "maps: expected 1 matrices, got 0",
+        ),
+        (
+            {"prefix": [Z_GROUP], "tail": {"kind": "cycle", "groups": [Z_GROUP], "maps": [[[1]]]}},
+            "maps: expected 1 matrices, got 0",
+        ),
+        ({"tail": {"kind": "tower", "base": Z_GROUP, "layers": []}}, "tail.layers must be nonempty"),
+    ],
+)
+def test_missing_maps_and_empty_layers_name_their_path(tmp_path, capsys, system, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"system": system}))
+    assert cli.main(["ml", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _cycle_tail(groups, maps):
@@ -454,6 +507,67 @@ def test_repeated_in_process_calls_share_no_state(capsys):
 
     usage_error()
     assert run(["--help"]) == first_help
+
+
+def run_main(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def run_full_parser(argv, capsys):
+    """What main gives when the top-level parser reads every argument."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+        report = args.fn(args)
+    except SystemExit as exc:
+        rc = exc.code
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        rc = 2
+    else:
+        sys.stdout.write(cli.canonical_json(report))
+        rc = 0
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+TOP_USAGE = "usage: prolim [-h] [--version]"
+ARGV_CASES = [
+    ([], 2, TOP_USAGE),
+    (["--help"], 0, None),
+    (["--version"], 0, None),
+    (["nosuch"], 2, TOP_USAGE),
+    (["classify", "F", "extra"], 2, TOP_USAGE),
+    (["sample", "F"], 2, "usage: prolim sample "),
+    (["classify", "--help"], 0, None),
+    (["--version", "classify"], 0, None),
+    (["classify", "F", "--trace"], 0, None),
+    (["kk-classify"], 2, "usage: prolim kk-classify "),
+    (["sample", "--level", "0"], 2, "usage: prolim sample "),
+    (["dense", "--cap", "x"], 2, "usage: prolim dense "),
+    (["classify"], 2, "usage: prolim classify "),
+    (["classify", "missing.json"], 2, "error: cannot read "),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, err_start", ARGV_CASES, ids=[" ".join(a) or "no-args" for a, _, _ in ARGV_CASES]
+)
+def test_argv_edge_cases_match_the_full_parser(capsys, tmp_path, argv, code, err_start):
+    files = {"F": fixture("const-z2"), "missing.json": str(tmp_path / "missing.json")}
+    argv = [files.get(a, a) for a in argv]
+    got = run_main(argv, capsys)
+    assert got == run_full_parser(argv, capsys)
+    rc, out, err = got
+    assert rc == code
+    if err_start is None:
+        assert err == "" and out
+    else:
+        assert out == "" and err.startswith(err_start)
 
 
 def test_metric_command():

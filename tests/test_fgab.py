@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from prolim import fgab as F
 from prolim.errors import EnumerationCapExceeded, InputError
 
-from conftest import random_group, random_hom
+from conftest import hom_is_zero, random_group, random_hom
+
+
+def index_in_ambient(sub):
+    return sub.index_in(F.Subgroup.full(sub.ambient))
 
 
 def test_canonical_form_merges_coprime_factors():
@@ -117,13 +121,13 @@ def test_kernel_examples():
     assert all(ker2.contains(x) for x in brute)
     # inclusion composed with h is zero
     comp = h2.compose(incl2)
-    assert comp.is_zero()
+    assert hom_is_zero(comp)
 
 
 def test_image_examples():
     im = F.image(F.GroupHom(F.Z(), F.Z(), [[2]]))
     assert im.normal_form == F.Z()
-    assert im.index_in_ambient() == 2
+    assert index_in_ambient(im) == 2
     im2 = F.image(F.GroupHom(F.Z(), F.Zmod(6), [[2]]))
     assert im2.normal_form == F.Zmod(3)
     assert sorted(im2.elements()) == [(0,), (2,), (4,)]
@@ -246,7 +250,7 @@ def test_direct_sum_round_trip():
         assert projs[i].compose(incs[i]).matrix == F.GroupHom.identity(part).matrix
         for j in range(len(incs)):
             if j != i:
-                assert projs[i].compose(incs[j]).is_zero()
+                assert hom_is_zero(projs[i].compose(incs[j]))
 
 
 def test_solve_hom_minimal_deterministic():
@@ -300,10 +304,33 @@ def test_full_subgroup_basis_is_the_hermite_basis_of_identity_plus_relations(rng
         assert F.Subgroup.full(g).lattice_basis() == F._k.hermite_column_basis(cols, g.dim)
 
 
+def test_is_full_agrees_with_comparing_to_the_identity(rng):
+    z2 = F.Z(2)
+    cases = [
+        F.Subgroup.trivial(F.ZERO_GROUP),  # dim 0
+        F.Subgroup(z2, [(1, 1), (0, 1)]),  # full
+        F.Subgroup(z2, [(2, 0), (0, 1)]),  # index 2
+        F.Subgroup(z2, [(1, 2)]),  # rank-deficient
+        F.Subgroup(F.FgAbGroup(1, (2, 4)), [(1, 1, 0), (0, 1, 0), (0, 0, 3)]),  # full via relations
+        F.Subgroup(F.FgAbGroup(1, (2, 4)), [(1, 0, 0), (0, 0, 2)]),  # torsion, index 4
+    ]
+    for _ in range(60):
+        g = random_group(rng, max_rank=3, max_torsion=3)
+        gens = [[rng.randrange(-3, 4) for _ in range(g.dim)] for _ in range(rng.randrange(4))]
+        cases.append(F.Subgroup(g, gens))
+    verdicts = set()
+    for sub in cases:
+        full = sub.lattice_basis() == F._k.identity_matrix(sub.ambient.dim)
+        assert sub.is_full() == full, sub
+        verdicts.add(full)
+    assert [sub.is_full() for sub in cases[:6]] == [True, True, False, False, True, False]
+    assert verdicts == {True, False}
+
+
 def test_subgroup_index_and_intersection():
     z2 = F.Z(2)
     a = F.Subgroup(z2, [(2, 0), (0, 2)])
-    assert a.index_in_ambient() == 4
+    assert index_in_ambient(a) == 4
     b = F.Subgroup(z2, [(1, 0), (0, 2)])
     assert a.index_in(b) == 2
     c = a.intersection(b)
