@@ -89,44 +89,26 @@ def test_bad_map_names_index(tmp_path):
         ([[], []], "2x0"),
     ],
 )
-@pytest.mark.parametrize("where", ["tail.maps[0]", "maps[0]"])
-def test_wrong_shaped_matrix_exits_2(tmp_path, capsys, matrix, shape, where):
+def test_wrong_shaped_matrix_exits_2(tmp_path, capsys, matrix, shape):
     g = {"free_rank": 1, "torsion": [4]}
     good = [[1, 0], [0, 1]]
-    prefix_map, tail_map = (matrix, good) if where == "maps[0]" else (good, matrix)
-    doc = {
-        "name": "broken",
-        "system": {
-            "prefix": [g],
-            "maps": [prefix_map],
-            "tail": {"kind": "cycle", "groups": [g], "maps": [tail_map]},
-        },
-    }
-    p = tmp_path / "doc.json"
-    p.write_text(json.dumps(doc))
-    assert cli.main(["classify", str(p)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == (
-        f"error: {where}: matrix shape {shape} does not match"
-        " target dim 2 x source dim 2\n"
-    )
-
-
-def test_wrong_shaped_matrix_exits_2_from_the_command_line(tmp_path):
-    doc = {
-        "system": {
-            "tail": {"kind": "cycle", "groups": [{"free_rank": 2, "torsion": []}], "maps": [[[1, 0], [0]]]},
-        },
-    }
-    p = tmp_path / "doc.json"
-    p.write_text(json.dumps(doc))
-    res = run_cli("classify", str(p))
-    assert res.returncode == 2
-    assert res.stdout == b""
-    assert res.stderr == (
-        b"error: tail.maps[0]: matrix shape 2x2 does not match target dim 2 x source dim 2\n"
-    )
+    # the bad matrix as the cycle map, then as the junction map into the prefix
+    for where, prefix_map, tail_map in (("tail.maps[0]", good, matrix), ("maps[0]", matrix, good)):
+        doc = {
+            "name": "broken",
+            "system": {
+                "prefix": [g],
+                "maps": [prefix_map],
+                "tail": {"kind": "cycle", "groups": [g], "maps": [tail_map]},
+            },
+        }
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert cli.main(["classify", str(p)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: {where}: matrix shape {shape} does not match target dim 2 x source dim 2\n",
+        )
 
 
 def matrix_error_document(where, bad):
@@ -155,22 +137,22 @@ def matrix_error_document(where, bad):
     [
         ("maps", True, "maps[1][1][0]: expected an integer, got True"),
         ("maps", 1.5, "maps[1][1][0]: expected an integer, got 1.5"),
-        ("maps", 1.0, "maps[1][1][0]: expected an integer, got 1.0"),
         ("maps", "3", "maps[1][1][0]: expected an integer, got '3'"),
-        ("maps", "1", "maps[1][1][0]: expected an integer, got '1'"),
         ("maps", None, "maps[1][1][0]: expected an integer, got None"),
-        ("maps", [1], "maps[1][1][0]: expected an integer, got [1]"),
         ("tail.maps", True, "tail.maps[0][1][1]: expected an integer, got True"),
         ("tail.maps", 1.5, "tail.maps[0][1][1]: expected an integer, got 1.5"),
-        ("tail.maps", 1.0, "tail.maps[0][1][1]: expected an integer, got 1.0"),
         ("tail.maps", "3", "tail.maps[0][1][1]: expected an integer, got '3'"),
-        ("tail.maps", "1", "tail.maps[0][1][1]: expected an integer, got '1'"),
         ("tail.maps", None, "tail.maps[0][1][1]: expected an integer, got None"),
-        ("tail.maps", [1], "tail.maps[0][1][1]: expected an integer, got [1]"),
         ("maps row", 5, "maps[1][1]: expected a JSON array, got 5"),
         ("maps row", None, "maps[1][1]: expected a JSON array, got None"),
         ("tail.maps row", {"a": 1}, "tail.maps[0][0]: expected a JSON array, got {'a': 1}"),
         ("tail.maps row", "xy", "tail.maps[0][0]: expected a JSON array, got 'xy'"),
+        ("maps", 1.0, "maps[1][1][0]: expected an integer, got 1.0"),
+        ("maps", "1", "maps[1][1][0]: expected an integer, got '1'"),
+        ("maps", [1], "maps[1][1][0]: expected an integer, got [1]"),
+        ("tail.maps", 1.0, "tail.maps[0][1][1]: expected an integer, got 1.0"),
+        ("tail.maps", "1", "tail.maps[0][1][1]: expected an integer, got '1'"),
+        ("tail.maps", [1], "tail.maps[0][1][1]: expected an integer, got [1]"),
     ],
 )
 def test_bad_matrix_entry_names_its_path(tmp_path, capsys, where, bad, message):

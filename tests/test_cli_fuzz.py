@@ -96,7 +96,7 @@ def mutate(rng, origin, doc):
         path, m, r, c = rng.choice(entries)
         values = BAD_ENTRIES + ((HUGE_ENTRY,) if origin == "fixture" else ())
         m[r][c] = rng.choice(values)
-        return doc, f"{path}[{r}][{c}] = {reprlib_short(m[r][c])}"
+        return doc, f"{path}[{r}][{c}] = {short_repr(m[r][c])}"
     if kind == "row":
         path, m, r = rng.choice(rows)
         if m[r] and rng.random() < 0.5:
@@ -116,7 +116,7 @@ def mutate(rng, origin, doc):
     return doc, f"drop {path}"
 
 
-def reprlib_short(value):
+def short_repr(value):
     text = repr(value)
     return text if len(text) < 20 else text[:8] + "..."
 
