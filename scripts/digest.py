@@ -19,7 +19,12 @@ polynomials with and without a factor of constant term +-1, coupled and
 conjugated; most of them reach the unit part over Z.  The `factor_mod`
 family hashes the factor lists mod p, in order (Hensel lifting consumes
 them in that order), and the unit degrees of seeded monic polynomials of
-degree 1..40 at 101, at 103 and at the least prime above the degree.  To
+degree 1..40 at 101, at 103 and at the least prime above the degree.  The
+`image_chain` family hashes the (steps, index) that `invsys._image_chain`
+returns on 300 seeded endomorphisms of Z^r + T with r <= 8 and at most two
+torsion factors; a third have a singular free block and a sixth a unit
+factor, so both ways of taking the failing index's free factor (the
+determinant and the charpoly) are covered.  To
 compare two checkouts, run it once with the default `--src` (this
 checkout's `src/`) and once with `--src` pointing at the other checkout's
 `src/`; equal lines mean byte-identical outputs.
@@ -33,6 +38,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -65,9 +71,13 @@ FAMILIES = (
     "restrict_tuple",
     "eventual_lattice",
     "factor_mod",
+    "image_chain",
 )
 MAX_FACTOR_DEGREE = 40
 MAX_LATTICE_RANK = 12
+MAX_CHAIN_RANK = 8
+CHAIN_COUNT = 300
+CHAIN_TORSION = ((), (), (2,), (4,), (6,), (9,), (2, 4), (2, 6), (3, 9), (2, 8), (4, 8))
 # Ascending monic polynomials: each of the first has an irreducible factor
 # with constant term +-1, none of the second has one.  The two of degree 4
 # are Swinnerton-Dyer polynomials: irreducible over Z, split mod every prime.
@@ -275,6 +285,41 @@ def factor_outputs(seed):
             yield "factor_mod", [f, p, M.factor_mod(f, p), sorted(M.unit_degrees(f, p))]
 
 
+def chain_endo(rng, i):
+    """A seeded endomorphism of Z^r + T, r <= MAX_CHAIN_RANK, T with at
+    most two invariant factors, as (r, T, columns): every third case duplicates a
+    free column (singular free block), every sixth, counting from the
+    second, fixes a basis vector (a unit factor t - 1)."""
+    r = rng.randint(0, MAX_CHAIN_RANK)
+    torsion = rng.choice(CHAIN_TORSION)
+    cols = [[rng.randint(-3, 3) for _ in range(r + len(torsion))] for _ in range(r)]
+    for d in torsion:
+        # an order-d generator goes to an element of T killed by d
+        steps = [e // math.gcd(e, d) for e in torsion]
+        cols.append([0] * r + [k * rng.randrange(e // k) for k, e in zip(steps, torsion)])
+    if r >= 2 and i % 3 == 0:
+        a, b = rng.sample(range(r), 2)
+        cols[b] = list(cols[a])
+    if r >= 1 and i % 6 == 1:
+        j = rng.randrange(r)
+        cols[j] = [int(x == j) for x in range(len(cols))]
+    return r, torsion, cols
+
+
+def chain_outputs(seed):
+    """`image_chain` pairs: an endomorphism and the (steps, index) of
+    `invsys._image_chain` on it, for CHAIN_COUNT seeded endomorphisms."""
+    from prolim import fgab as F
+    from prolim import invsys as I
+
+    rng = random.Random(f"digest-chain/{seed}")
+    for i in range(CHAIN_COUNT):
+        r, torsion, cols = chain_endo(rng, i)
+        g = F.FgAbGroup(r, torsion)
+        endo = F.GroupHom.from_columns(g, g, cols)
+        yield "image_chain", [r, torsion, cols, list(I._image_chain(endo))]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -289,7 +334,7 @@ def main(argv=None):
     counts = dict.fromkeys(FAMILIES, 0)
     rng = random.Random(f"digest-points/{args.seed}")
     per_doc = [outputs(doc, rng) for doc in corpus(args.seed, args.count)]
-    extra = (lattice_outputs(args.seed), factor_outputs(args.seed))
+    extra = (lattice_outputs(args.seed), factor_outputs(args.seed), chain_outputs(args.seed))
     for family, value in itertools.chain(*per_doc, *extra):
         hashes[family].update(json.dumps(value, sort_keys=True).encode() + b"\n")
         counts[family] += 1

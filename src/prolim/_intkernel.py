@@ -8,7 +8,9 @@ matrix as the plain list of its columns, of Python ints, so arbitrary
 precision is preserved throughout.  Only `smith_with_transforms` hands
 back lists of rows (`transpose` turns them into columns), and `mat_mul`
 reads either orientation: the transpose of a product is the reverse
-product of the transposes.  This module is the hot inner loop of the whole
+product of the transposes.  `det` (fraction-free Bareiss elimination)
+reads either orientation too, since a matrix and its transpose share their
+determinant.  This module is the hot inner loop of the whole
 package and imports nothing from the rest of it; the other modules reach
 it through prolim._backend.
 """
@@ -181,6 +183,40 @@ def smith_with_transforms(cols):
             row_sub(t, offender, -1)  # pull the offending row into row t
         t += 1
     return u, d, uinv
+
+
+def det(cols):
+    """Determinant of a square matrix, given by its columns or by its rows
+    (a matrix and its transpose share it); 1 for the 0x0 matrix.
+
+    Fraction-free Gaussian elimination (Bareiss): after step k every entry
+    below and right of the pivot is a (k+1)x(k+1) minor of the input, so the
+    division by the previous pivot is exact (Sylvester's identity) and no
+    entry outgrows a minor.  The last pivot is the determinant up to the
+    sign of the row swaps.
+    """
+    m = [list(c) for c in cols]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = m[k]
+        akk = pk[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            aik = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * akk - aik * pk[j]) // prev
+        prev = akk
+    return sign * m[-1][-1] if n else 1
 
 
 def smith_diagonal(d):

@@ -238,13 +238,28 @@ def Zmod(*ds):
     return FgAbGroup.from_diagonal(list(ds))
 
 
-def check_matrix_shape(rows, source, target):
-    """An InputError unless `rows` form a target.dim x source.dim matrix."""
-    if len(rows) != target.dim or any(len(r) != source.dim for r in rows):
+def check_matrix_shape(rows, source, target, path=None):
+    """An InputError unless `rows` form a target.dim x source.dim matrix.
+
+    A ragged matrix is reported by its first row whose length is not
+    source.dim, as `path[i]` (or `row i` with no path); any other wrong
+    shape by the matrix's own shape, after `path: ` when a path is given.
+    """
+    n = source.dim
+    if len(rows) == target.dim and all(len(r) == n for r in rows):
+        return
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        i = next(i for i, r in enumerate(rows) if len(r) != n)
+        k = len(rows[i])
+        where = f"{path}[{i}]: row" if path else f"row {i}"
         raise InputError(
-            f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} "
-            f"does not match target dim {target.dim} x source dim {source.dim}"
+            f"{where} has {k} entr{'y' if k == 1 else 'ies'}, expected source dim {n}"
         )
+    raise InputError(
+        f"{path + ': ' if path else ''}matrix shape {len(rows)}x{width} "
+        f"does not match target dim {target.dim} x source dim {n}"
+    )
 
 
 class GroupHom:

@@ -77,19 +77,32 @@ def test_bad_map_names_index(tmp_path):
     assert b"tail.maps[0]" in res.stderr
 
 
+SHAPE = ": matrix shape {} does not match target dim 2 x source dim 2"
+
+
 @pytest.mark.parametrize(
-    "matrix, shape",
+    "matrix, message",
     [
-        ([[1, 0]], "1x2"),
-        ([[1, 0], [0]], "2x2"),
-        ([], "0x0"),
-        ([[1], [0, 1]], "2x1"),
-        ([[1, 0, 0], [0, 1]], "2x3"),
-        ([[1, 0], [0, 1], [0, 0]], "3x2"),
-        ([[], []], "2x0"),
+        # ids: rows x length of the first row
+        pytest.param([[1, 0]], SHAPE.format("1x2"), id="matrix0-1x2"),
+        # a ragged matrix names its first row whose length is not the source dim
+        pytest.param(
+            [[1, 0], [0]], "[1]: row has 1 entry, expected source dim 2", id="matrix1-2x2"
+        ),
+        pytest.param([], SHAPE.format("0x0"), id="matrix2-0x0"),
+        pytest.param(
+            [[1], [0, 1]], "[0]: row has 1 entry, expected source dim 2", id="matrix3-2x1"
+        ),
+        pytest.param(
+            [[1, 0, 0], [0, 1]],
+            "[0]: row has 3 entries, expected source dim 2",
+            id="matrix4-2x3",
+        ),
+        pytest.param([[1, 0], [0, 1], [0, 0]], SHAPE.format("3x2"), id="matrix5-3x2"),
+        pytest.param([[], []], SHAPE.format("2x0"), id="matrix6-2x0"),
     ],
 )
-def test_wrong_shaped_matrix_exits_2(tmp_path, capsys, matrix, shape):
+def test_wrong_shaped_matrix_exits_2(tmp_path, capsys, matrix, message):
     g = {"free_rank": 1, "torsion": [4]}
     good = [[1, 0], [0, 1]]
     # the bad matrix as the cycle map, then as the junction map into the prefix
@@ -105,10 +118,7 @@ def test_wrong_shaped_matrix_exits_2(tmp_path, capsys, matrix, shape):
         p = tmp_path / "doc.json"
         p.write_text(json.dumps(doc))
         assert cli.main(["classify", str(p)]) == 2
-        assert capsys.readouterr() == (
-            "",
-            f"error: {where}: matrix shape {shape} does not match target dim 2 x source dim 2\n",
-        )
+        assert capsys.readouterr() == ("", f"error: {where}{message}\n")
 
 
 def matrix_error_document(where, bad):

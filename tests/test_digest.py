@@ -24,5 +24,6 @@ def test_digest_prints_one_line_per_family():
     assert [line.split()[0] for line in lines] == list(digest.FAMILIES)
     assert "factor_mod" in digest.FAMILIES
     assert "eventual_lattice" in digest.FAMILIES
+    assert digest.FAMILIES[-1] == "image_chain"
     for line in lines:
         assert re.fullmatch(r"\S+ [1-9][0-9]* [0-9a-f]{64}", line), line

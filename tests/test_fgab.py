@@ -98,6 +98,18 @@ def test_columns_constructor_checks_well_definedness():
     assert F.GroupHom.from_columns(F.Zmod(2), F.Zmod(4), [[6]]).matrix == ((2,),)
 
 
+def test_shape_errors_name_the_ragged_row():
+    z3 = F.Z(3)
+    with pytest.raises(InputError, match=r"^row 1 has 2 entries, expected source dim 3$"):
+        F.GroupHom(z3, z3, [[1, 0, 0], [0, 1], [0, 0, 1]])
+    with pytest.raises(InputError, match=r"^row 0 has 1 entry, expected source dim 3$"):
+        F.GroupHom(z3, z3, [[1], [0, 1, 0]])
+    with pytest.raises(InputError, match=r"^matrix shape 2x3 does not match target dim 3"):
+        F.GroupHom(z3, z3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(InputError, match=r"^tail\.maps\[1\]\[1\]: row has 2 entries"):
+        F.check_matrix_shape([[1, 0, 0], [0, 1], [0, 0, 1]], z3, z3, "tail.maps[1]")
+
+
 def test_kernel_examples():
     # x2 on Z is injective
     ker, incl = F.kernel(F.GroupHom(F.Z(), F.Z(), [[2]]))

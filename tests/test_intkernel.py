@@ -319,3 +319,39 @@ def test_hermite_basis_matches_the_reference_routine():
         assert cols == before  # the input columns are left alone
         seen += 1
     assert seen == 404
+
+
+def det_corpus():
+    # seeded square matrices of n = 0..12 with entries in [-20, 20]: plain,
+    # with zero leading entries that force row swaps, and with a duplicated
+    # column (singular); then one 8x8 matrix of 300-bit entries
+    rng = random.Random(31)
+    for n in range(13):
+        for shape in range(6):
+            a = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            if shape in (1, 2) and n >= 2:
+                # zero the top-left block's first column above a late row
+                for i in range(rng.randrange(1, n)):
+                    a[i][0] = 0
+                a[0][1] = 0
+            if shape in (3, 4) and n >= 2:
+                i, j = rng.sample(range(n), 2)
+                for row in a:
+                    row[j] = row[i]
+            yield a
+    yield [[rng.randint(-(2**300), 2**300) for _ in range(8)] for _ in range(8)]
+
+
+def test_det_matches_sympy():
+    from sympy import Matrix
+
+    seen = singular = swapped = 0
+    for a in det_corpus():
+        expected = int(Matrix(a).det()) if a else 1
+        assert K.det(a) == expected
+        assert K.det(transpose(a, len(a))) == expected
+        seen += 1
+        singular += expected == 0
+        swapped += len(a) >= 2 and a[0][0] == 0 and expected != 0
+    assert K.det([]) == 1
+    assert seen == 79 and singular >= 20 and swapped >= 10

@@ -530,6 +530,82 @@ def test_eventual_image_matches_the_walk_and_lift_reference():
     assert min(free_part, singular, unstable) >= 300
 
 
+def _counting(monkeypatch, module, name, calls):
+    # wrap module.name so that each call is tallied in calls[name]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_image_chain_index_comes_from_det_or_the_charpoly(monkeypatch):
+    # the second-period index is |g(0)| times a torsion index: det A when
+    # the settled rank is the ambient free rank, the charpoly otherwise,
+    # neither on a stable walk; the lattice push stays the oracle
+    calls = {"det": 0, "charpoly": 0}
+    _counting(monkeypatch, K, "det", calls)
+    _counting(monkeypatch, M, "charpoly", calls)
+    rng = random.Random(1717)
+    seen = {"stable": 0, "full": 0, "singular": 0}
+    for i in range(600):
+        endo = _oracle_endo(rng, i)
+        stable, steps, anchor = _reference_image_chain(endo)
+        index = None if stable else I._push(endo, anchor).index_in(anchor)
+        calls.update(det=0, charpoly=0)
+        assert I._image_chain(endo) == (steps, index)
+        if stable:
+            kind = "stable"
+            assert calls == {"det": 0, "charpoly": 0}
+        elif I._hermite_split(anchor)[0] == endo.source.free_rank:
+            kind = "full"
+            assert calls == {"det": 1, "charpoly": 0}
+        else:
+            kind = "singular"
+            assert calls == {"det": 0, "charpoly": 1}
+        seen[kind] += 1
+    assert min(seen.values()) >= 80, seen
+
+
+def _failing_cycles():
+    # z_times(6), a mixed-prime Z^2 and Z + Z/4 with a torsion carry
+    z2g = F.Z(2)
+    zt = F.FgAbGroup.from_diagonal([0, 4])
+    yield z_times(6)
+    yield I.InverseSystem((), (), I.CycleTail((z2g,), (F.GroupHom(z2g, z2g, [[2, 1], [0, 3]]),)))
+    yield I.InverseSystem((), (), I.CycleTail((zt,), (F.GroupHom(zt, zt, [[5, 0], [1, 2]]),)))
+
+
+def test_ml_cross_check_catches_a_wrong_determinant(monkeypatch):
+    det = K.det
+    cycles = list(_failing_cycles())
+    assert [I.is_mittag_leffler(s).failure_levels()[0].index for s in cycles] == [6, 6, 5]
+    monkeypatch.setattr(K, "det", lambda cols: 2 * det(cols))
+    for s in cycles:
+        with pytest.raises(AssertionError, match="not a constant >= 2"):
+            I.is_mittag_leffler(s)
+
+
+def test_ml_cross_check_catches_a_wrong_lattice_index(monkeypatch):
+    index_in = F.Subgroup.index_in
+
+    def shifted(self, other):
+        # off by one on the walk's lattices of positive rank only, so the
+        # torsion index on the determinant side stays right
+        index = index_in(self, other)
+        return index + 1 if I._hermite_split(self)[0] else index
+
+    monkeypatch.setattr(F.Subgroup, "index_in", shifted)
+    z2g = F.Z(2)
+    # a singular free block, whose free factor comes from the charpoly
+    singular = I.InverseSystem((), (), I.CycleTail((z2g,), (F.GroupHom(z2g, z2g, [[2, 1], [0, 0]]),)))
+    for s in [*_failing_cycles(), singular]:
+        with pytest.raises(AssertionError, match="not a constant >= 2"):
+            I.is_mittag_leffler(s)
+
+
 def test_eventual_image_of_an_automorphism_skips_the_charpoly(monkeypatch):
     def refuse(*args):
         raise AssertionError("unimodular free block reached the unit part")
@@ -579,30 +655,42 @@ def _change_of_basis(rng, g):
 
 
 def test_verdicts_and_stable_images_survive_a_change_of_basis():
+    # every tail group of a cycle of period 1..3 is conjugated by its own
+    # change of basis phi_j: map j becomes phi_j f_j phi_{j+1}^-1, and the
+    # junction into the prefix absorbs phi_0^-1
     from prolim import classify as C
 
     rng = random.Random(4096)
-    moved = 0
+    moved = failing = 0
     for i in range(120):
         if i % 2:
-            s = random_mixed_cycle_system(rng, max_period=1)
+            s = random_mixed_cycle_system(rng, max_period=3)
         else:
             gen = functools.partial(random_small_group, max_rank=3)
-            s = random_cycle_system(rng, gen, max_period=1)
-        k = s.prefix_len
-        g = s.tail.groups[0]
-        phi, phi_inv = _change_of_basis(rng, g)
-        endo = phi.compose(s.tail.maps[0]).compose(phi_inv)
+            s = random_cycle_system(rng, gen, max_period=3)
+        k, p = s.prefix_len, s.period
+        groups = s.tail.groups
+        bases = [_change_of_basis(rng, g) for g in groups]
+        tail_maps = tuple(
+            bases[j][0].compose(f).compose(bases[(j + 1) % p][1])
+            for j, f in enumerate(s.tail.maps)
+        )
         maps = list(s.maps)
         if k:
-            maps[-1] = maps[-1].compose(phi_inv)
-        t = I.InverseSystem(s.prefix, maps, I.CycleTail((g,), (endo,)))
+            maps[-1] = maps[-1].compose(bases[0][1])
+        t = I.InverseSystem(s.prefix, maps, I.CycleTail(groups, tail_maps))
         assert C.classify_limit(t)[0] == C.classify_limit(s)[0]
-        assert I.is_mittag_leffler(t).to_json() == I.is_mittag_leffler(s).to_json()
+        assert C.classify_kk(t, t) == C.classify_kk(s, s)
+        cert = I.is_mittag_leffler(s)
+        assert I.is_mittag_leffler(t).to_json() == cert.to_json()
         old, new = I.stable_images(s), I.stable_images(t)
-        pushed = I._push(phi, old[k + 1])
-        assert pushed.lattice_basis() == new[k + 1].lattice_basis()
+        for j, (phi, _phi_inv) in enumerate(bases):
+            pushed = I._push(phi, old[k + 1 + j])
+            assert pushed.lattice_basis() == new[k + 1 + j].lattice_basis()
         for n in range(1, k + 1):
             assert new[n].lattice_basis() == old[n].lattice_basis()
-        moved += phi != F.GroupHom.identity(g)
+        moved += any(phi != F.GroupHom.identity(g) for (phi, _), g in zip(bases, groups))
+        if p >= 2:
+            failing += len(cert.failure_levels())
     assert moved >= 60
+    assert failing >= 20
