@@ -77,6 +77,7 @@ MAX_FACTOR_DEGREE = 40
 MAX_LATTICE_RANK = 12
 MAX_CHAIN_RANK = 8
 CHAIN_COUNT = 300
+# invariant-factor chains; the empty one twice, so free groups are common
 CHAIN_TORSION = ((), (), (2,), (4,), (6,), (9,), (2, 4), (2, 6), (3, 9), (2, 8), (4, 8))
 # Ascending monic polynomials: each of the first has an irreducible factor
 # with constant term +-1, none of the second has one.  The two of degree 4
@@ -287,9 +288,9 @@ def factor_outputs(seed):
 
 def chain_endo(rng, i):
     """A seeded endomorphism of Z^r + T, r <= MAX_CHAIN_RANK, T with at
-    most two invariant factors, as (r, T, columns): every third case duplicates a
-    free column (singular free block), every sixth, counting from the
-    second, fixes a basis vector (a unit factor t - 1)."""
+    most two invariant factors, as (r, T, columns): every third case
+    duplicates a free column (singular free block), and every sixth,
+    counting from the second, fixes a basis vector (a unit factor t - 1)."""
     r = rng.randint(0, MAX_CHAIN_RANK)
     torsion = rng.choice(CHAIN_TORSION)
     cols = [[rng.randint(-3, 3) for _ in range(r + len(torsion))] for _ in range(r)]

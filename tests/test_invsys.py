@@ -571,11 +571,9 @@ def test_image_chain_index_comes_from_det_or_the_charpoly(monkeypatch):
 
 def _failing_cycles():
     # z_times(6), a mixed-prime Z^2 and Z + Z/4 with a torsion carry
-    z2g = F.Z(2)
-    zt = F.FgAbGroup.from_diagonal([0, 4])
     yield z_times(6)
-    yield I.InverseSystem((), (), I.CycleTail((z2g,), (F.GroupHom(z2g, z2g, [[2, 1], [0, 3]]),)))
-    yield I.InverseSystem((), (), I.CycleTail((zt,), (F.GroupHom(zt, zt, [[5, 0], [1, 2]]),)))
+    yield I.constant_system(F.Z(2), [[2, 1], [0, 3]])
+    yield I.constant_system(F.FgAbGroup.from_diagonal([0, 4]), [[5, 0], [1, 2]])
 
 
 def test_ml_cross_check_catches_a_wrong_determinant(monkeypatch):
@@ -598,9 +596,8 @@ def test_ml_cross_check_catches_a_wrong_lattice_index(monkeypatch):
         return index + 1 if I._hermite_split(self)[0] else index
 
     monkeypatch.setattr(F.Subgroup, "index_in", shifted)
-    z2g = F.Z(2)
     # a singular free block, whose free factor comes from the charpoly
-    singular = I.InverseSystem((), (), I.CycleTail((z2g,), (F.GroupHom(z2g, z2g, [[2, 1], [0, 0]]),)))
+    singular = I.constant_system(F.Z(2), [[2, 1], [0, 0]])
     for s in [*_failing_cycles(), singular]:
         with pytest.raises(AssertionError, match="not a constant >= 2"):
             I.is_mittag_leffler(s)
