@@ -388,25 +388,6 @@ def _hermite_split(sub):
     return n_free, basis[n_free:]
 
 
-def _free_unit_index(endo, rank):
-    """|g(0)| for g = charpoly(A) / t^a, A the free block of endo and a the
-    multiplicity of its eigenvalue 0, given the rank of the image lattices
-    A^j Z^r once they have stopped dropping.
-
-    At full rank A is nonsingular and g(0) = +-det A (Bareiss, `det`).
-    Otherwise g(0) is, up to sign, the lowest nonzero coefficient of the
-    exact charpoly (of the columns read as rows: A's transpose has the same
-    charpoly).
-    """
-    r = endo.source.free_rank
-    a_cols = [col[:r] for col in endo.columns()[:r]]
-    if rank == r:
-        return abs(_k.det(a_cols))
-    from prolim import _modpoly
-
-    return abs(next(c for c in _modpoly.charpoly(a_cols) if c))
-
-
 def _image_chain(endo):
     """Walk the image chain C_j = Im(endo^j) of an endomorphism until it settles.
 
@@ -424,19 +405,20 @@ def _image_chain(endo):
     for nested B <= A of finite index, [endo(A) : endo(B)] is [A : B]
     divided by [ker & A : ker & B], and the kernel of endo on C_{s-1} is
     finite (C_s has the same rank), so it lies in the torsion part, which
-    C_{s-1} and C_s share.  It is checked at two consecutive periods by two
-    independent exact computations.  c0 = [C_{s-1} : C_s] is measured on
-    the Hermite lattices.  c1 = [C_s : C_{s+1}] comes from the exact
-    sequence 0 -> C & T -> C -> pi(C) -> 0, with pi the projection to the
-    free part Z^r, without building C_{s+1}: the index multiplies along it,
-    so c1 = [pi(C_s) : A pi(C_s)] * [tau_s : endo(tau_s)], where A is the
-    free block of endo and tau_s the torsion part of C_s.  pi(C_s) =
-    A^s Z^r spans the sum of A's non-nilpotent generalized eigenspaces, on
-    which A acts with charpoly g = charpoly(A) / t^a, so the first factor
-    is |g(0)| (`_free_unit_index`), read off a determinant or a charpoly
-    that no Hermite reduction touches.  The second is an index of torsion lattices, where
+    C_{s-1} and C_s share.  It is checked at two consecutive periods.
+    c0 = [C_{s-1} : C_s] is measured on the Hermite lattices.  When the
+    settled rank is the ambient free rank r, c1 = [C_s : C_{s+1}] comes
+    from the exact sequence 0 -> C & T -> C -> pi(C) -> 0, with pi the
+    projection to the free part Z^r, without building C_{s+1}: the index
+    multiplies along it, so c1 = [pi(C_s) : A pi(C_s)] * [tau_s : endo(tau_s)],
+    where A is the free block of endo and tau_s the torsion part of C_s.
+    Here pi(C_s) has finite index in Z^r and A is nonsingular, so the first
+    factor is |det A|, read off a determinant (`det`) that no Hermite
+    reduction touches; the second is an index of torsion lattices, where
     `index_in` checks endo(tau_s) <= tau_s.  A fault in the walk's Hermite
     bases, pushes or stop rule, or in the formula, makes c0 and c1 differ.
+    Below rank r, c1 is measured on the lattices too, on C_{s+1} =
+    endo(C_s).
     The returned index is c1, which then equals the lattice-measured c0.
     """
     cur = Subgroup.full(endo.source)
@@ -450,8 +432,13 @@ def _image_chain(endo):
         steps += 1
         if nxt_rank == rank and nxt_tors == tors:
             c0 = nxt.index_in(cur)
-            tau = Subgroup(endo.source, nxt_tors)
-            c1 = _free_unit_index(endo, nxt_rank) * _push(endo, tau).index_in(tau)
+            r = endo.source.free_rank
+            if nxt_rank == r:
+                tau = Subgroup(endo.source, nxt_tors)
+                free = _k.det([col[:r] for col in endo.columns()[:r]])
+                c1 = abs(free) * _push(endo, tau).index_in(tau)
+            else:
+                c1 = _push(endo, nxt).index_in(nxt)
             if c0 is None or c0 < 2 or c0 != c1:
                 raise AssertionError(
                     f"failing chain index is not a constant >= 2: {c0}, {c1}"
@@ -505,10 +492,11 @@ class MLLevel:
     (verified one further period); index: for failures, the constant index
     of Im(f_{n,m+p}) inside Im(f_{n,m}), checked at two consecutive
     periods, m-p -> m and m -> m+p (s-1 -> s and s -> s+1 in the steps of
-    `_image_chain`).  The first is measured on the Hermite lattices, the
-    second from the free block's determinant (or the lowest nonzero
-    coefficient of its charpoly) times the torsion part's index; the two
-    must agree, so the recorded index is a lattice index.
+    `_image_chain`).  The first is measured on the Hermite lattices; the
+    second, when the free rank does not drop, from the free block's
+    determinant times the torsion part's index, and otherwise on the
+    lattices as well.  The two must agree, so the recorded index is a
+    lattice index.
 
     On a tower tail every entry is stable: the certificate verifies that each
     drop map of the first period (levels k+1..k+p) is surjective, so every
