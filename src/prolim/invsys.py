@@ -415,7 +415,7 @@ def _image_chain(endo):
     Here pi(C_s) has finite index in Z^r and A is nonsingular, so the first
     factor is |det A|, read off a determinant (`det`) that no Hermite
     reduction touches; the second is an index of torsion lattices, where
-    `index_in` checks endo(tau_s) <= tau_s.  A fault in the walk's Hermite
+    `index_in` checks endo(tau_s) <= tau_s, and 1 when tau_s = 0.  A fault in the walk's Hermite
     bases, pushes or stop rule, or in the formula, makes c0 and c1 differ.
     Below rank r, c1 is measured on the lattices too, on C_{s+1} =
     endo(C_s).
@@ -434,9 +434,10 @@ def _image_chain(endo):
             c0 = nxt.index_in(cur)
             r = endo.source.free_rank
             if nxt_rank == r:
-                tau = Subgroup(endo.source, nxt_tors)
-                free = _k.det([col[:r] for col in endo.columns()[:r]])
-                c1 = abs(free) * _push(endo, tau).index_in(tau)
+                c1 = abs(_k.det([col[:r] for col in endo.columns()[:r]]))
+                if nxt_tors:
+                    tau = Subgroup(endo.source, nxt_tors)
+                    c1 *= _push(endo, tau).index_in(tau)
             else:
                 c1 = _push(endo, nxt).index_in(nxt)
             if c0 is None or c0 < 2 or c0 != c1:
