@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import reprlib
 from dataclasses import dataclass, field
+from math import prod
 from operator import mod
 
 from prolim._backend import kernel as _k
@@ -516,6 +517,13 @@ class Subgroup:
 
     def index_in(self, other):
         """[other : self] for self <= other; None when the index is infinite."""
+        if other.is_full():
+            # every vector lies in Z^dim, whose Hermite basis is the identity:
+            # the index is the product of self's pivots
+            basis = self.lattice_basis()
+            if len(basis) != self.ambient.dim:
+                return None
+            return prod(c[i] for i, c in enumerate(basis))
         b_big = other.lattice_basis()
         coords = [_k.lattice_coordinates(b_big, col) for col in self.lattice_basis()]
         if None in coords:

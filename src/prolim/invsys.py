@@ -391,35 +391,89 @@ def _hermite_split(sub):
 def _image_chain(endo):
     """Walk the image chain C_j = Im(endo^j) of an endomorphism until it settles.
 
-    Returns (steps, index).  The chain is pushed while it makes strict
-    progress in rank or in its torsion part, both read off each term's
-    Hermite basis by `_hermite_split`.  If it becomes constant, C_steps is
-    its value and index is None.  Otherwise it settles at s = steps: the
-    chain never stabilizes, but its torsion part is already final.  Torsion
-    maps to torsion, so the torsion part C_j & T equals endo^j(P_j) with
-    P_j = {x : endo^j(x) in T}.  Once the rank stops dropping, the kernels
-    of the free-part powers have stopped growing, so P_j is one fixed P,
-    and a torsion part endo^j(P) that repeats once repeats forever.
+    Returns (steps, index).  If the chain becomes constant, C_steps is its
+    value and index is None.  Otherwise it settles at s = steps: the chain
+    never stabilizes, but its torsion part C_j & T is final from s - 1 on,
+    and index is the constant [C_j : C_{j+1}] >= 2 of every j >= s - 1.
 
-    The index [C_j : C_{j+1}] is then one constant >= 2 for all j >= s - 1:
-    for nested B <= A of finite index, [endo(A) : endo(B)] is [A : B]
-    divided by [ker & A : ker & B], and the kernel of endo on C_{s-1} is
-    finite (C_s has the same rank), so it lies in the torsion part, which
-    C_{s-1} and C_s share.  It is checked at two consecutive periods.
-    c0 = [C_{s-1} : C_s] is measured on the Hermite lattices.  When the
-    settled rank is the ambient free rank r, c1 = [C_s : C_{s+1}] comes
-    from the exact sequence 0 -> C & T -> C -> pi(C) -> 0, with pi the
-    projection to the free part Z^r, without building C_{s+1}: the index
-    multiplies along it, so c1 = [pi(C_s) : A pi(C_s)] * [tau_s : endo(tau_s)],
-    where A is the free block of endo and tau_s the torsion part of C_s.
-    Here pi(C_s) has finite index in Z^r and A is nonsingular, so the first
-    factor is |det A|, read off a determinant (`det`) that no Hermite
-    reduction touches; the second is an index of torsion lattices, where
-    `index_in` checks endo(tau_s) <= tau_s, and 1 when tau_s = 0.  A fault in the walk's Hermite
-    bases, pushes or stop rule, or in the formula, makes c0 and c1 differ.
-    Below rank r, c1 is measured on the lattices too, on C_{s+1} =
-    endo(C_s).
-    The returned index is c1, which then equals the lattice-measured c0.
+    Write G = Z^r + T and split endo into its free block A (the first r
+    rows and columns; torsion columns are zero there), and its torsion
+    block phi (the last rows and columns), an endomorphism of T.  Let pi
+    be the projection to Z^r and d = |det A| (1 when r = 0).
+
+    When d != 0, two facts reduce the walk to T.  First, C_j & T =
+    endo^j(T) = phi^j(T) =: tau_j: if endo^j(x) lies in T, then
+    A^j pi(x) = 0, so pi(x) = 0 and x lies in T.  Second, pi(C_j) =
+    A^j Z^r.  The index multiplies along 0 -> C & T -> C -> pi(C) -> 0,
+    so [C_j : C_{j+1}] = d * [tau_j : tau_{j+1}], and the stop rule
+    depends only on the torsion chain, which is walked in the coordinates
+    of T alone (not at all when T = 0).  Let s be the first j >= 1 with
+    tau_j = tau_{j-1}.  When d = 1, C_s = C_{s-1} and the result is
+    (s - 1, None).  Otherwise the index is c1 = d * [tau_s : phi(tau_s)]
+    = d, as phi(tau_s) = phi(tau_{s-1}) = tau_s, and its determinant
+    comes from an elimination (`det`) that no Hermite reduction touches.
+
+    c1 is checked against c0 = [C_{s-1} : C_s], measured through the one
+    lattice of positive free rank the walk reduces, Im endo.  For nested
+    B <= A of finite index and a hom h, [h(A) : h(B)] = [A : B] divided by
+    [ker h & A : ker h & B]; with h = endo^(s-1), A = G and B = C_1,
+    c0 = [G : C_1] / [K : K & C_1] for K = ker endo^(s-1).  K is finite,
+    so by the first fact it lies in T: K = ker phi^(s-1), and K & C_1 =
+    K & tau_1.  [G : C_1] is the product of the Hermite pivots of Im endo
+    (`index_in` against the full group), and [K : K & tau_1] =
+    [K + tau_1 : tau_1] is an index of torsion lattices.  A fault in det,
+    in that Hermite basis, or in the torsion walk or its stop rule makes
+    c0 and c1 differ.
+
+    When d = 0 the walk is `_singular_image_chain`, on the lattices.
+    """
+    g = endo.source
+    r = g.free_rank
+    cols = endo.columns()
+    d = abs(_k.det([col[:r] for col in cols[:r]])) if r else 1
+    if not d:
+        return _singular_image_chain(endo)
+    t = FgAbGroup(0, g.torsion)
+    phi = GroupHom.from_columns(t, t, [col[r:] for col in cols[r:]], check=False)
+    taus = [Subgroup.full(t)]
+    while t.dim:
+        nxt = _push(phi, taus[-1])
+        if nxt.equals(taus[-1]):
+            break
+        taus.append(nxt)
+    s = len(taus)
+    if d == 1:
+        return s - 1, None
+    g_index = image(endo).index_in(Subgroup.full(g))
+    k_index = 1
+    if s >= 2:
+        power = phi
+        for _ in range(s - 2):
+            power = phi.compose(power)
+        ker = _k.kernel_columns([*power.columns(), *t.relation_columns()])
+        tau1 = taus[1]
+        k_sum = Subgroup(t, [col[: t.dim] for col in ker] + list(tau1.generators))
+        k_index = tau1.index_in(k_sum)
+    c0 = g_index // k_index if g_index and not g_index % k_index else None
+    _check_chain_index(c0, d)
+    return s, d
+
+
+def _singular_image_chain(endo):
+    """`_image_chain` when the free block is singular, walked on lattices.
+
+    The chain is pushed while it makes strict progress in rank or in its
+    torsion part, both read off each term's Hermite basis by
+    `_hermite_split`.  Torsion maps to torsion, so the torsion part C_j & T
+    equals endo^j(P_j) with P_j = {x : endo^j(x) in T}.  Once the rank
+    stops dropping, the kernels of the free-part powers have stopped
+    growing, so P_j is one fixed P, and a torsion part endo^j(P) that
+    repeats once repeats forever.  The index [C_j : C_{j+1}] is then one
+    constant for all j >= s - 1 (by the index identity of `_image_chain`:
+    the kernel of endo on C_{s-1} is finite, as C_s has the same rank, so
+    it lies in the torsion part, which C_{s-1} and C_s share).  Both
+    c0 = [C_{s-1} : C_s] and c1 = [C_s : C_{s+1}] are measured on the
+    Hermite lattices, and the returned c1 must equal c0.
     """
     cur = Subgroup.full(endo.source)
     rank, tors = _hermite_split(cur)
@@ -431,21 +485,15 @@ def _image_chain(endo):
         nxt_rank, nxt_tors = _hermite_split(nxt)
         steps += 1
         if nxt_rank == rank and nxt_tors == tors:
-            c0 = nxt.index_in(cur)
-            r = endo.source.free_rank
-            if nxt_rank == r:
-                c1 = abs(_k.det([col[:r] for col in endo.columns()[:r]]))
-                if nxt_tors:
-                    tau = Subgroup(endo.source, nxt_tors)
-                    c1 *= _push(endo, tau).index_in(tau)
-            else:
-                c1 = _push(endo, nxt).index_in(nxt)
-            if c0 is None or c0 < 2 or c0 != c1:
-                raise AssertionError(
-                    f"failing chain index is not a constant >= 2: {c0}, {c1}"
-                )
+            c1 = _push(endo, nxt).index_in(nxt)
+            _check_chain_index(nxt.index_in(cur), c1)
             return steps, c1
         cur, rank, tors = nxt, nxt_rank, nxt_tors
+
+
+def _check_chain_index(c0, c1):
+    if c0 is None or c0 < 2 or c0 != c1:
+        raise AssertionError(f"failing chain index is not a constant >= 2: {c0}, {c1}")
 
 
 def eventual_image(endo):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prolim import fgab as F
+from prolim._backend import kernel as K
 from prolim.errors import EnumerationCapExceeded, InputError
 
 from conftest import hom_is_zero, random_group, random_hom
@@ -411,6 +412,43 @@ def test_index_in_matches_smith_reference_on_free_and_mixed_groups():
         assert a.index_in(b) == abs(prod(K.smith_diagonal(d)))
         finite += 1
     assert finite > 20
+
+
+def _coordinate_index(a, b):
+    # [b : a] from a's Hermite basis in b's lattice coordinates: nested
+    # lattices of equal rank give a triangular matrix, whose diagonal
+    # multiplies to the index
+    big = b.lattice_basis()
+    coords = [K.lattice_coordinates(big, col) for col in a.lattice_basis()]
+    assert None not in coords
+    if len(coords) != len(big):
+        return None
+    return prod(c[i] for i, c in enumerate(coords))
+
+
+def test_index_in_a_full_subgroup_matches_the_coordinate_route():
+    # the brute-force pairs of the finite-group test, then subgroups of
+    # mixed groups against the full subgroup, where index_in multiplies
+    # the Hermite pivots instead of solving for coordinates
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_group(rng, max_rank=0)
+        a, b = _random_nested_pair(rng, g)
+        assert a.index_in(b) == _coordinate_index(a, b)
+        full = F.Subgroup.full(g)
+        assert a.index_in(full) == _coordinate_index(a, full)
+        assert a.index_in(full) == g.order() // len(_span(g, a.generators))
+    rng = random.Random(41)
+    finite = infinite = 0
+    for _ in range(60):
+        g = random_group(rng, max_rank=3, max_torsion=2)
+        a, _b = _random_nested_pair(rng, g)
+        full = F.Subgroup.full(g)
+        index = a.index_in(full)
+        assert index == _coordinate_index(a, full)
+        finite += index is not None
+        infinite += index is None
+    assert finite >= 10 and infinite >= 10, (finite, infinite)
 
 
 def test_index_in_rejects_a_pair_that_is_not_nested():

@@ -542,9 +542,9 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_image_chain_index_comes_from_det_at_full_rank(monkeypatch):
-    # the second-period index is |det A| times a torsion index when the
-    # settled rank is the ambient free rank; below it, and on a stable
-    # walk, det is not called; the charpoly never is, and the lattice push
+    # det runs once on every walk of positive free rank, stable, full or
+    # singular: it picks the torsion walk or the lattice walk, and at full
+    # rank it is the index; the charpoly never runs, and the lattice push
     # stays the oracle
     calls = {"det": 0, "charpoly": 0}
     _counting(monkeypatch, K, "det", calls)
@@ -559,9 +559,58 @@ def test_image_chain_index_comes_from_det_at_full_rank(monkeypatch):
         assert I._image_chain(endo) == (steps, index)
         full = not stable and I._hermite_split(anchor)[0] == endo.source.free_rank
         kind = "stable" if stable else "full" if full else "singular"
-        assert calls == {"det": int(full), "charpoly": 0}
+        assert calls == {"det": int(endo.source.free_rank > 0), "charpoly": 0}
         seen[kind] += 1
     assert min(seen.values()) >= 80, seen
+
+
+def _wide_endo(rng):
+    # rank <= 8 and up to three torsion factors with long torsion chains
+    factors = (2, 3, 4, 6, 8, 9, 12, 16, 27)
+    g = random_group(rng, max_rank=8, factors=factors, max_torsion=3)
+    return g, random_hom(rng, g, g, bound=2)
+
+
+def test_image_chain_matches_the_lattice_reference_on_long_torsion_chains():
+    rng = random.Random(1818)
+    long_failing = singular = 0
+    for _ in range(1500):
+        g, endo = _wide_endo(rng)
+        stable, steps, anchor = _reference_image_chain(endo)
+        index = None if stable else I._push(endo, anchor).index_in(anchor)
+        assert I._image_chain(endo) == (steps, index)
+        long_failing += not stable and steps >= 3
+        singular += I._hermite_split(anchor)[0] < g.free_rank
+    assert long_failing >= 100 and singular >= 100, (long_failing, singular)
+
+
+def test_nonsingular_walk_reduces_one_lattice_of_positive_free_rank(monkeypatch):
+    # a walk whose free block is nonsingular runs on the torsion part: a
+    # failing one Hermite-reduces Im(endo) and no other lattice of positive
+    # free rank, whatever its number of steps, and a stable one none
+    lattice_basis = F.Subgroup.lattice_basis
+    reduced = []
+
+    def counted(self):
+        if self._basis is None and self.ambient.free_rank:
+            reduced.append(self)
+        return lattice_basis(self)
+
+    monkeypatch.setattr(F.Subgroup, "lattice_basis", counted)
+    rng = random.Random(2929)
+    steps_seen = set()
+    for _ in range(400):
+        g, endo = _wide_endo(rng)
+        r = g.free_rank
+        if not r or not K.det([col[:r] for col in endo.columns()[:r]]):
+            continue
+        reduced.clear()
+        steps, index = I._image_chain(endo)
+        assert len(reduced) == (index is not None)
+        if index is not None:
+            assert reduced[0].lattice_basis() == F.image(endo).lattice_basis()
+            steps_seen.add(steps)
+    assert {1, 2, 3, 4} <= steps_seen, steps_seen
 
 
 def _failing_cycles():
@@ -644,16 +693,35 @@ def _change_of_basis(rng, g):
     return phi, phi_inv
 
 
-def test_verdicts_and_stable_images_survive_a_change_of_basis():
+def _unit_factor_cycle(rng):
+    # a period-1 cycle on Z^3 + Z/4 whose free block is diag(1, 2, 3) in a
+    # seeded basis: its charpoly (t - 1)(t - 2)(t - 3) has the unit factor
+    # t - 1 and |det| 6, so the eventual image needs the integer charpoly
+    # and its unit part
+    g = F.FgAbGroup(3, (4,))
+    phi, phi_inv = _change_of_basis(rng, g)
+    rows = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, rng.choice((1, 2, 3))]]
+    endo = phi.compose(F.GroupHom(g, g, rows)).compose(phi_inv)
+    junction = random_hom(rng, g, F.Z(2), bound=2)
+    return I.InverseSystem([F.Z(2)], [junction], I.CycleTail((g,), (endo,)))
+
+
+def test_verdicts_and_stable_images_survive_a_change_of_basis(monkeypatch):
     # every tail group of a cycle of period 1..3 is conjugated by its own
     # change of basis phi_j: map j becomes phi_j f_j phi_{j+1}^-1, and the
     # junction into the prefix absorbs phi_0^-1
     from prolim import classify as C
 
+    calls = {"unit_part": 0}
+    _counting(monkeypatch, M, "unit_part", calls)
     rng = random.Random(4096)
     moved = failing = 0
-    for i in range(120):
-        if i % 2:
+    for i in range(121):
+        if i == 120:
+            # the last cycle takes the fallback of the eventual image
+            s = _unit_factor_cycle(rng)
+            calls["unit_part"] = 0
+        elif i % 2:
             s = random_mixed_cycle_system(rng, max_period=3)
         else:
             gen = functools.partial(random_small_group, max_rank=3)
@@ -684,3 +752,4 @@ def test_verdicts_and_stable_images_survive_a_change_of_basis():
             failing += len(cert.failure_levels())
     assert moved >= 60
     assert failing >= 20
+    assert calls["unit_part"] >= 2

@@ -84,6 +84,28 @@ def test_splitting_check_mixed_all_sections():
     assert all(r.ok for r in results)
 
 
+def test_sandwich_identity_is_checked_once_per_context(monkeypatch):
+    prod = mixed_space()
+    ctx = T.SplittingContext(prod)
+    masks = []
+    map_bits = T._map_bits
+
+    def counted(table, mask):
+        masks.append(mask)
+        return map_bits(table, mask)
+
+    monkeypatch.setattr(T, "_map_bits", counted)
+    per_section = []
+    for sec in ctx.sections():
+        masks.clear()
+        rep = T.splitting_check(prod, sec, ctx)
+        assert rep.ok
+        assert rep.opens_checked == len(ctx.basis) + len(ctx.inverse_masks) + len(ctx.sandwich)
+        per_section.append(len(masks))
+    fixed = len(ctx.basis) + len(ctx.inverse_masks)
+    assert per_section == [fixed + len(ctx.sandwich)] + [fixed] * 8
+
+
 def test_splitting_check_rejects_non_section():
     prod = mixed_space()
     ctx = T.SplittingContext(prod)
