@@ -415,15 +415,15 @@ def _image_chain(endo):
 
     c1 is checked against c0 = [C_{s-1} : C_s], measured through the one
     lattice of positive free rank the walk reduces, Im endo.  For nested
-    B <= A of finite index and a hom h, [h(A) : h(B)] = [A : B] divided by
-    [ker h & A : ker h & B]; with h = endo^(s-1), A = G and B = C_1,
-    c0 = [G : C_1] / [K : K & C_1] for K = ker endo^(s-1).  K is finite,
-    so by the first fact it lies in T: K = ker phi^(s-1), and K & C_1 =
-    K & tau_1.  [G : C_1] is the product of the Hermite pivots of Im endo
-    (`index_in` against the full group), and [K : K & tau_1] =
-    [K + tau_1 : tau_1] is an index of torsion lattices.  A fault in det,
-    in that Hermite basis, or in the torsion walk or its stop rule makes
-    c0 and c1 differ.
+    N <= M of finite index and a hom h, [h(M) : h(N)] = [M : N] divided by
+    [ker h & M : ker h & N]; with h = endo^(s-1), M = G and N = C_1,
+    c0 = [G : C_1] / [K : K & C_1] for K = ker endo^(s-1).  K lies in T,
+    by the argument of the first fact (endo^(s-1)(x) = 0 lies in T), so
+    K = ker phi^(s-1) and K & C_1 = K & tau_1.  [G : C_1] is the product
+    of the Hermite pivots of Im endo (`index_in` against the full group),
+    and [K : K & tau_1] = [K + tau_1 : tau_1] is an index of torsion
+    lattices.  A fault in det, in that Hermite basis, or in the torsion
+    walk or its stop rule makes c0 and c1 differ.
 
     When d = 0 the walk is `_singular_image_chain`, on the lattices.
     """
@@ -433,15 +433,17 @@ def _image_chain(endo):
     d = abs(_k.det([col[:r] for col in cols[:r]])) if r else 1
     if not d:
         return _singular_image_chain(endo)
-    t = FgAbGroup(0, g.torsion)
-    phi = GroupHom.from_columns(t, t, [col[r:] for col in cols[r:]], check=False)
-    taus = [Subgroup.full(t)]
-    while t.dim:
-        nxt = _push(phi, taus[-1])
-        if nxt.equals(taus[-1]):
-            break
-        taus.append(nxt)
-    s = len(taus)
+    s = 1
+    if g.torsion:
+        phi = _torsion_block(endo)
+        t = phi.source
+        taus = [Subgroup.full(t)]
+        while True:
+            nxt = _push(phi, taus[-1])
+            if nxt.equals(taus[-1]):
+                break
+            taus.append(nxt)
+        s = len(taus)
     if d == 1:
         return s - 1, None
     g_index = image(endo).index_in(Subgroup.full(g))
@@ -457,6 +459,17 @@ def _image_chain(endo):
     c0 = g_index // k_index if g_index and not g_index % k_index else None
     _check_chain_index(c0, d)
     return s, d
+
+
+def _torsion_block(endo):
+    """The torsion block of an endomorphism of Z^r + T, as an endomorphism
+    of T (endo itself when r = 0)."""
+    g = endo.source
+    r = g.free_rank
+    if not r:
+        return endo
+    t = FgAbGroup(0, g.torsion)
+    return GroupHom.from_columns(t, t, [col[r:] for col in endo.columns()[r:]], check=False)
 
 
 def _singular_image_chain(endo):
@@ -541,11 +554,14 @@ class MLLevel:
     (verified one further period); index: for failures, the constant index
     of Im(f_{n,m+p}) inside Im(f_{n,m}), checked at two consecutive
     periods, m-p -> m and m -> m+p (s-1 -> s and s -> s+1 in the steps of
-    `_image_chain`).  The first is measured on the Hermite lattices; the
-    second, when the free rank does not drop, from the free block's
-    determinant times the torsion part's index, and otherwise on the
-    lattices as well.  The two must agree, so the recorded index is a
-    lattice index.
+    `_image_chain`).  With a nonsingular free block A the second is
+    |det A|, and the first is measured through the one lattice of positive
+    free rank the walk reduces: the index of Im(endo) in the level's group,
+    the product of its Hermite pivots, divided by the index of torsion
+    lattices [K : K & Im(endo)] for the kernel K of endo^(s-1), which lies
+    in the torsion part.  With a singular A both are measured on the
+    Hermite lattices of the chain.  The two must agree, so the recorded
+    index is also a lattice index.
 
     On a tower tail every entry is stable: the certificate verifies that each
     drop map of the first period (levels k+1..k+p) is surjective, so every
