@@ -2,7 +2,10 @@
 
 Lattices, kernels and solutions are all read off one Hermite (echelon)
 column basis: `kernel_columns` and `solve` reduce the columns of A stacked
-over unit cofactor vectors.  The Smith form serves only cokernel
+over unit cofactor vectors.  The Hermite reduction is an echelon pass
+(`echelon_column_basis`) followed by a back-reduction of each pivot row;
+a lattice index in Z^dim needs only the pivots, so it can stop after the
+echelon pass.  The Smith form serves only cokernel
 presentations, which need invariant factors.  Every entry point takes a
 matrix as the plain list of its columns, of Python ints, so arbitrary
 precision is preserved throughout.  Only `smith_with_transforms` hands
@@ -225,12 +228,13 @@ def smith_diagonal(d):
     return [d[i][i] for i in range(min(m, n))]
 
 
-def hermite_column_basis(cols, dim):
-    """Column-style Hermite basis of the lattice spanned by `cols` in Z^dim.
+def echelon_column_basis(cols, dim):
+    """Echelon basis of the lattice spanned by `cols` in Z^dim: the first
+    pass of `hermite_column_basis`, without its back-reduction.
 
-    Echelon columns with positive pivots, pivot rows increasing, and other
-    columns' entries at each pivot row reduced into [0, pivot): canonical
-    for the lattice, so directly comparable.
+    Columns with positive pivots and pivot rows increasing, each zero
+    above its pivot row.  The pivots are the Hermite basis's pivots, so
+    when the lattice has full rank dim, their product is its index in Z^dim.
     """
     work = [list(c) for c in cols if any(c)]
     basis = []
@@ -267,16 +271,33 @@ def hermite_column_basis(cols, dim):
                         rest.append(c)
             live = nxt
         piv = live[0]
-        if piv[r] < 0:
-            piv = [-x for x in piv]
+        basis.append([-x for x in piv] if piv[r] < 0 else piv)
+        work = rest
+    return basis
+
+
+def hermite_column_basis(cols, dim):
+    """Column-style Hermite basis of the lattice spanned by `cols` in Z^dim.
+
+    Echelon columns with positive pivots, pivot rows increasing, and other
+    columns' entries at each pivot row reduced into [0, pivot): canonical
+    for the lattice, so directly comparable.  The echelon columns come
+    from `echelon_column_basis`; each one, in pivot order, then reduces the
+    earlier columns at its pivot row.  A column reduces others only before
+    later pivots reduce it, so this is the reduction each echelon step
+    would make as its pivot is found.
+    """
+    basis = echelon_column_basis(cols, dim)
+    for j, piv in enumerate(basis):
+        r = 0
+        while not piv[r]:
+            r += 1
         p = piv[r]
-        for b in basis:
+        for b in basis[:j]:
             q = b[r] // p
             if q:
-                for k in rows:
+                for k in range(r, dim):
                     b[k] -= q * piv[k]
-        basis.append(piv)
-        work = rest
     return basis
 
 

@@ -8,7 +8,18 @@ irreducible factors of charpoly(N) mod p with total degree d and constant
 product +-1 mod p.  `no_unit_factor` collects, for a few fixed primes, the
 degrees such sub-multisets can have; when no degree d >= 1 is possible at
 every prime, N has no unit factor.  The proof needs no integer charpoly:
-charpoly(N) mod p comes from a Hessenberg reduction mod p.  When the proof
+charpoly(N) mod p comes from a Hessenberg reduction mod p, and
+`unit_degrees` needs only the degree, constant term and multiplicity of
+each irreducible factor mod p.  It finds the linear ones from the roots,
+read off one evaluation at every point of F_p at once: row i of a power
+table packs a**i mod p for a = 0..p-1 into 32-bit slots, so
+sum(f[i] * row i) holds f(a) in slot a.  The rows grow as far as a degree
+needs, and depend only on p.  Each slot of the sum is at most
+(n + 1) * (p - 1)**2 < 2**32 for n = deg f, so none carries.  A rest
+without roots is split further only from degree 4 on, by the same
+square-free, distinct- and equal-degree steps that `factor_mod` runs.  `factor_mod`
+keeps its own route through them: Hensel lifting and the digest read its
+factors in the order it lists them.  When the proof
 fails, `unit_part` factors the integer charpoly over Z (Zassenhaus: factor
 mod p, Hensel lifting, recombination) and keeps the unit factors.  The
 integer charpoly is itself read off charpoly(N) mod large primes, joined
@@ -20,10 +31,11 @@ characteristic zero holds.  Polynomials are lists of coefficients,
 ascending, with a nonzero last entry; [] is zero.  Over F_p the entries
 lie in [0, p).  Every function takes and returns such lists, and gcds,
 exact divisions, the square-free split and the Hensel and Zassenhaus
-steps work on them.  Inside `factor_mod`, the residues modulo the
-polynomial being split are packed instead (`_Residues`, Kronecker
-substitution): coefficient i of a residue sits in the W-bit slot i of one
-int, so a product of residues is one int multiplication.  This serves
+steps work on them.  In the distinct- and equal-degree steps, the
+residues modulo the polynomial being split are packed instead
+(`_Residues`, Kronecker substitution): coefficient i of a residue sits in
+the W-bit slot i of one int, so a product of residues is one int
+multiplication.  This serves
 x**p mod f, the table of x**(i*p) mod f and its use in the distinct-degree
 step, and the power a**((p**d - 1) / 2) of the equal-degree step.  A slot
 of a product is a sum of at most n products of coefficients in [0, p),
@@ -189,9 +201,9 @@ def _squarefree(f, p):
     return out
 
 
-def _distinct_degree(f, p):
+def _distinct_degree(f, p, low=1):
     """[(g, d)]: g is the product of the degree-d irreducible factors of a
-    monic square-free f."""
+    monic square-free f, which has none of degree < low."""
     out = []
     x = [0, 1]
     if len(f) > 2:
@@ -206,6 +218,8 @@ def _distinct_degree(f, p):
         d += 1
         # h = x**(p**d) mod the original f, which the current f divides
         h = ring.unpack(sum(map(operator.mul, h, frob)))
+        if d < low:
+            continue
         g = _monic_gcd(f, _sub(h, x, p), p)
         if len(g) > 1:
             out.append((g, d))
@@ -321,14 +335,89 @@ def charpoly(a):
     return [x - m if 2 * x > m else x for x in coeffs]
 
 
+# p -> (slots, rows) of `_power_table`
+_POWERS = {}
+
+
+def _power_table(p, n):
+    """(slots, rows): rows 0..n (at least) of the power table of F_p, whose
+    row i packs a**i mod p into the 32-bit slot a, for a = 0..p-1, and the
+    struct that reads those slots.  The rows depend only on p; they are
+    built once, as far as a caller needs them."""
+    if (n + 1) * (p - 1) ** 2 >= 1 << 32:
+        raise ValueError(f"evaluations of degree {n} over F_{p} do not fit 32-bit slots")
+    table = _POWERS.get(p)
+    if table is None:
+        slots = struct.Struct(f"<{p}I")
+        table = _POWERS[p] = (slots, [int.from_bytes(slots.pack(*[1] * p), "little")])
+    slots, rows = table
+    if len(rows) <= n:
+        vals = slots.unpack(rows[-1].to_bytes(slots.size, "little"))
+        while len(rows) <= n:
+            vals = [v * a % p for a, v in enumerate(vals)]
+            rows.append(int.from_bytes(slots.pack(*vals), "little"))
+    return table
+
+
+def _roots(f, p):
+    """The roots of f in F_p, ascending, from one evaluation at every point
+    of F_p at once: sum(f[i] * row i) of the power table holds f(a) in
+    slot a, before its reduction mod p."""
+    slots, rows = _power_table(p, len(f) - 1)
+    values = slots.unpack(sum(map(operator.mul, f, rows)).to_bytes(slots.size, "little"))
+    return [a for a, v in enumerate(values) if not v % p]
+
+
+def _divide_root(f, a, p):
+    """(quotient, remainder) of f by t - a over F_p (synthetic division);
+    the remainder is f(a)."""
+    q = [0] * (len(f) - 1)
+    c = 0
+    for i in range(len(f) - 1, 0, -1):
+        c = (f[i] + a * c) % p
+        q[i - 1] = c
+    return q, (f[0] + a * c) % p
+
+
 def unit_degrees(f, p):
     """Degrees d >= 1 of the sub-multisets of the irreducible factors of a
-    monic f over F_p whose constant terms multiply to +-1."""
+    monic f over F_p whose constant terms multiply to +-1, for deg f < p.
+
+    Only each factor's degree, constant term and multiplicity matter, so
+    the factors are not listed as `factor_mod` lists them.  The factor
+    t**k is dropped: a constant 0 never joins a product +-1.  The linear
+    factors t - a come from the roots a (`_roots`), each divided out as
+    often as it divides.  A reducible polynomial of degree <= 3 has a
+    root, so a rest without roots of degree <= 3 is irreducible, and so
+    is each square-free part of degree <= 3 of a longer rest.  Only a
+    part of degree >= 4 builds a `_Residues` ring, for the distinct-degree
+    step (from degree 2, as no factor is linear) and the equal-degree step.
+    """
+    k = 0
+    while not f[k]:
+        k += 1
+    f = f[k:]
+    factors = []  # (degree, constant term, multiplicity)
+    for a in _roots(f, p) if len(f) > 1 else ():
+        m = 0
+        while len(f) > 1:
+            q, rem = _divide_root(f, a, p)
+            if rem:
+                break
+            f = q
+            m += 1
+        factors.append((1, -a % p, m))
+    if len(f) > 1:
+        for s, i in [(f, 1)] if len(f) <= 4 else _squarefree(f, p):
+            if len(s) <= 4:
+                factors.append((len(s) - 1, s[0], i))
+                continue
+            for g, d in _distinct_degree(s, p, 2):
+                factors.extend((d, h[0], i) for h in _equal_degree(g, d, p))
     reach = {(0, 1)}
-    for g, i in factor_mod(f, p):
-        step = len(g) - 1
+    for step, c, i in factors:
         for _ in range(i):
-            reach |= {(d + step, c * g[0] % p) for d, c in reach}
+            reach |= {(d + step, x * c % p) for d, x in reach}
     return {d for d, c in reach if d and c in (1, p - 1)}
 
 

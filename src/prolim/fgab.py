@@ -414,10 +414,12 @@ class Subgroup:
     __slots__ = ("ambient", "generators", "_basis", "_pres", "_incl")
 
     def __init__(self, ambient, generators):
+        self._set(ambient, tuple(ambient.reduce(g) for g in generators), None)
+
+    def _set(self, ambient, generators, basis):
         object.__setattr__(self, "ambient", ambient)
-        gens = tuple(ambient.reduce(g) for g in generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_pres", None)
         object.__setattr__(self, "_incl", None)
 
@@ -426,10 +428,12 @@ class Subgroup:
 
     @classmethod
     def full(cls, ambient):
-        # the relations lie in Z^dim, whose Hermite basis is the identity
+        # the unit vectors are already reduced (a torsion entry 1 lies in
+        # [0, d) for every d >= 2), and the relations lie in Z^dim, whose
+        # Hermite basis is the identity
         ident = _k.identity_matrix(ambient.dim)
-        sub = cls(ambient, ident)
-        object.__setattr__(sub, "_basis", ident)
+        sub = cls.__new__(cls)
+        sub._set(ambient, tuple(map(tuple, ident)), ident)
         return sub
 
     @classmethod
@@ -446,13 +450,24 @@ class Subgroup:
             gens.append(tuple(v))
         return cls(ambient, gens)
 
+    def _lattice_columns(self):
+        return [list(g) for g in self.generators] + self.ambient.relation_columns()
+
     def lattice_basis(self):
         """Hermite basis (list of columns) of span(generators) + relations."""
         b = self._basis
         if b is None:
-            cols = [list(g) for g in self.generators] + self.ambient.relation_columns()
-            b = _k.hermite_column_basis(cols, self.ambient.dim)
+            b = _k.hermite_column_basis(self._lattice_columns(), self.ambient.dim)
             object.__setattr__(self, "_basis", b)
+        return b
+
+    def echelon_basis(self):
+        """An echelon basis of span(generators) + relations, with the
+        Hermite basis's pivots: that basis when it is cached, and otherwise
+        the echelon pass alone (`echelon_column_basis`), which is not cached."""
+        b = self._basis
+        if b is None:
+            return _k.echelon_column_basis(self._lattice_columns(), self.ambient.dim)
         return b
 
     def _presentation(self):
@@ -516,11 +531,15 @@ class Subgroup:
         return self.normal_form.order()
 
     def index_in(self, other):
-        """[other : self] for self <= other; None when the index is infinite."""
+        """[other : self] for self <= other; None when the index is infinite.
+
+        Against a full subgroup every vector lies in Z^dim, whose Hermite
+        basis is the identity, so the index is the product of self's
+        pivots.  They are read off `echelon_basis`, so an uncached Hermite
+        basis costs only the echelon pass and no back-reduction.
+        """
         if other.is_full():
-            # every vector lies in Z^dim, whose Hermite basis is the identity:
-            # the index is the product of self's pivots
-            basis = self.lattice_basis()
+            basis = self.echelon_basis()
             if len(basis) != self.ambient.dim:
                 return None
             return prod(c[i] for i, c in enumerate(basis))

@@ -388,7 +388,14 @@ def _hermite_split(sub):
     return n_free, basis[n_free:]
 
 
-def _image_chain(endo):
+def _free_det(endo):
+    """|det A| for the free block A of an endomorphism of Z^r + T (its first
+    r rows and columns); 1 when r = 0."""
+    r = endo.source.free_rank
+    return abs(_k.det([col[:r] for col in endo.columns()[:r]])) if r else 1
+
+
+def _image_chain(endo, d=None):
     """Walk the image chain C_j = Im(endo^j) of an endomorphism until it settles.
 
     Returns (steps, index).  If the chain becomes constant, C_steps is its
@@ -399,7 +406,9 @@ def _image_chain(endo):
     Write G = Z^r + T and split endo into its free block A (the first r
     rows and columns; torsion columns are zero there), and its torsion
     block phi (the last rows and columns), an endomorphism of T.  Let pi
-    be the projection to Z^r and d = |det A| (1 when r = 0).
+    be the projection to Z^r and d = |det A| (1 when r = 0), computed by
+    `_free_det` unless the caller passes it (`is_mittag_leffler` computes it
+    once per free rank of the tail).
 
     When d != 0, two facts reduce the walk to T.  First, C_j & T =
     endo^j(T) = phi^j(T) =: tau_j: if endo^j(x) lies in T, then
@@ -420,17 +429,17 @@ def _image_chain(endo):
     c0 = [G : C_1] / [K : K & C_1] for K = ker endo^(s-1).  K lies in T,
     by the argument of the first fact (endo^(s-1)(x) = 0 lies in T), so
     K = ker phi^(s-1) and K & C_1 = K & tau_1.  [G : C_1] is the product
-    of the Hermite pivots of Im endo (`index_in` against the full group),
-    and [K : K & tau_1] = [K + tau_1 : tau_1] is an index of torsion
-    lattices.  A fault in det, in that Hermite basis, or in the torsion
-    walk or its stop rule makes c0 and c1 differ.
+    of the pivots of Im endo (`index_in` against the full group, which
+    runs the echelon pass of the Hermite reduction and not its
+    back-reduction), and [K : K & tau_1] = [K + tau_1 : tau_1] is an index
+    of torsion lattices.  A fault in det, in that echelon pass, or in the
+    torsion walk or its stop rule makes c0 and c1 differ.
 
     When d = 0 the walk is `_singular_image_chain`, on the lattices.
     """
     g = endo.source
-    r = g.free_rank
-    cols = endo.columns()
-    d = abs(_k.det([col[:r] for col in cols[:r]])) if r else 1
+    if d is None:
+        d = _free_det(endo)
     if not d:
         return _singular_image_chain(endo)
     s = 1
@@ -555,9 +564,10 @@ class MLLevel:
     of Im(f_{n,m+p}) inside Im(f_{n,m}), checked at two consecutive
     periods, m-p -> m and m -> m+p (s-1 -> s and s -> s+1 in the steps of
     `_image_chain`).  With a nonsingular free block A the second is
-    |det A|, and the first is measured through the one lattice of positive
+    |det A|, computed once per free rank of the tail and shared by its
+    levels, and the first is measured through the one lattice of positive
     free rank the walk reduces: the index of Im(endo) in the level's group,
-    the product of its Hermite pivots, divided by the index of torsion
+    the product of its echelon pivots, divided by the index of torsion
     lattices [K : K & Im(endo)] for the kernel K of endo^(s-1), which lies
     in the torsion part.  With a singular A both are measured on the
     Hermite lattices of the chain.  The two must agree, so the recorded
@@ -611,6 +621,13 @@ def is_mittag_leffler(s):
     The verdict is decided at the tail levels (prefix chains are images of
     tail chains, and images of eventually constant chains are eventually
     constant); the certificate still records a verified horizon per level.
+
+    Tail levels of equal free rank share det A for the free blocks A of
+    their period composites: for levels n < m of rank r, the free blocks
+    are XY and YX with X the r x r free block of f_{n,m} and Y that of
+    f_{m,n+p}, and det XY = det X det Y = det YX.  So det A is computed
+    once per free rank and handed to `_image_chain`, which still compares
+    it with each level's own lattice index.
     """
     _require_tail(s)
     k = s.prefix_len
@@ -628,9 +645,14 @@ def is_mittag_leffler(s):
     entries = {}
     worst = 0
     verdict = True
+    dets = {}  # tail free rank -> |det| of the free block of its composites
     for j in range(p):
         level = k + 1 + j
-        steps, idx = _image_chain(s.map_between(level, level + p))
+        endo = s.map_between(level, level + p)
+        r = endo.source.free_rank
+        if r not in dets:
+            dets[r] = _free_det(endo)
+        steps, idx = _image_chain(endo, dets[r])
         if idx is None:
             entries[level] = MLLevel(level, True, stable_from=level + steps * p)
             worst = max(worst, steps)

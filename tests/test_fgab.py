@@ -317,6 +317,21 @@ def test_full_subgroup_basis_is_the_hermite_basis_of_identity_plus_relations(rng
         assert F.Subgroup.full(g).lattice_basis() == F._k.hermite_column_basis(cols, g.dim)
 
 
+def test_full_subgroup_equals_the_subgroup_of_the_unit_vectors():
+    # Subgroup.full sets its unit-vector generators and identity basis
+    # directly; Subgroup reduces the same generators and computes the basis
+    rng = random.Random(4242)
+    groups = [F.ZERO_GROUP, F.FgAbGroup(0, (2,)), F.FgAbGroup(2, (3, 6))]
+    groups += [random_group(rng, max_rank=3, max_torsion=3) for _ in range(60)]
+    assert sum(1 for g in groups if g.torsion) >= 30
+    for g in groups:
+        full = F.Subgroup.full(g)
+        ref = F.Subgroup(g, F._k.identity_matrix(g.dim))
+        assert full.generators == ref.generators
+        assert full.lattice_basis() == ref.lattice_basis()
+        assert full.normal_form == ref.normal_form == g
+
+
 def test_is_full_agrees_with_comparing_to_the_identity(rng):
     z2 = F.Z(2)
     cases = [
@@ -426,10 +441,29 @@ def _coordinate_index(a, b):
     return prod(c[i] for i, c in enumerate(coords))
 
 
+def _echelon_index(a):
+    # [Z^dim : a] through the echelon pass alone, on a copy of a with no
+    # cached Hermite basis; the echelon pivots are the Hermite pivots
+    fresh = F.Subgroup(a.ambient, a.generators)
+    index = fresh.index_in(F.Subgroup.full(a.ambient))
+    assert fresh._basis is None
+    echelon = fresh.echelon_basis()
+    hermite = a.lattice_basis()
+    assert len(echelon) == len(hermite)
+    for e, h in zip(echelon, hermite):
+        r = next(i for i, x in enumerate(h) if x)
+        assert not any(e[:r]) and e[r] == h[r] > 0
+    if len(hermite) < a.ambient.dim:
+        assert index is None
+    else:
+        assert index == prod(c[i] for i, c in enumerate(hermite))
+    return index
+
+
 def test_index_in_a_full_subgroup_matches_the_coordinate_route():
     # the brute-force pairs of the finite-group test, then subgroups of
     # mixed groups against the full subgroup, where index_in multiplies
-    # the Hermite pivots instead of solving for coordinates
+    # the echelon pivots instead of solving for coordinates
     rng = random.Random(17)
     for _ in range(60):
         g = random_group(rng, max_rank=0)
@@ -438,16 +472,20 @@ def test_index_in_a_full_subgroup_matches_the_coordinate_route():
         full = F.Subgroup.full(g)
         assert a.index_in(full) == _coordinate_index(a, full)
         assert a.index_in(full) == g.order() // len(_span(g, a.generators))
+        for sub in (a, b):
+            assert _echelon_index(sub) == _coordinate_index(sub, full)
     rng = random.Random(41)
     finite = infinite = 0
     for _ in range(60):
         g = random_group(rng, max_rank=3, max_torsion=2)
-        a, _b = _random_nested_pair(rng, g)
+        a, b = _random_nested_pair(rng, g)
         full = F.Subgroup.full(g)
         index = a.index_in(full)
         assert index == _coordinate_index(a, full)
         finite += index is not None
         infinite += index is None
+        for sub in (a, b):
+            assert _echelon_index(sub) == _coordinate_index(sub, full)
     assert finite >= 10 and infinite >= 10, (finite, infinite)
 
 

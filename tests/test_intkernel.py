@@ -354,3 +354,18 @@ def test_det_matches_sympy():
         swapped += len(a) >= 2 and a[0][0] == 0 and expected != 0
     assert K.det([]) == 1
     assert seen == 79 and singular >= 20 and swapped >= 10
+
+
+def test_echelon_basis_is_the_hermite_basis_before_back_reduction():
+    # the same pivot rows and pivots, each column zero above its pivot
+    # row, and the same lattice; the input columns are left alone
+    for cols, dim in hermite_corpus():
+        before = [list(c) for c in cols]
+        echelon = K.echelon_column_basis(cols, dim)
+        assert cols == before
+        hermite = K.hermite_column_basis(cols, dim)
+        assert len(echelon) == len(hermite)
+        for e, h in zip(echelon, hermite):
+            r = next(i for i, x in enumerate(h) if x)
+            assert not any(e[:r]) and e[r] == h[r] > 0
+        assert K.hermite_column_basis(echelon, dim) == hermite

@@ -586,17 +586,21 @@ def test_image_chain_matches_the_lattice_reference_on_long_torsion_chains():
 
 def test_nonsingular_walk_reduces_one_lattice_of_positive_free_rank(monkeypatch):
     # a walk whose free block is nonsingular runs on the torsion part: a
-    # failing one Hermite-reduces Im(endo) and no other lattice of positive
-    # free rank, whatever its number of steps, and a stable one none
-    lattice_basis = F.Subgroup.lattice_basis
+    # failing one reduces Im(endo) and no other lattice of positive free
+    # rank, whatever its number of steps, and a stable one none; a
+    # reduction is a fresh Hermite basis or a fresh echelon pass
     reduced = []
 
-    def counted(self):
-        if self._basis is None and self.ambient.free_rank:
-            reduced.append(self)
-        return lattice_basis(self)
+    def counting(method):
+        def counted(self):
+            if self._basis is None and self.ambient.free_rank:
+                reduced.append(self)
+            return method(self)
 
-    monkeypatch.setattr(F.Subgroup, "lattice_basis", counted)
+        return counted
+
+    monkeypatch.setattr(F.Subgroup, "lattice_basis", counting(F.Subgroup.lattice_basis))
+    monkeypatch.setattr(F.Subgroup, "echelon_basis", counting(F.Subgroup.echelon_basis))
     rng = random.Random(2929)
     steps_seen = set()
     for _ in range(400):
@@ -611,6 +615,44 @@ def test_nonsingular_walk_reduces_one_lattice_of_positive_free_rank(monkeypatch)
             assert reduced[0].lattice_basis() == F.image(endo).lattice_basis()
             steps_seen.add(steps)
     assert {1, 2, 3, 4} <= steps_seen, steps_seen
+
+
+def test_ml_computes_one_determinant_per_tail_free_rank(monkeypatch):
+    # tail levels of equal free rank share det A: is_mittag_leffler runs
+    # det once per positive free rank of the tail, and the value it hands
+    # each level's walk is that level's own |det A|
+    det = K.det
+    calls = []
+    monkeypatch.setattr(K, "det", lambda cols: calls.append(len(cols)) or det(cols))
+    image_chain = I._image_chain
+    handed = []
+    monkeypatch.setattr(
+        I, "_image_chain", lambda endo, d=None: handed.append((endo, d)) or image_chain(endo, d)
+    )
+    rng = random.Random(3131)
+    shared = mixed = failing = 0
+    for _ in range(600):
+        s = random_cycle_system(
+            rng,
+            lambda r: random_group(r, max_rank=2, max_torsion=1),
+            max_prefix=1,
+            max_period=3,
+        )
+        calls.clear()
+        handed.clear()
+        cert = I.is_mittag_leffler(s)
+        ranks = [s.group_at(s.prefix_len + 1 + j).free_rank for j in range(s.period)]
+        positive = sorted({r for r in ranks if r})
+        assert sorted(calls) == positive
+        assert len(handed) == s.period
+        for endo, d in handed:
+            r = endo.source.free_rank
+            assert d == (abs(det([col[:r] for col in endo.columns()[:r]])) if r else 1)
+        # a shared |det A| >= 2 is cross-checked at every level it reaches
+        shared += any(ranks.count(r) >= 2 and d >= 2 for r, (_e, d) in zip(ranks, handed))
+        mixed += len(positive) >= 2
+        failing += not cert.verdict
+    assert min(shared, mixed, failing) >= 40, (shared, mixed, failing)
 
 
 def _failing_cycles():

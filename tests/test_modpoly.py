@@ -461,3 +461,132 @@ def test_primes_not_above_the_dimension_are_skipped(monkeypatch):
     assert consulted(M.PRIMES[0] - 1) == (True, [M.PRIMES[0]])
     assert consulted(M.PRIMES[0]) == (True, [M.PRIMES[1]])
     assert consulted(M.PRIMES[-1]) == (False, [])
+
+
+# The unit-degree DP of the parent commit, over the full `factor_mod` list:
+# the reference for `unit_degrees`, which reads the roots and factors only
+# a root-free rest of degree >= 4.
+def factor_mod_unit_degrees(f, p):
+    reach = {(0, 1)}
+    for g, i in M.factor_mod(f, p):
+        step = len(g) - 1
+        for _ in range(i):
+            reach |= {(d + step, c * g[0] % p) for d, c in reach}
+    return {d for d, c in reach if d and c in (1, p - 1)}
+
+
+def root_free(rng, n, p):
+    """A random monic polynomial of degree n over F_p without roots in F_p;
+    irreducible for n = 2 or 3."""
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if all(sum(c * pow(a, i, p) for i, c in enumerate(f)) % p for a in range(p)):
+            return f
+
+
+def irreducible(rng, n, p):
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        if M.factor_mod(f, p) == [(f, 1)]:
+            return f
+
+
+def linear_factors(rng, p):
+    """(t - a)**m for one to three roots a, t itself (a = 0) among them
+    one time in four, each of multiplicity 1 to 3."""
+    f = [1]
+    roots = rng.sample(range(1, p), rng.randint(1, 3))
+    if rng.randrange(4) == 0:
+        roots[0] = 0
+    for a in roots:
+        for _ in range(rng.randint(1, 3)):
+            f = poly_mul(f, [-a, 1])
+    return f
+
+
+def unit_degree_polys(rng, p):
+    """Monic polynomials over F_p built from prescribed factors: linear
+    factors alone and with a root-free rest of degree 2 or 3, root-free
+    quartics (irreducible, or two quadratics, equal one time in five) with
+    and without roots, and mixes of factors of degree 1 to 6 up to degree
+    100."""
+    for _ in range(300):
+        yield linear_factors(rng, p)
+    for _ in range(400):
+        f = root_free(rng, rng.choice((2, 3)), p)
+        if rng.randrange(4):
+            f = poly_mul(f, linear_factors(rng, p))
+        yield f
+    for i in range(500):
+        if i % 2:
+            f = irreducible(rng, 4, p)
+        else:
+            g = root_free(rng, 2, p)
+            f = poly_mul(g, g if rng.randrange(5) == 0 else root_free(rng, 2, p))
+        if rng.randrange(3) == 0:
+            f = poly_mul(f, linear_factors(rng, p))
+        yield f
+    for i in range(300):
+        top = 100 if i % 10 == 0 else 24
+        f = [1]
+        while len(f) - 1 < top - 6:
+            d = rng.randint(1, 6)
+            g = [rng.randrange(p) for _ in range(d)] + [1]
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                if len(f) - 1 + d <= top:
+                    f = poly_mul(f, g)
+            if rng.randrange(top // 6) == 0:
+                break
+        yield f
+
+
+@pytest.mark.parametrize("p", [101, 103])
+def test_unit_degrees_matches_the_factor_mod_reference(p):
+    rng = random.Random(3 * p)
+    seen = 0
+    for f in unit_degree_polys(rng, p):
+        f = [c % p for c in f]
+        assert M.unit_degrees(f, p) == factor_mod_unit_degrees(f, p), f
+        seen += 1
+    assert seen == 1500
+
+
+def test_power_table_slots_hold_the_largest_sums():
+    # the certificate's largest prime at degree 100: every slot of the
+    # evaluation sum with all coefficients p - 1 is the exact integer sum,
+    # and the table rows are the powers a**i mod p
+    n, p = 100, M.PRIMES[-1]
+    assert (n + 1) * (p - 1) ** 2 < 2**32
+    slots, rows = M._power_table(p, n)
+    assert len(rows) >= n + 1
+    assert slots.unpack(rows[n].to_bytes(slots.size, "little")) == tuple(
+        pow(a, n, p) for a in range(p)
+    )
+    f = [p - 1] * (n + 1)
+    total = sum(map(int.__mul__, f, rows[: n + 1]))
+    exact = tuple(sum((p - 1) * pow(a, i, p) for i in range(n + 1)) for a in range(p))
+    assert slots.unpack(total.to_bytes(slots.size, "little")) == exact
+    assert max(exact) <= (n + 1) * (p - 1) ** 2
+    roots = [a for a in range(p) if not sum(c * pow(a, i, p) for i, c in enumerate(f)) % p]
+    assert M._roots(f, p) == roots
+    with pytest.raises(ValueError):
+        M._power_table(2**16 + 1, 1)
+
+
+def test_a_short_root_free_rest_builds_no_ring(monkeypatch):
+    built = []
+    residues = M._Residues
+    monkeypatch.setattr(M, "_Residues", lambda f, p: built.append(f) or residues(f, p))
+    rng = random.Random(7)
+    p = 101
+    for n in (0, 2, 3):
+        for _ in range(20):
+            f = linear_factors(rng, p)
+            if n:
+                f = poly_mul(f, root_free(rng, n, p))
+            M.unit_degrees([c % p for c in f], p)
+    assert built == []
+    # a root-free quartic, here two quadratics, builds one
+    g, h = root_free(rng, 2, p), root_free(rng, 2, p)
+    M.unit_degrees([c % p for c in poly_mul(g, h)], p)
+    assert len(built) >= 1
