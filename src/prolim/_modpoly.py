@@ -17,9 +17,9 @@ sum(f[i] * row i) holds f(a) in slot a.  The rows grow as far as a degree
 needs, and depend only on p.  Each slot of the sum is at most
 (n + 1) * (p - 1)**2 < 2**32 for n = deg f, so none carries.  A rest
 without roots is split further only from degree 4 on, by the same
-square-free, distinct- and equal-degree steps that `factor_mod` runs.  `factor_mod`
-keeps its own route through them: Hensel lifting and the digest read its
-factors in the order it lists them.  When the proof
+square-free, distinct- and equal-degree steps that `factor_mod` runs.
+`factor_mod` keeps its own route through them: Hensel lifting and the
+digest read its factors in the order it lists them.  When the proof
 fails, `unit_part` factors the integer charpoly over Z (Zassenhaus: factor
 mod p, Hensel lifting, recombination) and keeps the unit factors.  The
 integer charpoly is itself read off charpoly(N) mod large primes, joined
