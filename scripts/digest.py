@@ -22,9 +22,11 @@ them in that order), and the unit degrees of seeded monic polynomials of
 degree 1..40 at 101, at 103 and at the least prime above the degree.  The
 `image_chain` family hashes the (steps, index) that `invsys._image_chain`
 returns on 300 seeded endomorphisms of Z^r + T with r <= 8 and at most two
-torsion factors; a third have a singular free block and a sixth a unit
-factor, so failing walks both at and below the ambient free rank (the
-index from the determinant and from the lattices) are covered.  To
+torsion factors; a third have a singular free block, whose walk first
+restricts to a term of stable free rank, and a sixth a unit factor, so
+failing walks both at and below the ambient free rank are covered.  The
+pairs do not depend on a basis, and tests/test_digest.py pins this line
+at seed 1.  To
 compare two checkouts, run it once with the default `--src` (this
 checkout's `src/`) and once with `--src` pointing at the other checkout's
 `src/`; equal lines mean byte-identical outputs.

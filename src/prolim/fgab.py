@@ -403,6 +403,12 @@ def cokernel_presentation(n, rel_cols):
     return Presentation(group, project, tuple(tuple(lift[i]) for i in order))
 
 
+def _spans_all(basis, dim):
+    """Whether an echelon basis with positive pivots spans Z^dim: the
+    Hermite basis of Z^dim is the identity, so it has dim pivots, all 1."""
+    return len(basis) == dim and all(c[i] == 1 for i, c in enumerate(basis))
+
+
 class Subgroup:
     """Subgroup of an FgAbGroup, carried as a generator list.
 
@@ -520,9 +526,7 @@ class Subgroup:
         return self.lattice_basis() == other.lattice_basis()
 
     def is_full(self):
-        # the Hermite basis of Z^dim is the identity: dim pivots, all 1
-        b = self.lattice_basis()
-        return len(b) == self.ambient.dim and all(c[i] == 1 for i, c in enumerate(b))
+        return _spans_all(self.echelon_basis(), self.ambient.dim)
 
     def is_trivial(self):
         return self.normal_form.is_trivial()
@@ -538,12 +542,12 @@ class Subgroup:
         pivots.  They are read off `echelon_basis`, so an uncached Hermite
         basis costs only the echelon pass and no back-reduction.
         """
-        if other.is_full():
+        b_big = other.lattice_basis()
+        if _spans_all(b_big, other.ambient.dim):
             basis = self.echelon_basis()
             if len(basis) != self.ambient.dim:
                 return None
             return prod(c[i] for i, c in enumerate(basis))
-        b_big = other.lattice_basis()
         coords = [_k.lattice_coordinates(b_big, col) for col in self.lattice_basis()]
         if None in coords:
             raise InputError("index_in requires containment")

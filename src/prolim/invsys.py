@@ -370,22 +370,19 @@ def _push(h, sub):
     return Subgroup(h.target, [_k.combine(cols, g, dim) for g in sub.generators])
 
 
-def _hermite_split(sub):
-    """(free rank, tors): the subgroup's cached Hermite basis split at the
-    free rows.
+def _free_rank(sub):
+    """The subgroup's free rank, read off its cached Hermite basis.
 
     Pivot rows increase, so the columns with a pivot row below the ambient
-    free rank r come first; their count is the subgroup's free rank.  The
-    remaining columns, `tors`, are zero in rows < r and form the Hermite
-    basis of the lattice's intersection with the torsion block, i.e. of the
-    subgroup's torsion part.
+    free rank r come first; their count is the rank of the subgroup's
+    projection to Z^r, which is its free rank.
     """
     r = sub.ambient.free_rank
     basis = sub.lattice_basis()
     n_free = 0
     while n_free < len(basis) and any(basis[n_free][:r]):
         n_free += 1
-    return n_free, basis[n_free:]
+    return n_free
 
 
 def _free_det(endo):
@@ -435,13 +432,29 @@ def _image_chain(endo, d=None):
     of torsion lattices.  A fault in det, in that echelon pass, or in the
     torsion walk or its stop rule makes c0 and c1 differ.
 
-    When d = 0 the walk is `_singular_image_chain`, on the lattices.
+    When d = 0 the walk first pushes the full lattice while its free rank
+    (`_free_rank`, off the cached Hermite bases) falls, which takes
+    nu <= r pushes, and then replaces endo by its restriction to C_nu
+    (`hom_restrict`).  endo maps C_nu onto C_{nu+1} of the same free rank,
+    so the restriction's free block is nonsingular; its j-th image is
+    C_{nu+j}, with the same torsion part, so the walk above runs on it and
+    nu is added to its steps.  Before nu no term repeats and no rank is
+    unchanged, so this is the walk of the whole chain.  A singular
+    restriction raises AssertionError.
     """
-    g = endo.source
     if d is None:
         d = _free_det(endo)
+    nu = 0
     if not d:
-        return _singular_image_chain(endo)
+        cur = Subgroup.full(endo.source)
+        nxt = _push(endo, cur)
+        while _free_rank(nxt) < _free_rank(cur):
+            cur, nxt, nu = nxt, _push(endo, nxt), nu + 1
+        endo = hom_restrict(endo, cur, cur)
+        d = _free_det(endo)
+        if not d:
+            raise AssertionError("the image chain's rank-stable restriction is singular")
+    g = endo.source
     s = 1
     if g.torsion:
         phi = _torsion_block(endo)
@@ -454,7 +467,7 @@ def _image_chain(endo, d=None):
             taus.append(nxt)
         s = len(taus)
     if d == 1:
-        return s - 1, None
+        return nu + s - 1, None
     g_index = image(endo).index_in(Subgroup.full(g))
     k_index = 1
     if s >= 2:
@@ -467,7 +480,7 @@ def _image_chain(endo, d=None):
         k_index = tau1.index_in(k_sum)
     c0 = g_index // k_index if g_index and not g_index % k_index else None
     _check_chain_index(c0, d)
-    return s, d
+    return nu + s, d
 
 
 def _torsion_block(endo):
@@ -479,38 +492,6 @@ def _torsion_block(endo):
         return endo
     t = FgAbGroup(0, g.torsion)
     return GroupHom.from_columns(t, t, [col[r:] for col in endo.columns()[r:]], check=False)
-
-
-def _singular_image_chain(endo):
-    """`_image_chain` when the free block is singular, walked on lattices.
-
-    The chain is pushed while it makes strict progress in rank or in its
-    torsion part, both read off each term's Hermite basis by
-    `_hermite_split`.  Torsion maps to torsion, so the torsion part C_j & T
-    equals endo^j(P_j) with P_j = {x : endo^j(x) in T}.  Once the rank
-    stops dropping, the kernels of the free-part powers have stopped
-    growing, so P_j is one fixed P, and a torsion part endo^j(P) that
-    repeats once repeats forever.  The index [C_j : C_{j+1}] is then one
-    constant for all j >= s - 1 (by the index identity of `_image_chain`:
-    the kernel of endo on C_{s-1} is finite, as C_s has the same rank, so
-    it lies in the torsion part, which C_{s-1} and C_s share).  Both
-    c0 = [C_{s-1} : C_s] and c1 = [C_s : C_{s+1}] are measured on the
-    Hermite lattices, and the returned c1 must equal c0.
-    """
-    cur = Subgroup.full(endo.source)
-    rank, tors = _hermite_split(cur)
-    steps = 0
-    while True:
-        nxt = _push(endo, cur)
-        if nxt.equals(cur):
-            return steps, None
-        nxt_rank, nxt_tors = _hermite_split(nxt)
-        steps += 1
-        if nxt_rank == rank and nxt_tors == tors:
-            c1 = _push(endo, nxt).index_in(nxt)
-            _check_chain_index(nxt.index_in(cur), c1)
-            return steps, c1
-        cur, rank, tors = nxt, nxt_rank, nxt_tors
 
 
 def _check_chain_index(c0, c1):
@@ -569,8 +550,10 @@ class MLLevel:
     free rank the walk reduces: the index of Im(endo) in the level's group,
     the product of its echelon pivots, divided by the index of torsion
     lattices [K : K & Im(endo)] for the kernel K of endo^(s-1), which lies
-    in the torsion part.  With a singular A both are measured on the
-    Hermite lattices of the chain.  The two must agree, so the recorded
+    in the torsion part.  With a singular A the walk restricts endo to the
+    first term of its chain whose free rank the next term keeps; that
+    restriction's free block is nonsingular, and both indices are taken on
+    it, at the cost of one more det.  The two must agree, so the recorded
     index is also a lattice index.
 
     On a tower tail every entry is stable: the certificate verifies that each
@@ -627,7 +610,9 @@ def is_mittag_leffler(s):
     are XY and YX with X the r x r free block of f_{n,m} and Y that of
     f_{m,n+p}, and det XY = det X det Y = det YX.  So det A is computed
     once per free rank and handed to `_image_chain`, which still compares
-    it with each level's own lattice index.
+    it with each level's own lattice index.  A level with det A = 0 takes
+    one more det, on the restriction of its period composite to a
+    rank-stable term of its image chain (unless that term is finite).
     """
     _require_tail(s)
     k = s.prefix_len
@@ -701,8 +686,9 @@ def stable_images(s):
         out[k + 1] = w = w1
         for level in range(k + p, k + 1, -1):
             out[level] = w = _push(s.map_at(level), w)
+    w = w1
     for n in range(k, 0, -1):
-        out[n] = _push(s.map_between(n, k + 1), w1)
+        out[n] = w = _push(s.map_at(n), w)
     return out
 
 

@@ -337,7 +337,7 @@ class SplittingContext:
                 for i in _bits(shifted):
                     columns |= elem_column[i]
                 self.sandwich.append((shifted, columns))
-        # set once the identity has passed for a bijective section
+        # set once the identity has passed for a section
         self.sandwich_ok = False
 
     def sections(self):
@@ -388,8 +388,10 @@ def splitting_check(g, section, ctx=None):
 
     All element- and section-level checks are exhaustive; open-set checks
     run over the minimal-open basis, which generates every open by unions.
-    The preimage identity is checked until it passes for a bijective section
-    of `ctx`; later bijective sections report that pass and its count.
+    The preimage identity is checked until it passes for a section of
+    `ctx`; later sections report that pass and its count.  f is bijective
+    for every section: it maps each {q} x cl{0} onto the coset q, and the
+    cosets are disjoint, so the report's `bijective` is always True.
     """
     if ctx is None:
         ctx = SplittingContext(g)
@@ -405,7 +407,6 @@ def splitting_check(g, section, ctx=None):
     elem_pair = [-1] * len(g.elements)
     for i, ei in enumerate(f_elem):
         elem_pair[ei] = i
-    bijective = len(set(f_elem)) == len(g.elements) == len(f_elem)
 
     def product_open(pm):
         return not any(ctx.pair_min[i] & ~pm for i in _bits(pm))
@@ -417,18 +418,18 @@ def splitting_check(g, section, ctx=None):
         g.is_open(_map_bits(f_elem, pm)) for pm in ctx.inverse_masks
     )
     # f maps {q} x cl{0} onto the coset q for every section, and an open
-    # g + V is a union of cosets, so for a bijective f the identity depends
-    # on the topology alone: one pass per context holds for all of them
-    if bijective and ctx.sandwich_ok:
+    # g + V is a union of cosets, so the identity depends on the topology
+    # alone: one pass per context holds for all sections
+    if ctx.sandwich_ok:
         sandwich, n_sandwich = True, len(ctx.sandwich)
     else:
         sandwich, n_sandwich = _until_failure(
             _map_bits(elem_pair, shifted) == columns for shifted, columns in ctx.sandwich
         )
-        if bijective and sandwich:
+        if sandwich:
             ctx.sandwich_ok = True
     return SplittingReport(
-        bijective, forward, inverse, sandwich, n_forward + n_inverse + n_sandwich
+        True, forward, inverse, sandwich, n_forward + n_inverse + n_sandwich
     )
 
 

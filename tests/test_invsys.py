@@ -446,17 +446,14 @@ def _reference_image_chain(endo):
             return False, steps, cur
 
 
-def test_hermite_split_reads_free_rank_and_torsion_part(rng):
+def test_free_rank_reads_the_free_pivots(rng):
     unstable = 0
     for _ in range(120):
         g = random_group(rng, max_rank=3, max_torsion=2)
         endo = random_hom(rng, g, g, bound=3)
-        tblock = F.Subgroup.torsion_block(g)
         cur = F.Subgroup.full(g)
         for _ in range(5):
-            rank, tors = I._hermite_split(cur)
-            assert rank == cur.normal_form.free_rank
-            assert tors == cur.intersection(tblock).lattice_basis()
+            assert I._free_rank(cur) == cur.normal_form.free_rank
             cur = I._push(endo, cur)
         ref_stable, ref_steps, ref_anchor = _reference_image_chain(endo)
         ref_index = None if ref_stable else I._push(endo, ref_anchor).index_in(ref_anchor)
@@ -522,7 +519,7 @@ def test_eventual_image_matches_the_walk_and_lift_reference():
         endo = _oracle_endo(rng, i)
         w = I.eventual_image(endo)
         assert w.lattice_basis() == _reference_eventual_image(endo).lattice_basis()
-        free_part += I._hermite_split(w)[0] > 0
+        free_part += I._free_rank(w) > 0
         r = endo.source.free_rank
         a_cols = [[endo.matrix[x][y] for x in range(r)] for y in range(r)]
         singular += K.kernel_columns(a_cols) != []
@@ -543,7 +540,8 @@ def _counting(monkeypatch, module, name, calls):
 
 def test_image_chain_index_comes_from_det_at_full_rank(monkeypatch):
     # det runs once on every walk of positive free rank, stable, full or
-    # singular: it picks the torsion walk or the lattice walk, and at full
+    # singular, and once more on a singular walk's restriction to its
+    # rank-stable term C_nu when that term has positive free rank; at full
     # rank it is the index; the charpoly never runs, and the lattice push
     # stays the oracle
     calls = {"det": 0, "charpoly": 0}
@@ -557,9 +555,14 @@ def test_image_chain_index_comes_from_det_at_full_rank(monkeypatch):
         index = None if stable else I._push(endo, anchor).index_in(anchor)
         calls.update(det=0, charpoly=0)
         assert I._image_chain(endo) == (steps, index)
-        full = not stable and I._hermite_split(anchor)[0] == endo.source.free_rank
+        r = endo.source.free_rank
+        a_cols = [col[:r] for col in endo.columns()[:r]]
+        singular = r > 0 and K.kernel_columns(a_cols) != []
+        # the anchor C_steps lies past C_nu, so it has C_nu's free rank
+        dets = int(r > 0) + int(singular and I._free_rank(anchor) > 0)
+        full = not stable and I._free_rank(anchor) == r
         kind = "stable" if stable else "full" if full else "singular"
-        assert calls == {"det": int(endo.source.free_rank > 0), "charpoly": 0}
+        assert calls == {"det": dets, "charpoly": 0}
         seen[kind] += 1
     assert min(seen.values()) >= 80, seen
 
@@ -580,7 +583,7 @@ def test_image_chain_matches_the_lattice_reference_on_long_torsion_chains():
         index = None if stable else I._push(endo, anchor).index_in(anchor)
         assert I._image_chain(endo) == (steps, index)
         long_failing += not stable and steps >= 3
-        singular += I._hermite_split(anchor)[0] < g.free_rank
+        singular += I._free_rank(anchor) < g.free_rank
     assert long_failing >= 100 and singular >= 100, (long_failing, singular)
 
 
@@ -619,8 +622,10 @@ def test_nonsingular_walk_reduces_one_lattice_of_positive_free_rank(monkeypatch)
 
 def test_ml_computes_one_determinant_per_tail_free_rank(monkeypatch):
     # tail levels of equal free rank share det A: is_mittag_leffler runs
-    # det once per positive free rank of the tail, and the value it hands
-    # each level's walk is that level's own |det A|
+    # det once per positive free rank of the tail, plus once per singular
+    # level whose rank-stable chain term has positive free rank (its
+    # restriction's det), and the value it hands each level's walk is that
+    # level's own |det A|
     det = K.det
     calls = []
     monkeypatch.setattr(K, "det", lambda cols: calls.append(len(cols)) or det(cols))
@@ -643,11 +648,15 @@ def test_ml_computes_one_determinant_per_tail_free_rank(monkeypatch):
         cert = I.is_mittag_leffler(s)
         ranks = [s.group_at(s.prefix_len + 1 + j).free_rank for j in range(s.period)]
         positive = sorted({r for r in ranks if r})
-        assert sorted(calls) == positive
         assert len(handed) == s.period
+        restricted = []
         for endo, d in handed:
             r = endo.source.free_rank
             assert d == (abs(det([col[:r] for col in endo.columns()[:r]])) if r else 1)
+            _stable, _steps, anchor = _reference_image_chain(endo)
+            if not d and I._free_rank(anchor):
+                restricted.append(I._free_rank(anchor))
+        assert sorted(calls) == sorted(positive + restricted)
         # a shared |det A| >= 2 is cross-checked at every level it reaches
         shared += any(ranks.count(r) >= 2 and d >= 2 for r, (_e, d) in zip(ranks, handed))
         mixed += len(positive) >= 2
@@ -656,16 +665,19 @@ def test_ml_computes_one_determinant_per_tail_free_rank(monkeypatch):
 
 
 def _failing_cycles():
-    # z_times(6), a mixed-prime Z^2 and Z + Z/4 with a torsion carry
+    # z_times(6), a mixed-prime Z^2 and Z + Z/4 with a torsion carry, then
+    # two singular free blocks: Z^2 and Z^2 + Z/4 with a torsion carry
     yield z_times(6)
     yield I.constant_system(F.Z(2), [[2, 1], [0, 3]])
     yield I.constant_system(F.FgAbGroup.from_diagonal([0, 4]), [[5, 0], [1, 2]])
+    yield I.constant_system(F.Z(2), [[2, 0], [0, 0]])
+    yield I.constant_system(F.FgAbGroup.from_diagonal([0, 0, 4]), [[3, 0, 0], [0, 0, 0], [1, 1, 2]])
 
 
 def test_ml_cross_check_catches_a_wrong_determinant(monkeypatch):
     det = K.det
     cycles = list(_failing_cycles())
-    assert [I.is_mittag_leffler(s).failure_levels()[0].index for s in cycles] == [6, 6, 5]
+    assert [I.is_mittag_leffler(s).failure_levels()[0].index for s in cycles] == [6, 6, 5, 2, 3]
     monkeypatch.setattr(K, "det", lambda cols: 2 * det(cols))
     for s in cycles:
         with pytest.raises(AssertionError, match="not a constant >= 2"):
@@ -679,12 +691,21 @@ def test_ml_cross_check_catches_a_wrong_lattice_index(monkeypatch):
         # off by one on the walk's lattices of positive rank only, so the
         # torsion index on the determinant side stays right
         index = index_in(self, other)
-        return index + 1 if I._hermite_split(self)[0] else index
+        return index + 1 if I._free_rank(self) else index
 
     monkeypatch.setattr(F.Subgroup, "index_in", shifted)
     for s in _failing_cycles():
         with pytest.raises(AssertionError, match="not a constant >= 2"):
             I.is_mittag_leffler(s)
+
+
+def test_singular_walk_rejects_a_singular_restriction(monkeypatch):
+    # the restriction to the rank-stable term has a nonsingular free block;
+    # a det that reads 0 there too raises instead of restricting again
+    monkeypatch.setattr(I, "_free_det", lambda endo: 0)
+    endo = I.constant_system(F.Z(2), [[2, 0], [0, 0]]).map_between(1, 2)
+    with pytest.raises(AssertionError, match="restriction is singular"):
+        I._image_chain(endo)
 
 
 def test_eventual_image_of_an_automorphism_skips_the_charpoly(monkeypatch):
