@@ -25,11 +25,11 @@ returns on 300 seeded endomorphisms of Z^r + T with r <= 8 and at most two
 torsion factors; a third have a singular free block, whose walk first
 restricts to a term of stable free rank, and a sixth a unit factor, so
 failing walks both at and below the ambient free rank are covered.  The
-pairs do not depend on a basis, and tests/test_digest.py pins this line
-at seed 1.  To
-compare two checkouts, run it once with the default `--src` (this
-checkout's `src/`) and once with `--src` pointing at the other checkout's
-`src/`; equal lines mean byte-identical outputs.
+pairs do not depend on a basis.  tests/test_digest.py pins every line at
+seed 1 and the default count.  To compare two checkouts, run it once with
+the default `--src` (this checkout's `src/`) and once with `--src`
+pointing at the other checkout's `src/`; equal lines mean byte-identical
+outputs.
 
 The corpus comes from the benchmark's standard-library generator
 (`perfbench/generate.py`), at small ranks, so it does not depend on the

@@ -5,17 +5,17 @@ column basis: `kernel_columns` and `solve` reduce the columns of A stacked
 over unit cofactor vectors.  The Hermite reduction is an echelon pass
 (`echelon_column_basis`) followed by a back-reduction of each pivot row;
 a lattice index in Z^dim needs only the pivots, so it can stop after the
-echelon pass.  The Smith form serves only cokernel
-presentations, which need invariant factors.  Every entry point takes a
-matrix as the plain list of its columns, of Python ints, so arbitrary
-precision is preserved throughout.  Only `smith_with_transforms` hands
-back lists of rows (`transpose` turns them into columns), and `mat_mul`
-reads either orientation: the transpose of a product is the reverse
-product of the transposes.  `det` (fraction-free Bareiss elimination)
-reads either orientation too, since a matrix and its transpose share their
-determinant.  This module is the hot inner loop of the whole
-package and imports nothing from the rest of it; the other modules reach
-it through prolim._backend.
+echelon pass.  The Smith form serves only cokernel presentations, which
+need invariant factors; it eliminates on the rows of [A | I], so u moves
+with d, and keeps u^-1 by its columns.  Every entry point takes a matrix
+as the plain list of its columns, of Python ints, so arbitrary precision
+is preserved throughout.  Only `smith_with_transforms` hands back lists of
+rows (u and d), and `mat_mul` reads either orientation: the transpose of
+a product is the reverse product of the transposes.  `det`
+(fraction-free Bareiss elimination) reads either orientation too, since a
+matrix and its transpose share their determinant.  This module is the hot
+inner loop of the whole package and imports nothing from the rest of it;
+the other modules reach it through prolim._backend.
 """
 
 
@@ -25,12 +25,6 @@ def identity_matrix(n):
 
 def zero_matrix(m, n):
     return [[0] * n for _ in range(m)]
-
-
-def transpose(mat):
-    """The columns of a matrix given by its rows, or the rows of one given
-    by its columns."""
-    return [list(v) for v in zip(*mat)]
 
 
 def mat_mul(a, b):
@@ -64,60 +58,37 @@ def combine(cols, coeffs, dim):
 
 def smith_with_transforms(cols):
     """Return (u, d, uinv) with u*A*v = d in Smith normal form for some v,
-    A given by its columns; all three results are lists of rows.
+    A given by its columns: u and d as lists of rows, uinv as the list of
+    its columns.
 
     d is diagonal with nonnegative entries d1 | d2 | ... followed by zeros;
     u is unimodular and uinv is its exact inverse.  The column transform v
     is not built: only cokernel presentations read a Smith form, and they
-    need the row side alone.  The elimination runs on the rows of A.
+    need the row side alone.  The elimination runs on the rows of [A | I],
+    so one row operation moves d and u together, and uinv, which undoes
+    the row operations in reverse order, is kept by its columns: row
+    i -= q*row j becomes column j += q*column i of uinv, and a swap or a
+    negation of rows is the same swap or negation of uinv's columns.
     """
-    d = transpose(cols)
-    m = len(d)
     n = len(cols)
-    u = identity_matrix(m)
+    m = len(cols[0]) if cols else 0
     uinv = identity_matrix(m)
+    rows = [[c[i] for c in cols] + e for i, e in enumerate(identity_matrix(m))]
 
     def row_sub(i, j, q):
-        # row i -= q * row j on d and u; uinv absorbs the inverse op
         if q:
-            di = d[i]
-            dj = d[j]
-            for c in range(n):
-                di[c] -= q * dj[c]
-            ui = u[i]
-            uj = u[j]
-            for c in range(m):
-                ui[c] -= q * uj[c]
-            for r in range(m):
-                uir = uinv[r]
-                uir[j] += q * uir[i]
+            rows[i] = [a - q * b for a, b in zip(rows[i], rows[j])]
+            uinv[j] = [a + q * b for a, b in zip(uinv[j], uinv[i])]
 
     def row_swap(i, j):
         if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-            for r in range(m):
-                uir = uinv[r]
-                uir[i], uir[j] = uir[j], uir[i]
-
-    def row_neg(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
-
-    def col_sub(i, j, q):
-        # col i -= q * col j on d
-        if q:
-            for r in range(m):
-                dr = d[r]
-                dr[i] -= q * dr[j]
+            rows[i], rows[j] = rows[j], rows[i]
+            uinv[i], uinv[j] = uinv[j], uinv[i]
 
     def col_swap(i, j):
         if i != j:
-            for r in range(m):
-                dr = d[r]
-                dr[i], dr[j] = dr[j], dr[i]
+            for r in rows:
+                r[i], r[j] = r[j], r[i]
 
     t = 0
     size = m if m < n else n
@@ -125,7 +96,7 @@ def smith_with_transforms(cols):
         pi = pj = -1
         best = 0
         for i in range(t, m):
-            di = d[i]
+            di = rows[i]
             for j in range(t, n):
                 x = di[j]
                 if x:
@@ -141,40 +112,38 @@ def smith_with_transforms(cols):
             # Reduce the pivot column and row by the pivot.  A nonzero
             # remainder is strictly smaller than the pivot and gets swapped
             # in, so |pivot| strictly decreases; with no swaps, every
-            # subtraction was exact and row/col t stay clean (only the
-            # non-pivot rows and columns are modified).
-            if d[t][t] < 0:
-                row_neg(t)
+            # subtraction was exact and row/col t are clean.
+            if rows[t][t] < 0:
+                rows[t] = [-x for x in rows[t]]
+                uinv[t] = [-x for x in uinv[t]]
             swapped = False
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_sub(i, t, q)
-                    if d[i][t]:
+                if rows[i][t]:
+                    row_sub(i, t, rows[i][t] // rows[t][t])
+                    if rows[i][t]:
                         row_swap(t, i)
                         swapped = True
                         break
             if swapped:
                 continue
+            # Column t is now zero below row t, and rows above t are zero
+            # from column t on, so subtracting multiples of column t changes
+            # row t alone: it reduces each entry there mod the pivot.
+            dt = rows[t]
+            pv = dt[t]
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_sub(j, t, q)
-                    if d[t][j]:
+                if dt[j]:
+                    dt[j] %= pv
+                    if dt[j]:
                         col_swap(t, j)
                         swapped = True
                         break
             if swapped:
                 continue
-            if any(d[i][t] for i in range(t + 1, m)) or any(
-                d[t][j] for j in range(t + 1, n)
-            ):
-                continue
             # pivot must divide every remaining entry (invariant-factor chain)
-            pv = d[t][t]
             offender = -1
             for i in range(t + 1, m):
-                di = d[i]
+                di = rows[i]
                 for j in range(t + 1, n):
                     if di[j] % pv:
                         offender = i
@@ -185,7 +154,7 @@ def smith_with_transforms(cols):
                 break
             row_sub(t, offender, -1)  # pull the offending row into row t
         t += 1
-    return u, d, uinv
+    return [r[n:] for r in rows], [r[:n] for r in rows], uinv
 
 
 def det(cols):
@@ -220,12 +189,6 @@ def det(cols):
                 mi[j] = (mi[j] * akk - aik * pk[j]) // prev
         prev = akk
     return sign * m[-1][-1] if n else 1
-
-
-def smith_diagonal(d):
-    m = len(d)
-    n = len(d[0]) if m else 0
-    return [d[i][i] for i in range(min(m, n))]
 
 
 def echelon_column_basis(cols, dim):

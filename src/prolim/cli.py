@@ -58,7 +58,17 @@ def load_document(path):
 def parse_system(doc, key="system"):
     if key not in doc:
         raise InputError(f"missing field {key!r}")
-    return invsys.InverseSystem.from_json(doc[key])
+    obj = doc[key]
+    if key == "system":
+        return invsys.InverseSystem.from_json(obj)
+    # from_json names a fault by its path inside the system object, and
+    # calls the object itself "system"
+    if not isinstance(obj, dict):
+        raise InputError(f"{key} must be a JSON object")
+    try:
+        return invsys.InverseSystem.from_json(obj)
+    except InputError as exc:
+        raise InputError(f"{key}.{exc}") from exc
 
 
 def _report(command, doc, verdict):

@@ -390,17 +390,15 @@ def cokernel_presentation(n, rel_cols):
         eye = tuple(map(tuple, _k.identity_matrix(n)))
         return Presentation(FgAbGroup(n, ()), eye, eye)
     u, d, uinv = _k.smith_with_transforms(rel_cols)
-    diag = _k.smith_diagonal(d)
+    diag = [d[i][i] for i in range(min(n, len(rel_cols)))]
     rank = sum(1 for x in diag if x)
     free_rows = list(range(rank, n))
-    torsion_rows = [i for i in range(rank) if abs(diag[i]) >= 2]
-    group = FgAbGroup(len(free_rows), [abs(diag[i]) for i in torsion_rows])
+    torsion_rows = [i for i in range(rank) if diag[i] >= 2]
+    group = FgAbGroup(len(free_rows), [diag[i] for i in torsion_rows])
     order = free_rows + torsion_rows
-    # Smith returns rows: the projection is u's rows in `order`, the lift
-    # uinv's columns in `order`
-    project = tuple(group.reduce([col[i] for i in order]) for col in _k.transpose(u))
-    lift = _k.transpose(uinv)
-    return Presentation(group, project, tuple(tuple(lift[i]) for i in order))
+    # the projection is u's rows in `order`, the lift uinv's columns in `order`
+    project = tuple(group.reduce([u[i][c] for i in order]) for c in range(n))
+    return Presentation(group, project, tuple(tuple(uinv[i]) for i in order))
 
 
 def _spans_all(basis, dim):

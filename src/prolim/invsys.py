@@ -92,20 +92,16 @@ class InverseSystem:
         raise AttributeError("InverseSystem is immutable")
 
     def _validate(self):
-        k = len(self.prefix)
         tail = self.tail
-        expected = k - 1 if tail is None else max(k - 1, 0) + (1 if k else 0)
-        expected = max(expected, 0)
+        if tail is not None and not isinstance(tail, (CycleTail, TowerTail)):
+            raise InputError(f"unknown tail kind {tail!r}")
+        expected = _map_count(self.prefix, tail)
         if len(self.maps) != expected:
             raise InputError(
                 f"expected {expected} prefix/junction maps, got {len(self.maps)}"
             )
-        for i, h in enumerate(self.maps):
-            tgt = self.prefix[i]
-            if i < k - 1:
-                src = self.prefix[i + 1]
-            else:
-                src = self._first_tail_group()
+        sources = _map_sources(self.prefix, tail)
+        for i, (h, src, tgt) in enumerate(zip(self.maps, sources, self.prefix)):
             if h.source != src or h.target != tgt:
                 raise InputError(
                     f"map {i + 1}: expected {src} -> {tgt}, got {h.source} -> {h.target}"
@@ -127,16 +123,6 @@ class InverseSystem:
         elif isinstance(tail, TowerTail):
             if tail.period == 0:
                 raise InputError("tower tail needs at least one layer")
-        elif tail is not None:
-            raise InputError(f"unknown tail kind {tail!r}")
-
-    def _first_tail_group(self):
-        tail = self.tail
-        if isinstance(tail, CycleTail):
-            return tail.groups[0]
-        if isinstance(tail, TowerTail):
-            return tail.base
-        raise PreconditionError("finite chain has no tail")
 
     # -- level bookkeeping -------------------------------------------------
 
@@ -283,29 +269,35 @@ class InverseSystem:
                     f"tail.kind must be 'cycle' or 'tower', got {reprlib.repr(kind)}"
                 )
         raw_maps = json_list(obj.get("maps", []), "maps")
-        maps = []
-        k = len(prefix)
-        first_tail = None
-        if tail is not None:
-            first_tail = tail.groups[0] if isinstance(tail, CycleTail) else tail.base
-        for i, mat in enumerate(raw_maps):
-            tgt = prefix[i] if i < k else None
-            if tgt is None:
-                raise InputError(f"maps[{i}]: more maps than prefix levels")
-            src = prefix[i + 1] if i < k - 1 else first_tail
-            if src is None:
-                raise InputError(f"maps[{i}]: chain of length {k} takes {k - 1} maps")
-            maps.append(_hom_from_json(src, tgt, mat, f"maps[{i}]"))
-        # k - 1 maps join the prefix levels, and one more joins the tail
-        needed = k - (tail is None) if k else 0
-        if len(maps) < needed:
-            raise InputError(f"maps: expected {needed} matrices, got {len(maps)}")
+        needed = _map_count(prefix, tail)
+        if len(raw_maps) != needed:
+            raise InputError(f"maps: expected {needed} matrices, got {len(raw_maps)}")
+        sources = _map_sources(prefix, tail)
+        maps = [
+            _hom_from_json(src, tgt, mat, f"maps[{i}]")
+            for i, (src, tgt, mat) in enumerate(zip(sources, prefix, raw_maps))
+        ]
         return cls(prefix, maps, tail)
 
     def __repr__(self):
         return (
             f"InverseSystem(prefix={list(self.prefix)}, tail={self.tail!r})"
         )
+
+
+def _map_count(prefix, tail):
+    """How many maps a system holds: k - 1 join its k prefix levels, and
+    one more joins the tail."""
+    k = len(prefix)
+    return k - (tail is None) if k else 0
+
+
+def _map_sources(prefix, tail):
+    """The sources of the maps in order: prefix levels 2..k, then the first
+    tail group; the map targets are the prefix levels."""
+    if tail is None:
+        return prefix[1:]
+    return prefix[1:] + (tail.groups[0] if isinstance(tail, CycleTail) else tail.base,)
 
 
 def _groups_from_json(obj, path):
@@ -773,8 +765,7 @@ def restrict_cofinal(s, stride, offset=0):
         atoms = [
             layers[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)
         ]
-        blk, _incs, _prjs = direct_sum(*atoms) if atoms else (fgab.ZERO_GROUP, [], [])
-        blocks.append(blk)
+        blocks.append(direct_sum(*atoms)[0])
     return InverseSystem(new_prefix, new_maps, TowerTail(base, tuple(blocks)))
 
 
@@ -834,12 +825,3 @@ def stabilization(seq, prefix_len):
         if not x.is_trivial():
             last = max(last, level)
     return True, last
-
-
-def coherent_count(s, level):
-    """Number of coherent tuples of a finite-group system at a level.
-
-    A coherent tuple (x_1..x_N) is determined by its top coordinate, so
-    the count is |G_level| (None when infinite).
-    """
-    return s.group_at(level).order()

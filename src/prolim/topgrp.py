@@ -349,11 +349,6 @@ class SplittingContext:
             yield SectionMap(dict(zip(keys, combo)))
 
 
-def sections_of(g):
-    """All sections of G -> G/cl{0} (every choice of representatives)."""
-    yield from SplittingContext(g).sections()
-
-
 @dataclass(frozen=True)
 class SplittingReport:
     bijective: bool

@@ -203,12 +203,36 @@ Z_GROUP = {"free_rank": 1, "torsion": []}
             "maps: expected 1 matrices, got 0",
         ),
         ({"tail": {"kind": "tower", "base": Z_GROUP, "layers": []}}, "tail.layers must be nonempty"),
+        ({"prefix": [Z_GROUP], "maps": [[[1]]], "tail": None}, "maps: expected 0 matrices, got 1"),
     ],
 )
 def test_missing_maps_and_empty_layers_name_their_path(tmp_path, capsys, system, message):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps({"system": system}))
     assert cli.main(["ml", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+Z_CHAIN = {"prefix": [Z_GROUP], "maps": [], "tail": None}
+NEGATIVE_RANK = {"prefix": [{"free_rank": -1, "torsion": []}], "maps": [], "tail": None}
+EXTRA_MAP = {"prefix": [Z_GROUP], "maps": [[[1]]], "tail": None}
+
+
+@pytest.mark.parametrize(
+    "system, second_system, message",
+    [
+        (NEGATIVE_RANK, Z_CHAIN, "prefix[0]: free_rank must be nonnegative"),
+        (Z_CHAIN, NEGATIVE_RANK, "second_system.prefix[0]: free_rank must be nonnegative"),
+        (5, Z_CHAIN, "system must be a JSON object"),
+        (Z_CHAIN, 5, "second_system must be a JSON object"),
+        (EXTRA_MAP, Z_CHAIN, "maps: expected 0 matrices, got 1"),
+        (Z_CHAIN, EXTRA_MAP, "second_system.maps: expected 0 matrices, got 1"),
+    ],
+)
+def test_kk_classify_names_the_system_at_fault(tmp_path, capsys, system, second_system, message):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"system": system, "second_system": second_system}))
+    assert cli.main(["kk-classify", str(p)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

@@ -3,7 +3,9 @@
 Each case takes one valid document, mutates one field of its system and
 runs a command in-process.  Whatever the mutation, the command must exit 0,
 2 or 3 without an exception, and an exit-2 message must start with
-`error: ` and name a JSON path or the file.
+`error: ` and name a JSON path or the file.  A second loop, with its own
+seed, puts the mutated system under `second_system` for `kk-classify`; an
+exit-2 message must then start with that field's path.
 """
 
 import copy
@@ -28,6 +30,9 @@ HUGE_ENTRY = 10**4999 + 7  # 5000 digits
 # a message that begins with a JSON path, such as `tail.maps[0][1][2]: ...`
 PATH_AT_START = re.compile(r"error: (system|prefix|maps|tail)\b(\.[a-z_]+|\[\d+\])*[: ]")
 FIELD_NAMED = re.compile(r"'(system|second_system)'")
+SECOND_SEED = 20261020
+SECOND_CASES = 500
+SECOND_AT_START = re.compile(r"error: second_system\b(\.[a-z_]+|\[\d+\])*[: ]")
 
 
 def generated_documents(rng, count=4):
@@ -177,4 +182,35 @@ def test_mutated_documents_exit_0_2_or_3_with_a_path(tmp_path):
             assert (
                 PATH_AT_START.match(err) or FIELD_NAMED.search(err) or str(path) in err
             ), (case, err)
+    assert seen >= {0, 2}
+
+
+def second_system_cases():
+    rng = random.Random(SECOND_SEED)
+    docs = fixture_documents() + generated_documents(rng)
+    for _ in range(SECOND_CASES):
+        origin, doc = rng.choice(docs)
+        mutated, what = mutate(rng, origin, doc)
+        # the original system comes first and parses, so the mutated one is at fault
+        mutated["second_system"] = mutated["system"]
+        mutated["system"] = doc["system"]
+        yield doc.get("name", ""), what, mutated
+
+
+def test_mutated_second_systems_name_second_system(tmp_path):
+    seen = set()
+    for i, (name, what, doc) in enumerate(second_system_cases()):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(doc))
+        case = f"kk-classify {name}: second_system {what}"
+        rc, out, err = run_main(["kk-classify", str(path)])
+        seen.add(rc)
+        assert rc in (0, 2, 3), case
+        if rc == 0:
+            assert json.loads(out)["command"] == "kk-classify", case
+            continue
+        assert out == "", case
+        assert err.startswith("error: ") and err.endswith("\n"), (case, err)
+        if rc == 2:
+            assert SECOND_AT_START.match(err), (case, err)
     assert seen >= {0, 2}

@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import itertools
+import json
 import os
 import random
 import re
@@ -13,12 +15,17 @@ from prolim._backend import kernel as K
 
 
 def snf(a):
+    # (u rows, d rows, u^-1 columns) for a matrix given by its rows
     return K.smith_with_transforms(transpose(a, len(a[0])))
 
 
 def transpose(mat, k):
     # rows to columns, or columns to rows; k is the length of each entry
     return [[v[i] for v in mat] for i in range(k)]
+
+
+def smith_diagonal(d):
+    return [row[i] for i, row in enumerate(d) if i < len(row)]
 
 
 def det(a):
@@ -67,7 +74,7 @@ def test_snf_hand_example():
     m = [[2, 4], [6, 8]]
     u, d, ui = snf(m)
     assert [d[0][0], d[1][1]] == [2, 4]
-    assert K.mat_mul(u, ui) == K.identity_matrix(2)
+    assert K.mat_mul(u, transpose(ui, 2)) == K.identity_matrix(2)
     assert same_column_lattice(K.mat_mul(u, m), d, 2)
 
 
@@ -80,9 +87,9 @@ def test_snf_random_transform_identity(seed):
     n = rng.randrange(1, 5)
     a = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(m)]
     u, d, ui = snf(a)
-    diag = K.smith_diagonal(d)
+    diag = smith_diagonal(d)
     assert [prod(diag[:k]) for k in range(1, len(diag) + 1)] == determinantal_divisors(a, m, n)
-    assert K.mat_mul(u, ui) == K.identity_matrix(m)
+    assert K.mat_mul(u, transpose(ui, m)) == K.identity_matrix(m)
     assert same_column_lattice(K.mat_mul(u, a), d, m)
     nz = [x for x in diag if x]
     assert all(x > 0 for x in nz)
@@ -92,6 +99,24 @@ def test_snf_random_transform_identity(seed):
         for j in range(n):
             if i != j:
                 assert d[i][j] == 0
+
+
+SMITH_PIN_SHA256 = "d8d14e81b66a1951d427e6ad80ebe58367e98d21eec75443d6af00af0869e75f"
+
+
+def test_smith_transforms_are_pinned_on_coefficient_heavy_input():
+    # every basis a cokernel presentation picks comes from (u, uinv), so a
+    # change to the elimination's operation order moves this hash; the
+    # dense 24x26 matrix drives entries to about 8000 bits
+    rng = random.Random("smith-pin")
+    shapes = [(rng.randint(1, 8), rng.randint(1, 8), 9) for _ in range(60)]
+    shapes += [(12, 12, 20), (16, 18, 20), (24, 26, 20)]
+    h = hashlib.sha256()
+    for m, n, b in shapes:
+        cols = [[rng.randint(-b, b) for _ in range(m)] for _ in range(n)]
+        u, d, uinv_columns = K.smith_with_transforms(cols)
+        h.update(json.dumps([u, d, uinv_columns]).encode() + b"\n")
+    assert h.hexdigest() == SMITH_PIN_SHA256
 
 
 def test_solve_and_kernel():
@@ -108,7 +133,7 @@ def test_solve_and_kernel():
 
 def smith_rank_and_volume(cols, m):
     # rank and product of the nonzero invariant factors of the column matrix
-    nz = [x for x in K.smith_diagonal(snf(transpose(cols, m))[1]) if x] if cols and m else []
+    nz = [x for x in smith_diagonal(snf(transpose(cols, m))[1]) if x] if cols and m else []
     return len(nz), prod(nz)
 
 

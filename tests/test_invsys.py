@@ -306,6 +306,13 @@ def test_validation_errors_name_the_map():
         I.InverseSystem.from_json(bad)
 
 
+def test_unknown_tail_kind_is_an_input_error():
+    z = F.Z()
+    for prefix, maps in (((), ()), ((z,), (F.GroupHom.identity(z),))):
+        with pytest.raises(InputError, match="unknown tail kind"):
+            I.InverseSystem(prefix, maps, "cycle")
+
+
 Z_JSON = {"free_rank": 1, "torsion": []}
 Z_CYCLE = {"kind": "cycle", "groups": [Z_JSON], "maps": [[[1]]]}
 

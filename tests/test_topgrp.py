@@ -68,10 +68,10 @@ def test_quotient_topology_discrete():
 
 def test_splitting_check_trivial_cases():
     ind = T.FiniteTopAbGroup.indiscrete(F.Zmod(2))
-    for s in T.sections_of(ind):
+    for s in T.SplittingContext(ind).sections():
         assert T.splitting_check(ind, s).ok
     disc = T.FiniteTopAbGroup.discrete(F.Zmod(4))
-    secs = list(T.sections_of(disc))
+    secs = list(T.SplittingContext(disc).sections())
     assert len(secs) == 1  # the identity section
     assert T.splitting_check(disc, secs[0]).ok
 
