@@ -49,7 +49,6 @@ import math
 import operator
 import random
 import struct
-from fractions import Fraction
 
 PRIMES = (101, 103)
 
@@ -564,6 +563,10 @@ def _zdivmod(f, g):
 def _qgcd(f, g):
     """Monic gcd over Q of a monic integer f and a nonzero integer g; it
     divides f, so its entries are integers."""
+    # imported here, so a certificate that never falls back to unit_part
+    # skips loading fractions (and decimal and numbers)
+    from fractions import Fraction
+
     f = [Fraction(c) for c in f]
     g = [Fraction(c) for c in g]
     while g:

@@ -9,7 +9,7 @@ the derived limit of a second system they give the ten composite classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from prolim.errors import PreconditionError
 from prolim.homalg import lim1_verdict
@@ -31,10 +31,9 @@ _SYMBOL = {
 }
 
 
-@dataclass(frozen=True)
-class TopologyClass:
-    tag: str
-    cardinality: int | None = None  # exact |lim| for the finite class
+class TopologyClass(namedtuple("TopologyClass", "tag cardinality", defaults=(None,))):
+    # cardinality: exact |lim| for the finite class
+    __slots__ = ()
 
     @property
     def symbol(self):
@@ -46,19 +45,14 @@ class TopologyClass:
             out["cardinality"] = self.cardinality
         return out
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TopologyClass)
-            and self.tag == other.tag
-            and self.cardinality == other.cardinality
-        )
 
-    def __hash__(self):
-        return hash((self.tag, self.cardinality))
-
-
-@dataclass(frozen=True)
-class ClassCertificate:
+class ClassCertificate(
+    namedtuple(
+        "ClassCertificate",
+        "surjectivized kernels stabilizes_at"
+        " infinite_kernel_count_class case_label trace",
+    )
+):
     """Everything the verdict was derived from.
 
     case_label follows the two-way split (I = stabilizes, II = not) with
@@ -67,12 +61,7 @@ class ClassCertificate:
     kernels).
     """
 
-    surjectivized: object
-    kernels: tuple
-    stabilizes_at: int | None
-    infinite_kernel_count_class: str
-    case_label: str
-    trace: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -189,13 +178,12 @@ def stable_model(s):
     return cert.surjectivized.group_at(cert.stabilizes_at)
 
 
-@dataclass(frozen=True)
-class KKTopologyClass:
+class KKTopologyClass(namedtuple("KKTopologyClass", "lim_part closure_of_zero")):
     """One of the ten composite classes: a five-class limit part times the
     zero/uncountable-indiscrete closure-of-zero part."""
 
-    lim_part: TopologyClass
-    closure_of_zero: str  # "Zero" | "UncountableIndiscrete"
+    # closure_of_zero: "Zero" | "UncountableIndiscrete"
+    __slots__ = ()
 
     @property
     def symbol(self):

@@ -15,7 +15,7 @@ import sys
 
 import prolim
 from prolim import classify as _classify
-from prolim import fgab, homalg, invsys, prospace, topgrp
+from prolim import fgab, invsys, prospace, topgrp
 from prolim.errors import InputError, PreconditionError
 
 

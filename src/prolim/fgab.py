@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import reprlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
 from operator import mod
 
@@ -368,8 +368,7 @@ class GroupHom:
         return f"GroupHom({self.source} -> {self.target}, {self.matrix})"
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "group project lift")):
     """Cokernel presentation Z^n / columns, canonicalized.
 
     group: the invariant-factor normal form of the quotient
@@ -377,9 +376,7 @@ class Presentation:
     lift: dim(group) columns in Z^n, one preimage per generator of group
     """
 
-    group: FgAbGroup
-    project: tuple
-    lift: tuple
+    __slots__ = ()
 
 
 def cokernel_presentation(n, rel_cols):

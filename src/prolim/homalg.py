@@ -12,14 +12,12 @@ certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from prolim import fgab
 from prolim.errors import InputError, PreconditionError
 from prolim.fgab import (
-    FgAbGroup,
     GroupHom,
-    Subgroup,
     direct_sum,
     hom_into_subgroup,
     hom_sum,
@@ -31,7 +29,6 @@ from prolim.fgab import (
 from prolim.invsys import (
     CycleTail,
     InverseSystem,
-    MLCertificate,
     _push,
     is_mittag_leffler,
     stable_images,
@@ -39,23 +36,20 @@ from prolim.invsys import (
 )
 
 
-@dataclass(frozen=True)
-class TruncatedChain:
+class TruncatedChain(namedtuple("TruncatedChain", "groups maps")):
     """Groups at levels 1..N and bonding maps f_n : G_{n+1} -> G_n."""
 
-    groups: tuple
-    maps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.groups:
+    def __new__(cls, groups, maps):
+        if not groups:
             raise InputError("a truncated chain needs at least one level")
-        if len(self.maps) != len(self.groups) - 1:
-            raise InputError(
-                f"{len(self.groups)} levels take {len(self.groups) - 1} maps"
-            )
-        for i, h in enumerate(self.maps):
-            if h.source != self.groups[i + 1] or h.target != self.groups[i]:
+        if len(maps) != len(groups) - 1:
+            raise InputError(f"{len(groups)} levels take {len(groups) - 1} maps")
+        for i, h in enumerate(maps):
+            if h.source != groups[i + 1] or h.target != groups[i]:
                 raise InputError(f"map {i + 1} does not match its levels")
+        return super().__new__(cls, groups, maps)
 
     @property
     def length(self):
@@ -130,10 +124,9 @@ def lim1_truncated(chain):
     return q
 
 
-@dataclass(frozen=True)
-class Lim1Verdict:
-    value: str  # "Zero" | "Uncountable"
-    certificate: MLCertificate
+class Lim1Verdict(namedtuple("Lim1Verdict", "value certificate")):
+    # value: "Zero" | "Uncountable"; certificate: the MLCertificate
+    __slots__ = ()
 
     def to_json(self):
         return {"value": self.value, "certificate": self.certificate.to_json()}
@@ -145,8 +138,7 @@ def lim1_verdict(s):
     return Lim1Verdict("Zero" if cert.verdict else "Uncountable", cert)
 
 
-@dataclass(frozen=True)
-class SystemSES:
+class SystemSES(namedtuple("SystemSES", "sub mid quot inclusions projections")):
     """Levelwise short exact sequence of systems sharing one cycle shape.
 
     inclusions[n-1]: sub-level-n group -> mid-level-n group
@@ -154,25 +146,22 @@ class SystemSES:
     for n = 1..k+p; deeper levels repeat with the period.
     """
 
-    sub: InverseSystem
-    mid: InverseSystem
-    quot: InverseSystem
-    inclusions: tuple
-    projections: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for s in (self.sub, self.mid, self.quot):
+    def __new__(cls, sub, mid, quot, inclusions, projections):
+        for s in (sub, mid, quot):
             if not isinstance(s.tail, CycleTail):
                 raise PreconditionError(
                     "system short exact sequences need literal cycle tails"
                 )
-        k = self.sub.prefix_len
-        p = self.sub.period
-        for s in (self.mid, self.quot):
+        k = sub.prefix_len
+        p = sub.period
+        for s in (mid, quot):
             if s.prefix_len != k or s.period != p:
                 raise InputError("the three systems must share prefix length and period")
-        if len(self.inclusions) != k + p or len(self.projections) != k + p:
+        if len(inclusions) != k + p or len(projections) != k + p:
             raise InputError(f"need levelwise maps for levels 1..{k + p}")
+        return super().__new__(cls, sub, mid, quot, inclusions, projections)
 
     @property
     def window(self):

@@ -21,7 +21,7 @@ Bonding maps go downward: map_at(s, n) is f_n : G_{n+1} -> G_n.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, prod
 
 from prolim._backend import kernel as _k
@@ -44,24 +44,22 @@ from prolim.fgab import (
 )
 
 
-@dataclass(frozen=True)
-class CycleTail:
+class CycleTail(namedtuple("CycleTail", "groups maps")):
     """Literal periodic tail: groups[j] sits at levels k+1+j mod p."""
 
-    groups: tuple
-    maps: tuple  # maps[j]: groups[(j+1) % p] -> groups[j]
+    # maps[j]: groups[(j+1) % p] -> groups[j]
+    __slots__ = ()
 
     @property
     def period(self):
         return len(self.groups)
 
 
-@dataclass(frozen=True)
-class TowerTail:
+class TowerTail(namedtuple("TowerTail", "base layers")):
     """Layered tail: level k+1 is `base`, each next level appends a layer."""
 
-    base: FgAbGroup
-    layers: tuple  # cycled: level k+1+t appends layers[(t-1) % p] for t >= 1
+    # layers are cycled: level k+1+t appends layers[(t-1) % p] for t >= 1
+    __slots__ = ()
 
     @property
     def period(self):
@@ -528,8 +526,9 @@ def eventual_image(endo):
 # -- Mittag-Leffler ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MLLevel:
+class MLLevel(
+    namedtuple("MLLevel", "level stable stable_from index", defaults=(None, None))
+):
     """Per-level certificate entry.
 
     stable_from: horizon m with Im(f_{n,m}) = Im(f_{n,m'}) for all m' >= m
@@ -553,16 +552,11 @@ class MLLevel:
     composite of drops is, and records stable_from = max(n, k+1).
     """
 
-    level: int
-    stable: bool
-    stable_from: int | None = None
-    index: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MLCertificate:
-    verdict: bool
-    per_level: tuple
+class MLCertificate(namedtuple("MLCertificate", "verdict per_level")):
+    __slots__ = ()
 
     def failure_levels(self):
         return [e for e in self.per_level if not e.stable]

@@ -12,10 +12,9 @@ distance is zero).
 
 from __future__ import annotations
 
-import itertools
 import os
 import reprlib
-from dataclasses import dataclass
+from collections import namedtuple
 
 from prolim._backend import kernel as _k
 from prolim import fgab
@@ -166,12 +165,11 @@ def extend(x, to_level):
     return CoherentTuple(s, entries)
 
 
-@dataclass(frozen=True)
-class MetricValue:
+class MetricValue(namedtuple("MetricValue", "kind exponent", defaults=(None,))):
     """Exact(2^-m), Zero, or AtMost(2^-N) when truncation hides the answer."""
 
-    kind: str  # "exact" | "zero" | "at_most"
-    exponent: int | None = None
+    # kind: "exact" | "zero" | "at_most"
+    __slots__ = ()
 
     @classmethod
     def exact(cls, m):
@@ -218,17 +216,14 @@ def metric(x, y):
     return MetricValue.at_most(n)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(namedtuple("Cylinder", "system level base_point")):
     """pi_n^{-1}({base_point}): the tuples passing through one coordinate.
 
     Level 0 is the whole space (the convention that the zeroth group is
     trivial makes the coarsest ball the full limit).
     """
 
-    system: object
-    level: int
-    base_point: tuple
+    __slots__ = ()
 
     def contains(self, t):
         if t.system is not self.system:

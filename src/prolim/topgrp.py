@@ -13,7 +13,7 @@ which generates every open under unions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from prolim import fgab
 from prolim.errors import InputError
@@ -268,12 +268,11 @@ def quotient_topology(g):
     return FiniteTopAbGroup.discrete(q_group), proj, preimage_masks
 
 
-@dataclass(frozen=True)
-class SectionMap:
+class SectionMap(namedtuple("SectionMap", "table")):
     """A set-theoretic section of the quotient map: one representative per
     coset, keyed by the coset's coordinates in the quotient group."""
 
-    table: dict
+    __slots__ = ()
 
     def __call__(self, q):
         return self.table[tuple(q)]
@@ -349,13 +348,13 @@ class SplittingContext:
             yield SectionMap(dict(zip(keys, combo)))
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    bijective: bool
-    forward_continuous: bool
-    inverse_continuous: bool
-    sandwich_ok: bool
-    opens_checked: int
+class SplittingReport(
+    namedtuple(
+        "SplittingReport",
+        "bijective forward_continuous inverse_continuous sandwich_ok opens_checked",
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self):

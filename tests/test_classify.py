@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
 from prolim import classify as C
 from prolim import fgab as F
 from prolim import invsys as I
-from prolim import prospace as P
 from prolim.errors import PreconditionError
 
 from conftest import random_finite_cycle_system, random_system

@@ -396,6 +396,30 @@ def test_unit_part_does_not_import_sympy(tmp_path):
     assert run_hot_path(tmp_path, RANK4_UNIT_CYCLE) == b"[4] False\n"
 
 
+IMPORT_GRAPH_SCRIPT = """
+import sys, prolim.cli
+print(sorted(m for m in ("dataclasses", "typing", "inspect") if m in sys.modules))
+from prolim import _modpoly
+assert _modpoly.no_unit_factor([[2, 0], [1, 3]])
+print("fractions" in sys.modules)
+"""
+
+
+def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+    # -S, so that no site .pth file can preload a module and hide its import;
+    # the mod-p certificate leaves fractions to the unit_part fallback
+    env = dict(os.environ, PYTHONPATH="src")
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_GRAPH_SCRIPT],
+        capture_output=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=60,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == b"[]\nFalse\n"
+
+
 def test_kk_classify_requires_second_system(tmp_path):
     doc = json.load(open(fixture("const-z2")))
     p = tmp_path / "single.json"
