@@ -7,8 +7,6 @@ N x Cantor, Baire space); paired with the zero/uncountable dichotomy of
 the derived limit of a second system they give the ten composite classes.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from prolim.errors import PreconditionError

@@ -5,8 +5,6 @@ precondition (including enumeration caps).  Reports are serialized with
 sorted keys and no whitespace so golden files are byte-stable.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

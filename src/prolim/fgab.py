@@ -12,8 +12,6 @@ under the hood every subgroup is the lattice spanned by its generators
 together with the ambient relation lattice.
 """
 
-from __future__ import annotations
-
 import itertools
 import reprlib
 from collections import namedtuple

@@ -10,8 +10,6 @@ dichotomy of the derived limit is reported, driven by the image-chain
 certificate.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from prolim import fgab

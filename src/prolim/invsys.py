@@ -18,8 +18,6 @@ infinite part reject it.
 Bonding maps go downward: map_at(s, n) is f_n : G_{n+1} -> G_n.
 """
 
-from __future__ import annotations
-
 import reprlib
 from collections import namedtuple
 from math import gcd, prod

@@ -10,8 +10,6 @@ inside the window (then the tuple determines its extension and the
 distance is zero).
 """
 
-from __future__ import annotations
-
 import os
 import reprlib
 from collections import namedtuple

@@ -10,8 +10,6 @@ neighborhoods), and the splitting checks run over the minimal-open basis,
 which generates every open under unions.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 
