@@ -17,9 +17,11 @@ picks other generators shows exactly which field moved.  The
 square matrices of rank 1..12, block sums of companion matrices of
 polynomials with and without a factor of constant term +-1, coupled and
 conjugated; most of them reach the unit part over Z.  The `factor_mod`
-family hashes the factor lists mod p, in order (Hensel lifting consumes
-them in that order), and the unit degrees of seeded monic polynomials of
-degree 1..40 at 101, at 103 and at the least prime above the degree.  The
+family hashes the factor lists mod p, in the order `factor_mod` lists
+them (t - a for the roots a, ascending, then the root-free rest; the unit
+part over Z does not depend on that order), and the unit degrees of
+seeded monic polynomials of degree 1..40 at 101, at 103 and at the least
+prime above the degree.  The
 `image_chain` family hashes the (steps, index) that `invsys._image_chain`
 returns on 300 seeded endomorphisms of Z^r + T with r <= 8 and at most two
 torsion factors; a third have a singular free block, whose walk first

@@ -9,21 +9,23 @@ product +-1 mod p.  `no_unit_factor` collects, for a few fixed primes, the
 degrees such sub-multisets can have; when no degree d >= 1 is possible at
 every prime, N has no unit factor.  The proof needs no integer charpoly:
 charpoly(N) mod p comes from a Hessenberg reduction mod p, and
-`unit_degrees` needs only the degree, constant term and multiplicity of
-each irreducible factor mod p.  It finds the linear ones from the roots,
-read off one evaluation at every point of F_p at once: row i of a power
-table packs a**i mod p for a = 0..p-1 into 32-bit slots, so
-sum(f[i] * row i) holds f(a) in slot a.  The rows grow as far as a degree
-needs, and depend only on p.  Each slot of the sum is at most
-(n + 1) * (p - 1)**2 < 2**32 for n = deg f, so none carries.  A rest
-without roots is split further only from degree 4 on, by the same
-square-free, distinct- and equal-degree steps that `factor_mod` runs.
-`factor_mod` keeps its own route through them: Hensel lifting and the
-digest read its factors in the order it lists them.  When the proof
-fails, `unit_part` factors the integer charpoly over Z (Zassenhaus: factor
-mod p, Hensel lifting, recombination) and keeps the unit factors.  The
-integer charpoly is itself read off charpoly(N) mod large primes, joined
-by the Chinese remainder theorem (`charpoly`).
+`unit_degrees` reads the degree, constant term and multiplicity of each
+irreducible factor that `factor_mod` lists.  `factor_mod` finds the
+linear ones from the roots, read off one evaluation at every point of F_p
+at once: row i of a power table packs a**i mod p for a = 0..p-1 into
+32-bit slots, so sum(f[i] * row i) holds f(a) in slot a.  The rows grow
+as far as a degree needs, and depend only on p.  Each slot of the sum is
+at most (n + 1) * (p - 1)**2 for n = deg f, so none carries while that
+stays below 2**32.  Every caller meets it: the certificate has p <= 103
+and n < p, and Zassenhaus takes the first suitable prime above n, which
+keeps it up to n of about 1600 (a JSON rank is at most 100).  A rest
+without roots is split further only from degree 4 on, by the square-free,
+distinct- and equal-degree steps.  When the proof fails, `unit_part`
+factors the integer charpoly over Z (Zassenhaus: factor mod p, Hensel
+lifting, recombination) and keeps the unit factors; the product does not
+depend on the order in which `factor_mod` lists the factors.  The integer
+charpoly is itself read off charpoly(N) mod large primes, joined by the
+Chinese remainder theorem (`charpoly`).
 
 Each prime used exceeds the degree, so a polynomial of degree n < p with
 zero derivative is constant and the square-free decomposition of
@@ -181,7 +183,8 @@ class _Residues:
 
 
 def _squarefree(f, p):
-    """[(s, i)]: f is the product of the s**i, each s square-free and coprime."""
+    """[(s, i)]: f is the product of the s**i, each s square-free and coprime;
+    [(f, 1)] exactly when a monic f of degree >= 1 is square-free."""
     deriv = _trim([i * c % p for i, c in enumerate(f)][1:])
     g = _monic_gcd(f, deriv, p)
     if len(g) == 1 and len(f) > 1:
@@ -200,25 +203,22 @@ def _squarefree(f, p):
     return out
 
 
-def _distinct_degree(f, p, low=1):
+def _distinct_degree(f, p):
     """[(g, d)]: g is the product of the degree-d irreducible factors of a
-    monic square-free f, which has none of degree < low."""
+    monic square-free f of degree >= 2 without roots."""
     out = []
     x = [0, 1]
-    if len(f) > 2:
-        ring = _Residues(f, p)
-        # frob[i] = x**(i*p) mod f, so h**p mod f is sum(h[i] * frob[i])
-        frob = [1, ring.pow(ring.pack(x), p)]
-        while len(frob) < ring.n:
-            frob.append(ring.mul(frob[-1], frob[1]))
-    h = x
-    d = 0
+    ring = _Residues(f, p)
+    # frob[i] = x**(i*p) mod f, so h**p mod f is sum(h[i] * frob[i])
+    frob = [1, ring.pow(ring.pack(x), p)]
+    while len(frob) < ring.n:
+        frob.append(ring.mul(frob[-1], frob[1]))
+    # h = x**(p**d) mod the original f, which the current f divides
+    h = ring.unpack(frob[1])
+    d = 1
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        # h = x**(p**d) mod the original f, which the current f divides
         h = ring.unpack(sum(map(operator.mul, h, frob)))
-        if d < low:
-            continue
         g = _monic_gcd(f, _sub(h, x, p), p)
         if len(g) > 1:
             out.append((g, d))
@@ -245,16 +245,6 @@ def _equal_degree(g, d, p, rng=None):
             return _equal_degree(h, d, p, rng) + _equal_degree(
                 _divmod(g, h, p)[0], d, p, rng
             )
-
-
-def factor_mod(f, p):
-    """[(g, i)]: the monic irreducible factors of a monic f over F_p with
-    their multiplicities, for deg f < p."""
-    out = []
-    for s, i in _squarefree(f, p):
-        for g, d in _distinct_degree(s, p):
-            out.extend((h, i) for h in _equal_degree(g, d, p))
-    return out
 
 
 def charpoly_mod(a, p):
@@ -378,25 +368,21 @@ def _divide_root(f, a, p):
     return q, (f[0] + a * c) % p
 
 
-def unit_degrees(f, p):
-    """Degrees d >= 1 of the sub-multisets of the irreducible factors of a
-    monic f over F_p whose constant terms multiply to +-1, for deg f < p.
+def factor_mod(f, p):
+    """[(g, i)]: the monic irreducible factors of a monic f over F_p with
+    their multiplicities, for deg f < p and (deg f + 1) * (p - 1)**2 < 2**32
+    (the power table of `_roots`; the module docstring says why every
+    caller meets it).
 
-    Only each factor's degree, constant term and multiplicity matter, so
-    the factors are not listed as `factor_mod` lists them.  The factor
-    t**k is dropped: a constant 0 never joins a product +-1.  The linear
-    factors t - a come from the roots a (`_roots`), each divided out as
-    often as it divides.  A reducible polynomial of degree <= 3 has a
-    root, so a rest without roots of degree <= 3 is irreducible, and so
-    is each square-free part of degree <= 3 of a longer rest.  Only a
-    part of degree >= 4 builds a `_Residues` ring, for the distinct-degree
-    step (from degree 2, as no factor is linear) and the equal-degree step.
+    The linear factors t - a come first, in ascending order of a, from the
+    roots a (`_roots`), each divided out as often as it divides.  A
+    reducible polynomial of degree <= 3 has a root, so a rest without roots
+    of degree <= 3 is irreducible, and so is each square-free part of
+    degree <= 3 of a longer rest.  Only a part of degree >= 4 builds a
+    `_Residues` ring, for the distinct-degree step (from degree 2, as no
+    factor is linear) and the equal-degree step.
     """
-    k = 0
-    while not f[k]:
-        k += 1
-    f = f[k:]
-    factors = []  # (degree, constant term, multiplicity)
+    out = []
     for a in _roots(f, p) if len(f) > 1 else ():
         m = 0
         while len(f) > 1:
@@ -405,18 +391,28 @@ def unit_degrees(f, p):
                 break
             f = q
             m += 1
-        factors.append((1, -a % p, m))
+        out.append(([-a % p, 1], m))
     if len(f) > 1:
         for s, i in [(f, 1)] if len(f) <= 4 else _squarefree(f, p):
             if len(s) <= 4:
-                factors.append((len(s) - 1, s[0], i))
+                out.append((s, i))
                 continue
-            for g, d in _distinct_degree(s, p, 2):
-                factors.extend((d, h[0], i) for h in _equal_degree(g, d, p))
+            for g, d in _distinct_degree(s, p):
+                out.extend((h, i) for h in _equal_degree(g, d, p))
+    return out
+
+
+def unit_degrees(f, p):
+    """Degrees d >= 1 of the sub-multisets of the irreducible factors of a
+    monic f over F_p whose constant terms multiply to +-1, for f and p as
+    `factor_mod` takes them: a reach over its list of (degree, constant
+    product) pairs.  The factor t is skipped, as a constant 0 never joins a
+    product +-1."""
     reach = {(0, 1)}
-    for step, c, i in factors:
-        for _ in range(i):
-            reach |= {(d + step, x * c % p) for d, x in reach}
+    for g, i in factor_mod(f, p):
+        if g[0]:
+            for _ in range(i):
+                reach |= {(d + len(g) - 1, x * g[0] % p) for d, x in reach}
     return {d for d, c in reach if d and c in (1, p - 1)}
 
 
@@ -538,11 +534,6 @@ def _primes_above(n):
         q += 1
 
 
-def _is_squarefree_mod(f, p):
-    fp = _trim([c % p for c in f])
-    return len(_monic_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) == 1
-
-
 def _zdivmod(f, g):
     """(quotient, remainder) over Z of f by a monic g."""
     dg = len(g) - 1
@@ -588,8 +579,11 @@ def _factor_squarefree(f):
     n = len(f) - 1
     if n == 1:
         return [f]
-    p = next(q for q in _primes_above(n) if _is_squarefree_mod(f, q))
-    gs = [g for g, _i in factor_mod([c % p for c in f], p)]
+    for p in _primes_above(n):
+        fp = [c % p for c in f]
+        if _squarefree(fp, p) == [(fp, 1)]:
+            break
+    gs = [g for g, _i in factor_mod(fp, p)]
     # Mignotte: every factor of f has coefficients below 2**n * |f|_2, so
     # above twice that the symmetric residues mod m are the coefficients
     bound = 2 ** (n + 1) * (math.isqrt(sum(c * c for c in f)) + 1)
@@ -627,7 +621,9 @@ def unit_part(f):
     if len(f) == 2:  # t - a
         return list(f) if abs(f[0]) == 1 else [1]
     sqf = f
-    if not _is_squarefree_mod(f, next(_primes_above(len(f) - 1))):
+    p = next(_primes_above(len(f) - 1))
+    fp = [c % p for c in f]
+    if _squarefree(fp, p) != [(fp, 1)]:
         sqf = _zdivmod(f, _qgcd(f, [i * c for i, c in enumerate(f)][1:]))[0]
     u = [1]
     for h in _factor_squarefree(sqf):

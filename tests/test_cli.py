@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -399,6 +400,7 @@ def test_unit_part_does_not_import_sympy(tmp_path):
 IMPORT_GRAPH_SCRIPT = """
 import sys, prolim.cli
 print(sorted(m for m in ("dataclasses", "typing", "inspect") if m in sys.modules))
+print("prolim._modpoly" in sys.modules)
 from prolim import _modpoly
 assert _modpoly.no_unit_factor([[2, 0], [1, 3]])
 print("fractions" in sys.modules)
@@ -407,6 +409,7 @@ print("fractions" in sys.modules)
 
 def test_cli_import_loads_no_dataclasses_typing_or_inspect():
     # -S, so that no site .pth file can preload a module and hide its import;
+    # `fgab.eventual_image_lattice` imports _modpoly when it first runs, and
     # the mod-p certificate leaves fractions to the unit_part fallback
     env = dict(os.environ, PYTHONPATH="src")
     res = subprocess.run(
@@ -417,7 +420,21 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect():
         timeout=60,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout == b"[]\nFalse\n"
+    assert res.stdout == b"[]\nFalse\nFalse\n"
+
+
+def test_modpoly_imports_nothing_from_prolim():
+    # as its docstring says, so it loads alone and only when it first runs
+    with open(_modpoly.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert "struct" in imported
+    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "prolim"] == []
 
 
 def test_kk_classify_requires_second_system(tmp_path):

@@ -38,7 +38,7 @@ PINNED_LINES = (
     "tower.drops 50 8ebb1f848272276149a6edc156008e851c11e3b107b1175840f7da3728db5635",
     "restrict_tuple 3200 636326747554d2a66b8ce0e6a63ee6c8320f180f1929563a18ea1a94b92e3ddd",
     "eventual_lattice 120 e74112a30f218702a6bc941127f1294032f82a58f945f22001ee154c0e49cd75",
-    "factor_mod 120 1b6db9a86477c42748ad61d48854eee35af76ecb8593f007d9ca956e1750c348",
+    "factor_mod 120 b01f6f352ebb89b6a29d69c0fd9196fa167b96ec34b3990caee58ad786cb5fbe",
     "image_chain 300 a6c6281b915045be0dc25f516fd8b6589e18b56c3f615f0c1797b9d450d4df98",
 )
 

@@ -340,11 +340,21 @@ def test_from_json_rejects_non_arrays_and_non_integers(doc, path):
 
 
 def test_json_round_trip(rng):
-    for _ in range(20):
-        s = random_system(rng)
+    chain = I.chain_system(
+        [F.Zmod(2), F.Zmod(4), F.Zmod(8)],
+        [
+            F.GroupHom(F.Zmod(4), F.Zmod(2), [[1]]),
+            F.GroupHom(F.Zmod(8), F.Zmod(4), [[1]]),
+        ],
+    )
+    for s in [random_system(rng) for _ in range(20)] + [chain]:
         again = I.InverseSystem.from_json(s.to_json())
-        assert system_equal(s, again, s.prefix_len + s.period + 2)
+        # a finite chain has no levels past its prefix
+        upto = s.prefix_len if s.is_chain() else s.prefix_len + s.period + 2
+        assert system_equal(s, again, upto)
         assert again.to_json() == s.to_json()
+        assert again.period == s.period
+    assert chain.to_json()["tail"] is None and chain.period == 0
 
 
 def test_eventual_image_matches_long_iteration(rng):

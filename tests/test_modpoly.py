@@ -1,7 +1,9 @@
 """The mod-p certificate that a charpoly has no unit factor, and the unit
 part over Z, with sympy as the oracle."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import struct
@@ -61,13 +63,13 @@ def block_diagonal(blocks, rng):
     return out
 
 
-def conjugate(a, rng, steps=12):
+def conjugate(a, rng, steps=12, scales=(-2, -1, 1, 2)):
     """u * a * u^-1 for a random product u of elementary matrices."""
     n = len(a)
     a = [row[:] for row in a]
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
+        c = rng.choice(scales)
         # row i += c * row j, then col j -= c * col i
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
         for row in a:
@@ -264,6 +266,33 @@ def test_eventual_image_lattice_matches_the_factoring_reference():
     assert M.no_unit_factor([[100]])
 
 
+def fallback_matrix(n, root, const):
+    """The companion of (t - root)(t**(n-1) + t + const), conjugated by 10n
+    elementary operations with multipliers +-1."""
+    f = poly_mul([-root, 1], [const, 1] + [0] * (n - 3) + [1])
+    return conjugate(companion(f), random.Random(f"fallback/{n}/{root}"), 10 * n, (-1, 1))
+
+
+# sha256 of the four lattices below, as JSON
+FALLBACK_LATTICES = "5344826d472255bd2f0006f7240a073758ec9daf975ae9faab60564bd72ca056"
+
+
+def test_eventual_image_lattice_is_pinned_past_the_certificate():
+    # Ranks 24 and 32, past the digest's 12: the certificate cannot settle
+    # these (each has a unit factor), so the integer charpoly, Zassenhaus
+    # and the kernel of u(N) run.  t**(n-1) + t + 2 vanishes at -1, so
+    # u = (t - 1)(t + 1); every factor of t**(n-1) + t + 1 is a unit.
+    lattices = []
+    for n in (24, 32):
+        for root, const in ((1, 2), (2, 1)):
+            a = fallback_matrix(n, root, const)
+            assert not M.no_unit_factor(a)
+            lattices.append(F.eventual_image_lattice(a))
+    assert [len(w) for w in lattices] == [2, 23, 2, 31]
+    digest = hashlib.sha256(json.dumps(lattices).encode()).hexdigest()
+    assert digest == FALLBACK_LATTICES
+
+
 def test_unit_part_matches_sympy_on_the_corpus():
     for a, has_unit_block in CORPUS:
         u = M.unit_part(M.charpoly(a))
@@ -334,14 +363,18 @@ def test_factor_mod_matches_sympy_at_degree_100():
     # the largest free rank a JSON group may have, at the prime Zassenhaus picks
     rng = random.Random(100)
     f = [rng.randint(-9, 9) for _ in range(100)] + [1]
-    p = next(q for q in M._primes_above(100) if M._is_squarefree_mod(f, q))
-    fp = [c % p for c in f]
+    for p in M._primes_above(100):
+        fp = [c % p for c in f]
+        if M._squarefree(fp, p) == [(fp, 1)]:
+            break
     assert sorted((tuple(g), i) for g, i in M.factor_mod(fp, p)) == sympy_factor_mod(fp, p)
 
 
-# The factoring of the parent commit, on coefficient lists throughout: the
-# reference for the order of `factor_mod`'s factors, which Hensel lifting
-# and recombination consume in that order.
+# Factoring on coefficient lists throughout.  `list_factor_mod` is the
+# square-free, distinct-degree (from degree 1), equal-degree route, which
+# lists the factors in another order than `factor_mod`: the independent
+# reference for `unit_degrees`.  `list_roots_first_factor_mod` is the route
+# of `factor_mod`, the reference for the order of its factors.
 def list_powmod(f, e, m, p):
     out = None
     while True:
@@ -402,13 +435,36 @@ def list_factor_mod(f, p):
     return out
 
 
+def list_roots_first_factor_mod(f, p):
+    """t - a for the roots a, ascending, each as often as it divides, then
+    the root-free rest: as it is up to degree 3, else through the
+    square-free parts, each split further from degree 4 on."""
+    out = []
+    for a in range(p):
+        m = 0
+        while len(f) > 1 and not sum(c * pow(a, i, p) for i, c in enumerate(f)) % p:
+            f = M._divmod(f, [-a % p, 1], p)[0]
+            m += 1
+        if m:
+            out.append(([-a % p, 1], m))
+    if len(f) > 1:
+        for s, i in [(f, 1)] if len(f) <= 4 else M._squarefree(f, p):
+            if len(s) <= 4:
+                out.append((s, i))
+                continue
+            # s has no roots, so degree 1 contributes no factor
+            for g, d in list_distinct_degree(s, p):
+                out.extend((h, i) for h in list_equal_degree(g, d, p))
+    return out
+
+
 def test_factor_mod_lists_the_factors_in_the_list_reference_order():
     rng = random.Random(14)
     for n in range(1, 41):
         for p in (101, 103, next_prime(n)):
             for _ in range(3):
                 f = seeded_monic(rng, n, p)
-                assert M.factor_mod(f, p) == list_factor_mod(f, p), (f, p)
+                assert M.factor_mod(f, p) == list_roots_first_factor_mod(f, p), (f, p)
 
 
 @pytest.mark.parametrize(
@@ -463,12 +519,11 @@ def test_primes_not_above_the_dimension_are_skipped(monkeypatch):
     assert consulted(M.PRIMES[-1]) == (False, [])
 
 
-# The unit-degree DP of the parent commit, over the full `factor_mod` list:
-# the reference for `unit_degrees`, which reads the roots and factors only
-# a root-free rest of degree >= 4.
+# The unit-degree DP over `list_factor_mod`'s list: the reference for
+# `unit_degrees`, which reads `factor_mod`'s list.
 def factor_mod_unit_degrees(f, p):
     reach = {(0, 1)}
-    for g, i in M.factor_mod(f, p):
+    for g, i in list_factor_mod(f, p):
         step = len(g) - 1
         for _ in range(i):
             reach |= {(d + step, c * g[0] % p) for d, c in reach}

@@ -123,6 +123,12 @@ def test_ball_cylinder_identity_exhaustive():
             }
             cyl = P.cylinder_of(x, n - 1)
             assert ball == {y for y in all3 if cyl.contains(y)}
+            assert ball == {y for y in all3 if P.ball(x, n).contains(y)}
+    # radius 1/2 is the whole space; larger radii are not in the basis
+    for x in all3:
+        assert all(P.ball(x, 1).contains(y) for y in all3)
+    with pytest.raises(PreconditionError):
+        P.ball(all3[0], 0)
 
 
 def test_cylinder_examples():

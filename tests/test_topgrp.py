@@ -20,6 +20,17 @@ def mixed_space():
     return T.FiniteTopAbGroup.product(a, b)
 
 
+def test_product_of_discrete_spaces_is_discrete():
+    # the 22 rectangles U x V are not closed under unions: the union loop of
+    # `product` must add the other 42 subsets of Z/2 + Z/3
+    a = T.FiniteTopAbGroup.discrete(F.Zmod(2))
+    b = T.FiniteTopAbGroup.discrete(F.Zmod(3))
+    prod = T.FiniteTopAbGroup.product(a, b)
+    assert prod.opens == frozenset(range(64))
+    T.FiniteTopAbGroup(prod.group, prod.opens, validate=True)
+    assert prod.opens == T.FiniteTopAbGroup.discrete(prod.group).opens
+
+
 def test_validator_accepts_coset_topology():
     # re-validate every constructed coset family explicitly
     for g in T.abelian_groups_upto(8):
