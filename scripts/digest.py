@@ -158,8 +158,7 @@ def outputs(doc, rng):
     yield "lim_truncated.witness", witness.to_json()
     for n in range(1, k + p + 1):
         h = s.map_at(n)
-        sub, _incl = F.kernel(h)  # _incl is sub.inclusion()
-        yield from subgroup_lines("kernel", sub)
+        yield from subgroup_lines("kernel", F.kernel(h))
         img = F.image(h)
         yield from subgroup_lines("image", img)
         q, proj = F.quotient(h.target, img)

@@ -132,9 +132,6 @@ class FgAbGroup:
     def sub(self, x, y):
         return self.reduce(tuple(a - b for a, b in zip(x, y)))
 
-    def scale(self, n, x):
-        return self.reduce(tuple(n * a for a in x))
-
     def relation_columns(self):
         """Columns spanning the relation lattice (di * torsion unit vectors)."""
         n = self.dim
@@ -322,9 +319,6 @@ class GroupHom:
             raise InputError("element does not belong to the source group")
         return self.target.reduce(_k.combine(self._cols, x, self.target.dim))
 
-    def __call__(self, x):
-        return self.apply(x)
-
     def compose(self, other):
         """self o other (apply `other` first)."""
         if other.target != self.source:
@@ -510,9 +504,6 @@ class Subgroup:
     def contains(self, x):
         return self.coordinates_of(x) is not None
 
-    def __contains__(self, x):
-        return self.contains(x)
-
     def equals(self, other):
         if self.ambient != other.ambient:
             raise InputError("subgroups of different ambient groups")
@@ -520,12 +511,6 @@ class Subgroup:
 
     def is_full(self):
         return _spans_all(self.echelon_basis(), self.ambient.dim)
-
-    def is_trivial(self):
-        return self.normal_form.is_trivial()
-
-    def order(self):
-        return self.normal_form.order()
 
     def index_in(self, other):
         """[other : self] for self <= other; None when the index is infinite.
@@ -579,23 +564,15 @@ class Subgroup:
         return f"Subgroup({self.ambient}, gens={list(self.generators)})"
 
 
-def subgroup_equal(a, b):
-    """Mutual-containment equality of two subgroups of the same ambient."""
-    if a.ambient != b.ambient:
-        raise InputError("subgroup_equal: mismatched ambient groups")
-    return a.equals(b)
-
-
 def image(h):
     """Subgroup of the target generated by the columns of h."""
     return Subgroup(h.target, h.columns())
 
 
 def kernel(h):
-    """(Subgroup of the source, inclusion hom) with h o inclusion = 0."""
+    """Subgroup of the source that h maps to zero."""
     ker = _k.kernel_columns([*h.columns(), *h.target.relation_columns()])
-    sub = Subgroup(h.source, [col[: h.source.dim] for col in ker])
-    return sub, sub.inclusion()
+    return Subgroup(h.source, [col[: h.source.dim] for col in ker])
 
 
 def quotient(ambient, sub):
@@ -607,8 +584,7 @@ def quotient(ambient, sub):
 
 
 def is_injective(h):
-    sub, _incl = kernel(h)
-    return sub.normal_form.is_trivial()
+    return kernel(h).normal_form.is_trivial()
 
 
 def is_surjective(h):
@@ -656,8 +632,7 @@ def solve_hom_minimal(h, y):
     x0 = solve_hom(h, y)
     if x0 is None:
         return None
-    sub, _ = kernel(h)
-    basis = sub.lattice_basis()
+    basis = kernel(h).lattice_basis()
     red = _k.reduce_mod_lattice(list(x0), basis)
     return h.source.reduce(tuple(red))
 
@@ -727,8 +702,7 @@ def eventual_image_lattice(n_cols):
     first = _modpoly.charpoly_mod(n_cols, p) if r < p else None
     if first is None or first[0] in (1, p - 1):
         basis = _k.hermite_column_basis(n_cols, r)
-        # r pivots, all 1: every other entry in a pivot row is reduced to 0
-        if len(basis) == r and all(c[i] == 1 for i, c in enumerate(basis)):
+        if _spans_all(basis, r):
             return basis
     if _modpoly.no_unit_factor(n_cols, first):
         return []

@@ -38,7 +38,6 @@ from prolim.fgab import (
     json_int,
     json_list,
     kernel,
-    subgroup_equal,
 )
 
 
@@ -577,7 +576,7 @@ class MLCertificate(namedtuple("MLCertificate", "verdict per_level")):
 def _stable_level(s, n, m):
     """The certificate entry for level n, whose image chain is verified
     stable from m: Im(f_{n,m}) = Im(f_{n,m+p})."""
-    if not subgroup_equal(image(s.map_between(n, m)), image(s.map_between(n, m + s.period))):
+    if not image(s.map_between(n, m)).equals(image(s.map_between(n, m + s.period))):
         raise AssertionError(f"image chain at level {n} is not stable from {m}")
     return MLLevel(n, True, stable_from=m)
 
@@ -795,7 +794,7 @@ def kernel_sequence(s, upto=None):
         if layers is not None and n >= k + 2:
             x = layers[(n - k - 2) % p]
         else:
-            x = kernel(s.map_at(n - 1))[0].normal_form
+            x = kernel(s.map_at(n - 1)).normal_form
         out.append((n, x, x.is_finite()))
     return out
 

@@ -87,9 +87,6 @@ class CoherentTuple:
             entries.append(system.map_at(n).apply(entries[-1]))
         return cls(system, tuple(reversed(entries)))
 
-    def coordinate(self, n):
-        return self.entries[n - 1]
-
     def __eq__(self, other):
         return (
             isinstance(other, CoherentTuple)

@@ -1,13 +1,16 @@
 """Finite topological abelian groups and the product-splitting verifier.
 
-Topologies are explicit open-set families over the element set of a finite
-group, stored as integer bitmasks.  The checks are exhaustive over
-elements and sections, and exact over opens: a finite topology is
-determined by its minimal neighborhoods.  The minimal neighborhood of a
-point is the smallest open containing it, so a condition on every open
-around a point is checked at that one set (basis checks run at minimal
-neighborhoods), and the splitting checks run over the minimal-open basis,
-which generates every open under unions.
+A finite topology is determined by its minimal neighborhoods (Alexandrov,
+"Diskrete Räume", 1937): the minimal neighborhood of a point is the
+smallest open containing it, and the opens are exactly the unions of
+minimal neighborhoods.  So a topology is stored as one bitmask per
+element of a finite group, the mask of that element's minimal
+neighborhood, and no open family is ever built.  A condition on every
+open around a point is checked at that one set, and the splitting checks
+run over the minimal-open basis, which generates every open under unions.
+An explicit open family enters through `FiniteTopAbGroup.from_opens`,
+which checks it and keeps only its minimal neighborhoods.  The checks are
+exhaustive over elements and sections.
 """
 
 import itertools
@@ -35,41 +38,30 @@ def _map_bits(table, mask):
 
 
 class FiniteTopAbGroup:
-    """A finite abelian group with a validated group topology."""
+    """A finite abelian group with a group topology, stored as the minimal
+    neighborhoods of its elements.
 
-    __slots__ = (
-        "group",
-        "elements",
-        "index",
-        "opens",
-        "full_mask",
-        "add",
-        "neg",
-        "_min_nbhd",
-    )
+    Element i is the i-th of `group.elements()`, and `min_nbhds[i]` is the
+    bitmask of its minimal open neighborhood.  The constructor trusts its
+    masks: it checks only that the group is finite.  The named constructors
+    build masks that are a group topology by construction; an explicit open
+    family goes through `from_opens`, which checks it.
+    """
 
-    def __init__(self, group, opens_masks, validate=True, min_nbhds_hint=None):
+    __slots__ = ("group", "elements", "index", "min_nbhds", "full_mask", "add")
+
+    def __init__(self, group, min_nbhds):
         if not group.is_finite():
             raise InputError("topologies are stored for finite groups only")
         elements = list(group.elements())
         index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        full = (1 << n) - 1
-        opens = frozenset(opens_masks)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "opens", opens)
-        object.__setattr__(self, "full_mask", full)
-        add = [
-            [index[group.add(a, b)] for b in elements] for a in elements
-        ]
-        neg = [index[group.neg(a)] for a in elements]
+        object.__setattr__(self, "min_nbhds", min_nbhds)
+        object.__setattr__(self, "full_mask", (1 << len(elements)) - 1)
+        add = [[index[group.add(a, b)] for b in elements] for a in elements]
         object.__setattr__(self, "add", add)
-        object.__setattr__(self, "neg", neg)
-        object.__setattr__(self, "_min_nbhd", min_nbhds_hint)
-        if validate:
-            self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTopAbGroup is immutable")
@@ -82,15 +74,47 @@ class FiniteTopAbGroup:
     def translate_mask(self, g, mask):
         return _map_bits(self.add[self.index[tuple(g)]], mask)
 
-    # -- axioms ---------------------------------------------------------
+    def basis_masks(self):
+        """The minimal-open basis (every open is a union of these)."""
+        return sorted(set(self.min_nbhds))
 
-    def _validate(self):
-        n = len(self.elements)
-        opens = self.opens
-        if 0 not in opens or self.full_mask not in opens:
+    def is_open(self, mask):
+        """Whether `mask` contains the minimal neighborhood of each member."""
+        mn = self.min_nbhds
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if mn[low.bit_length() - 1] & ~mask:
+                return False
+            rest ^= low
+        return True
+
+    # -- constructors ----------------------------------------------------
+
+    @classmethod
+    def from_opens(cls, group, opens):
+        """The topology whose opens are the bitmasks `opens`, checked.
+
+        The family must contain the empty set and the whole set, and be
+        closed under unions and intersections; a family with every
+        singleton open must be the discrete one, and any other is capped at
+        4096 opens.  Translations must be homeomorphisms, which for a
+        finite topology means mn[g + x] = g + mn[x] for the minimal
+        neighborhoods mn.
+
+        Subtraction is then continuous, so no further check is needed.  Let
+        U = mn[0].  For u in U, mn[u] = u + U, and mn[u] lies inside U, an
+        open containing u; so U + U lies in U, which in a finite group makes
+        U a subgroup.  Every mn[x] = x + U is then a coset of U: the
+        topology is the coset topology of U, which is a group topology.
+        """
+        opens = frozenset(opens)
+        top = cls(group, None)
+        n = len(top.elements)
+        full = top.full_mask
+        if 0 not in opens or full not in opens:
             raise InputError("opens must contain the empty set and the whole set")
-        singletons = all((1 << i) in opens for i in range(n))
-        if singletons:
+        if all((1 << i) in opens for i in range(n)):
             if len(opens) != 1 << n:
                 raise InputError("all singletons open forces the discrete topology")
         else:
@@ -100,143 +124,87 @@ class FiniteTopAbGroup:
                 for b in opens:
                     if (a | b) not in opens or (a & b) not in opens:
                         raise InputError("opens not closed under union/intersection")
-        for g in self.elements:
-            for u in opens:
-                if self.translate_mask(g, u) not in opens:
-                    raise InputError("translation does not preserve opens")
-        # continuity of (x, y) -> x - y via minimal product neighborhoods:
-        # the differences of mn[a] and mn[b] must lie in every open around
-        # a - b, that is, in their intersection mn[a - b]
-        mn = self.min_nbhds()
-        neg_mn = [_map_bits(self.neg, m) for m in mn]
-        for ai in range(n):
-            for bi in range(n):
-                diffs = 0
-                for xi in _bits(mn[ai]):
-                    diffs |= _map_bits(self.add[xi], neg_mn[bi])
-                if diffs & ~mn[self.add[ai][self.neg[bi]]]:
-                    raise InputError("subtraction is not continuous")
-
-    def min_nbhds(self):
-        """mask of the minimal open neighborhood of each element."""
-        cached = self._min_nbhd
-        if cached is not None:
-            return cached
-        n = len(self.elements)
         mn = []
         for i in range(n):
-            m = self.full_mask
-            for u in self.opens:
+            m = full
+            for u in opens:
                 if u >> i & 1:
                     m &= u
             mn.append(m)
-        object.__setattr__(self, "_min_nbhd", mn)
-        return mn
-
-    def basis_masks(self):
-        """The minimal-open basis (every open is a union of these)."""
-        return sorted(set(self.min_nbhds()))
-
-    def is_open(self, mask):
-        if mask in self.opens:
-            return True
-        # unions of minimal neighborhoods of members
-        mn = self.min_nbhds()
-        return not any(mn[i] & ~mask for i in _bits(mask))
-
-    # -- constructors ----------------------------------------------------
+        object.__setattr__(top, "min_nbhds", mn)
+        for row in top.add:
+            for i in range(n):
+                if mn[row[i]] != _map_bits(row, mn[i]):
+                    raise InputError("translation does not preserve opens")
+        return top
 
     @classmethod
     def discrete(cls, group):
-        n = group.order()
-        return cls(
-            group,
-            _all_masks(n),
-            validate=False,
-            min_nbhds_hint=[1 << i for i in range(n)],
-        )
+        return cls(group, [1 << i for i in range(group.order())])
 
     @classmethod
     def indiscrete(cls, group):
         n = group.order()
-        return cls(group, [0, (1 << n) - 1], validate=False)
+        return cls(group, [(1 << n) - 1] * n)
 
     @classmethod
     def from_subgroup(cls, group, sub_elements):
-        """The coset topology: opens are exactly the unions of N-cosets."""
+        """The coset topology: the minimal neighborhood of x is x + N."""
         elements = list(group.elements())
         index = {e: i for i, e in enumerate(elements)}
         sub = {tuple(e) for e in sub_elements}
         if group.zero() not in sub:
             raise InputError("subgroup must contain zero")
-        seen = set()
-        coset_masks = []
-        for e in elements:
-            if e in seen:
-                continue
-            coset = {group.add(e, s) for s in sub}
-            seen |= coset
-            m = 0
-            for c in coset:
-                m |= 1 << index[c]
-            coset_masks.append(m)
-        opens = [0]
-        for cm in coset_masks:
-            opens += [m | cm for m in opens]
         elem_coset = [0] * len(elements)
-        for cm in coset_masks:
-            for i in _bits(cm):
-                elem_coset[i] = cm
-        return cls(group, opens, validate=False, min_nbhds_hint=elem_coset)
+        for i, e in enumerate(elements):
+            if elem_coset[i]:
+                continue
+            m = 0
+            for s in sub:
+                m |= 1 << index[group.add(e, s)]
+            for j in _bits(m):
+                elem_coset[j] = m
+        return cls(group, elem_coset)
 
     @classmethod
     def product(cls, a, b):
-        """Product group with the product topology."""
+        """Product group with the product topology: the minimal
+        neighborhood of (x, y) is mn(x) x mn(y)."""
         g, _incs, projs = fgab.direct_sum(a.group, b.group)
         elements = list(g.elements())
-        index = {e: i for i, e in enumerate(elements)}
         pa, pb = projs
+        # fiber[i]: the mask of the elements whose coordinate is element i
+        fiber_a = [0] * len(a.elements)
+        fiber_b = [0] * len(b.elements)
+        coords = []
+        for k, e in enumerate(elements):
+            ia, ib = a.index[pa.apply(e)], b.index[pb.apply(e)]
+            fiber_a[ia] |= 1 << k
+            fiber_b[ib] |= 1 << k
+            coords.append((ia, ib))
 
-        def rect(ua, ub):
-            m = 0
-            ua_set = set(map(tuple, a.elems_of(ua)))
-            ub_set = set(map(tuple, b.elems_of(ub)))
-            for e in elements:
-                if pa.apply(e) in ua_set and pb.apply(e) in ub_set:
-                    m |= 1 << index[e]
-            return m
+        def lift(fiber, mask):
+            out = 0
+            for i in _bits(mask):
+                out |= fiber[i]
+            return out
 
-        rects = {rect(ua, ub) for ua in a.opens for ub in b.opens}
-        opens = set(rects)
-        # close under unions (finite, small families)
-        frontier = set(opens)
-        while frontier:
-            new = set()
-            for u in frontier:
-                for v in rects:
-                    w = u | v
-                    if w not in opens:
-                        new.add(w)
-            opens |= new
-            frontier = new
-        return cls(g, opens, validate=False)
-
-
-def _all_masks(n):
-    return range(1 << n)
+        mn = [
+            lift(fiber_a, a.min_nbhds[ia]) & lift(fiber_b, b.min_nbhds[ib])
+            for ia, ib in coords
+        ]
+        return cls(g, mn)
 
 
 def closure_of_zero(g):
-    """Smallest closed set containing zero; always a subgroup."""
-    full = g.full_mask
-    zero_bit = 1 << g.index[g.group.zero()]
-    cl = full
-    for u in g.opens:
-        c = full & ~u
-        if c & zero_bit:
-            cl &= c
-    elems = g.elems_of(cl)
-    elem_set = {tuple(e) for e in elems}
+    """Smallest closed set containing zero; always a subgroup.
+
+    x lies in it iff every open around x meets {0}, that is, iff zero lies
+    in the minimal neighborhood of x.
+    """
+    zero_i = g.index[g.group.zero()]
+    elems = [e for e, m in zip(g.elements, g.min_nbhds) if m >> zero_i & 1]
+    elem_set = set(elems)
     for a in elems:
         for b in elems:
             if g.group.sub(a, b) not in elem_set:
@@ -307,7 +275,7 @@ class SplittingContext:
         nc = len(self.cl_pos)
         # minimal neighborhoods in the subspace topology on cl{0}: those of
         # G restricted to cl{0}
-        mn = g.min_nbhds()
+        mn = g.min_nbhds
         cl_min = [
             sum(1 << j for j, i in enumerate(self.cl_pos) if mn[h] >> i & 1)
             for h in self.cl_pos
@@ -447,7 +415,7 @@ def translated_basis_check(g, basis_masks):
     # Every open around a point contains its minimal neighborhood, which is
     # itself open (opens are closed under intersection), so a member inside
     # it lies inside every open around the point.
-    mn = g.min_nbhds()
+    mn = g.min_nbhds
     if not any(v & ~mn[zero_i] == 0 for v in basis_masks):
         raise InputError("not a neighborhood basis at zero")
     return all(

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -772,11 +773,24 @@ def test_dense_negative_budget_exits_2():
     assert res.stdout == b""
 
 
+# stdout of each split-demo space, pinned so that a change in how a topology
+# is stored cannot move a byte
+SPLIT_DEMO_SHA256 = {
+    "mixed": "e84d44f5d2d33afe5a5936c6e6f2b7b82f54413e99381356bf67fade66c3efd4",
+    "discrete-z4": "8184d2309a7212def925bf4dc3531fe1d2124130904b21491c34415c46caf1c7",
+    "indiscrete-z2": "418e46da984f73da19978a9a0ad4f1f397e157375c8e1a8b88f50823bc5ccd46",
+}
+
+
 def test_split_demo():
     res = run_cli("split-demo", "mixed")
     out = json.loads(res.stdout)
     assert out["verdict"]["all_sections_pass"] is True
     assert out["verdict"]["translated_basis_ok"] is True
+    for name, want in SPLIT_DEMO_SHA256.items():
+        res = run_cli("split-demo", name)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == want, name
     bad = run_cli("split-demo", "nope")
     assert bad.returncode == 2
 

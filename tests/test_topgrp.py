@@ -14,6 +14,27 @@ def mask_of(top, elems):
     return m
 
 
+def all_opens(top):
+    """Every open of `top`: the unions of its minimal neighborhoods."""
+    opens = {0}
+    for b in top.basis_masks():
+        opens |= {m | b for m in opens}
+    return opens
+
+
+def min_nbhds_of(opens, n):
+    """The minimal neighborhoods of an open family on n points: for each
+    point, the intersection of the opens that contain it."""
+    mn = []
+    for i in range(n):
+        m = (1 << n) - 1
+        for u in opens:
+            if u >> i & 1:
+                m &= u
+        mn.append(m)
+    return mn
+
+
 def mixed_space():
     a = T.FiniteTopAbGroup.discrete(F.Zmod(2))
     b = T.FiniteTopAbGroup.indiscrete(F.Zmod(3))
@@ -21,14 +42,16 @@ def mixed_space():
 
 
 def test_product_of_discrete_spaces_is_discrete():
-    # the 22 rectangles U x V are not closed under unions: the union loop of
-    # `product` must add the other 42 subsets of Z/2 + Z/3
+    # the minimal neighborhoods of a product are the rectangles of its
+    # coordinates' ones: singletons here, so all 64 subsets of Z/2 + Z/3 are
+    # open, not only the 22 rectangles U x V of opens
     a = T.FiniteTopAbGroup.discrete(F.Zmod(2))
     b = T.FiniteTopAbGroup.discrete(F.Zmod(3))
     prod = T.FiniteTopAbGroup.product(a, b)
-    assert prod.opens == frozenset(range(64))
-    T.FiniteTopAbGroup(prod.group, prod.opens, validate=True)
-    assert prod.opens == T.FiniteTopAbGroup.discrete(prod.group).opens
+    assert prod.min_nbhds == T.FiniteTopAbGroup.discrete(prod.group).min_nbhds
+    assert all_opens(prod) == set(range(64))
+    checked = T.FiniteTopAbGroup.from_opens(prod.group, all_opens(prod))
+    assert checked.min_nbhds == prod.min_nbhds
 
 
 def test_validator_accepts_coset_topology():
@@ -36,21 +59,36 @@ def test_validator_accepts_coset_topology():
     for g in T.abelian_groups_upto(8):
         for sub in T.all_subgroups(g):
             top = T.FiniteTopAbGroup.from_subgroup(g, sub)
-            T.FiniteTopAbGroup(g, top.opens)
+            assert T.FiniteTopAbGroup.from_opens(g, all_opens(top)).min_nbhds == top.min_nbhds
     prod = mixed_space()
-    T.FiniteTopAbGroup(prod.group, prod.opens)
+    assert T.FiniteTopAbGroup.from_opens(prod.group, all_opens(prod)).min_nbhds == prod.min_nbhds
 
 
 def test_validator_rejects_non_topologies():
     g = F.Zmod(4)
     full = (1 << 4) - 1
-    with pytest.raises(InputError):
-        T.FiniteTopAbGroup(g, [0b0001, full])  # missing empty set
-    with pytest.raises(InputError):
-        T.FiniteTopAbGroup(g, [0, 0b0011, 0b0110, full])  # not union-closed
+    with pytest.raises(InputError, match="empty set"):
+        T.FiniteTopAbGroup.from_opens(g, [0b0001, full])
+    with pytest.raises(InputError, match="not closed under union"):
+        T.FiniteTopAbGroup.from_opens(g, [0, 0b0011, 0b0110, full])
     # unions of {0,1} and its translates: not translation invariant
-    with pytest.raises(InputError):
-        T.FiniteTopAbGroup(g, [0, 0b0011, full])
+    with pytest.raises(InputError, match="translation does not preserve"):
+        T.FiniteTopAbGroup.from_opens(g, [0, 0b0011, full])
+    with pytest.raises(InputError, match="finite groups only"):
+        T.FiniteTopAbGroup.from_opens(F.Z(), [0])
+    # every singleton open, but not every subset
+    with pytest.raises(InputError, match="forces the discrete topology"):
+        T.FiniteTopAbGroup.from_opens(g, [0, 0b0001, 0b0010, 0b0100, 0b1000, full])
+    # the 2^13 unions of the cosets of {0, 13} in Z/26: a group topology, but
+    # past the cap on explicit non-discrete families
+    z26 = F.Zmod(26)
+    cosets = T.FiniteTopAbGroup.from_subgroup(z26, [(0,), (13,)])
+    big = all_opens(cosets)
+    assert len(big) == 1 << 13
+    with pytest.raises(InputError, match="too large"):
+        T.FiniteTopAbGroup.from_opens(z26, big)
+    with pytest.raises(InputError, match="must contain zero"):
+        T.FiniteTopAbGroup.from_subgroup(g, [(2,)])
 
 
 def test_closure_of_zero_examples():
@@ -150,7 +188,7 @@ def test_opens_are_unions_of_cosets_for_every_coset_topology():
             _cl, elems = T.closure_of_zero(top)
             assert sorted(elems) == sorted(sub)
             sub_set = set(sub)
-            for u in top.opens:
+            for u in all_opens(top):
                 members = {tuple(e) for e in top.elems_of(u)}
                 for e in list(members):
                     coset = {g.add(e, x) for x in sub_set}
@@ -186,11 +224,12 @@ def _reference_translated_basis_check(g, basis_masks):
             raise InputError("basis member does not contain zero")
         if not g.is_open(v):
             raise InputError("basis member is not open")
-    for u in g.opens:
+    opens = all_opens(g)
+    for u in opens:
         if u >> zero_i & 1 and not any(v & ~u == 0 for v in basis_masks):
             raise InputError("not a neighborhood basis at zero")
     for gi, gv in enumerate(g.elements):
-        for u in g.opens:
+        for u in opens:
             if not (u >> gi & 1):
                 continue
             if not any(g.translate_mask(gv, v) & ~u == 0 for v in basis_masks):
@@ -222,7 +261,7 @@ def _reference_splitting_check(g, section):
     q_index = {q: i for i, q in enumerate(q_elems)}
     nc = len(cl_set)
     cl_opens = set()
-    for u in g.opens:
+    for u in all_opens(g):
         m = 0
         for h in cl_set:
             if u >> g.index[h] & 1:
@@ -306,16 +345,25 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _random_topology(rng, group):
+def _random_family(rng, group):
     # the union/intersection closure of a few random sets: a topology, but
-    # in general not a group topology, so the checks can fail
+    # in general not a group topology
     full = (1 << group.order()) - 1
-    opens = {0, full} | {rng.randrange(full + 1) for _ in range(rng.randrange(1, 4))}
+    return _closed({0, full} | {rng.randrange(full + 1) for _ in range(rng.randrange(1, 4))})
+
+
+def _closed(opens):
+    """The union/intersection closure of a family of masks."""
     while True:
         new = {a | b for a in opens for b in opens} | {a & b for a in opens for b in opens}
         if new <= opens:
-            return T.FiniteTopAbGroup(group, opens, validate=False)
+            return opens
         opens |= new
+
+
+def _random_topology(rng, group):
+    # stored unchecked, so the splitting checks can fail
+    return T.FiniteTopAbGroup(group, min_nbhds_of(_random_family(rng, group), group.order()))
 
 
 def _spaces():
@@ -366,7 +414,7 @@ def test_translated_basis_check_matches_the_all_opens_reference():
     for top in _spaces():
         n = len(top.elements)
         candidates = [[m] for m in range(1 << n)] + [[]]
-        opens = sorted(top.opens)
+        opens = sorted(all_opens(top))
         for _ in range(20):
             candidates.append(rng.sample(opens, min(len(opens), rng.randrange(1, 4))))
             candidates.append([rng.randrange(1 << n) for _ in range(rng.randrange(1, 4))])
@@ -381,3 +429,136 @@ def test_translated_basis_check_matches_the_all_opens_reference():
         "basis member is not open",
         "not a neighborhood basis at zero",
     }
+
+
+# -- references: the open families the class stored before it kept only ----
+# -- minimal neighborhoods -------------------------------------------------
+
+
+def _reference_coset_opens(group, sub):
+    # every union of N-cosets
+    elements = list(group.elements())
+    index = {e: i for i, e in enumerate(elements)}
+    seen = set()
+    coset_masks = []
+    for e in elements:
+        if e in seen:
+            continue
+        coset = {group.add(e, s) for s in sub}
+        seen |= coset
+        coset_masks.append(sum(1 << index[c] for c in coset))
+    opens = [0]
+    for cm in coset_masks:
+        opens += [m | cm for m in opens]
+    return set(opens)
+
+
+def _reference_product_opens(a, a_opens, b, b_opens):
+    # the rectangles U x V of opens, closed under unions (a rectangle already
+    # in the union-closed family adds nothing)
+    g, _incs, (pa, pb) = F.direct_sum(a.group, b.group)
+    elements = list(g.elements())
+    index = {e: i for i, e in enumerate(elements)}
+
+    def rect(ua, ub):
+        ua_set = set(a.elems_of(ua))
+        ub_set = set(b.elems_of(ub))
+        return sum(
+            1 << index[e] for e in elements if pa.apply(e) in ua_set and pb.apply(e) in ub_set
+        )
+
+    opens = {0}
+    for r in sorted({rect(ua, ub) for ua in a_opens for ub in b_opens}):
+        if r not in opens:
+            opens |= {m | r for m in opens}
+    return g, opens
+
+
+def _reference_closure_of_zero(top, opens):
+    # the intersection of the closed sets around zero
+    zero_bit = 1 << top.index[top.group.zero()]
+    cl = top.full_mask
+    for u in opens:
+        c = top.full_mask & ~u
+        if c & zero_bit:
+            cl &= c
+    elems = top.elems_of(cl)
+    if any(top.group.sub(a, b) not in elems for a in elems for b in elems):
+        raise AssertionError("closure of zero is not a subgroup")
+    return elems
+
+
+def _closure_elems(top):
+    return T.closure_of_zero(top)[1]
+
+
+def _assert_matches_opens(top, opens):
+    assert top.min_nbhds == min_nbhds_of(opens, len(top.elements))
+    assert _outcome(_closure_elems, top) == _outcome(_reference_closure_of_zero, top, opens)
+
+
+def test_minimal_neighborhoods_match_the_open_family_references():
+    small = []
+    for g in T.abelian_groups_upto(8):
+        for sub in T.all_subgroups(g):
+            top = T.FiniteTopAbGroup.from_subgroup(g, sub)
+            opens = _reference_coset_opens(g, sub)
+            _assert_matches_opens(top, opens)
+            if g.order() <= 4:
+                small.append((top, opens))
+    assert len(small) == 13
+    for a, a_opens in small:
+        for b, b_opens in small:
+            prod = T.FiniteTopAbGroup.product(a, b)
+            g, opens = _reference_product_opens(a, a_opens, b, b_opens)
+            assert prod.group == g
+            _assert_matches_opens(prod, opens)
+    for top in _spaces():
+        _assert_matches_opens(top, all_opens(top))
+
+
+def _reference_subtraction_is_continuous(g):
+    # the differences of mn[a] and mn[b] must lie in every open around
+    # a - b, that is, in their intersection mn[a - b]
+    mn = g.min_nbhds
+    neg = [g.index[g.group.neg(e)] for e in g.elements]
+    neg_mn = [T._map_bits(neg, m) for m in mn]
+    n = len(g.elements)
+    for ai in range(n):
+        for bi in range(n):
+            diffs = 0
+            for xi in T._bits(mn[ai]):
+                diffs |= T._map_bits(g.add[xi], neg_mn[bi])
+            if diffs & ~mn[g.add[ai][neg[bi]]]:
+                return False
+    return True
+
+
+def test_from_opens_accepts_only_families_with_continuous_subtraction():
+    # translation invariance makes mn[0] a subgroup and the topology its
+    # coset topology, so a continuity check after it could never fail.
+    # Half of the families are random; the others are coset families, half
+    # of them with one random set added, so both outcomes are frequent.
+    rng = random.Random(2203)
+    groups = [(g, T.all_subgroups(g)) for g in T.abelian_groups_upto(8)]
+    accepted = rejected = proper = 0
+    for _ in range(1000):
+        group, subs = rng.choice(groups)
+        if rng.random() < 0.5:
+            family = _random_family(rng, group)
+        else:
+            family = _reference_coset_opens(group, rng.choice(subs))
+            if rng.random() < 0.5:
+                family = _closed(family | {rng.randrange(1 << group.order())})
+        try:
+            top = T.FiniteTopAbGroup.from_opens(group, family)
+        except InputError as exc:
+            assert str(exc) == "translation does not preserve opens"
+            rejected += 1
+            continue
+        assert top.min_nbhds == min_nbhds_of(family, group.order())
+        assert _reference_subtraction_is_continuous(top)
+        accepted += 1
+        # neither discrete nor indiscrete
+        proper += 2 < len(family) < 1 << group.order()
+    assert accepted >= 300 and rejected >= 300 and proper >= 50
