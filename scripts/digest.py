@@ -13,7 +13,9 @@ family.  Subgroup families get one line per field instead
 (`eventual_image.basis 301 <sha256>`, likewise `generators`,
 `normal_form` and `inclusion`), so a change that keeps the lattices but
 picks other generators shows exactly which field moved.  The
-`eventual_lattice` family hashes `fgab.eventual_image_lattice` on seeded
+`restrict_system` family hashes each system's cofinal restrictions at
+strides 2 and 3 and offsets 0 and 1, and `restrict_tuple` three seeded
+tuples moved to each of them and back.  The `eventual_lattice` family hashes `fgab.eventual_image_lattice` on seeded
 square matrices of rank 1..12, block sums of companion matrices of
 polynomials with and without a factor of constant term +-1, coupled and
 conjugated; most of them reach the unit part over Z.  The `factor_mod`
@@ -72,6 +74,7 @@ FAMILIES = (
     "surjectivization_ses.projections",
     "lim_truncated.witness",
     "tower.drops",
+    "restrict_system",
     "restrict_tuple",
     "eventual_lattice",
     "factor_mod",
@@ -175,9 +178,9 @@ def outputs(doc, rng):
 
 
 def restricted_tuples(s, rng):
-    """`restrict_tuple` pairs: each cofinal restriction at strides 2 and 3
-    and offsets 0 and 1, then three tuples from random tops moved to it
-    and back."""
+    """Each cofinal restriction at strides 2 and 3 and offsets 0 and 1, as
+    a `restrict_system` item, then three tuples from random tops moved to
+    it and back, as `restrict_tuple` pairs."""
     from prolim import invsys as I
     from prolim import prospace as P
 
@@ -189,7 +192,7 @@ def restricted_tuples(s, rng):
     for stride in (2, 3):
         for offset in (0, 1):
             r = I.restrict_cofinal(s, stride, offset)
-            yield "restrict_tuple", r.to_json()
+            yield "restrict_system", r.to_json()
             for t in tuples:
                 rt = P.restrict_tuple(s, r, stride, offset, t)
                 back = P.unrestrict_tuple(s, r, stride, offset, rt, offset + stride * rt.level)

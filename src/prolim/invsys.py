@@ -7,8 +7,10 @@ optional infinite tail.  Two tail kinds are supported:
   period p.  Such tails can shrink (non-surjective maps) but, once
   surjectivized, always stabilize: a surjective endomorphism of a f.g.
   abelian group is an automorphism.
-* tower: beyond the prefix each level appends one layer from a repeating
-  cycle of layer groups, and the bonding maps drop the newest layer.
+* tower: beyond the prefix each level appends a block of layers from a
+  repeating cycle of blocks, and the bonding maps drop the newest block.
+  A tower read from JSON has one-layer blocks; cofinal restriction joins
+  the blocks of the levels it skips, so its levels stay the original ones.
   Towers are the finite presentations of the genuinely non-stabilizing
   systems (Cantor-like, Baire-like limits).
 
@@ -53,9 +55,9 @@ class CycleTail(namedtuple("CycleTail", "groups maps")):
 
 
 class TowerTail(namedtuple("TowerTail", "base layers")):
-    """Layered tail: level k+1 is `base`, each next level appends a layer."""
+    """Layered tail: level k+1 is `base`, each next level appends a block."""
 
-    # layers are cycled: level k+1+t appends layers[(t-1) % p] for t >= 1
+    # blocks are tuples of layers, cycled: level k+1+t appends layers[(t-1) % p]
     __slots__ = ()
 
     @property
@@ -116,7 +118,7 @@ class InverseSystem:
                         f"got {h.source} -> {h.target}"
                     )
         elif isinstance(tail, TowerTail):
-            if tail.period == 0:
+            if tail.period == 0 or not all(tail.layers):
                 raise InputError("tower tail needs at least one layer")
 
     # -- level bookkeeping -------------------------------------------------
@@ -142,21 +144,24 @@ class InverseSystem:
         return len(self.prefix)
 
     def _tower_level(self, t):
-        """Tower level t (0 = base) as (group, inclusions, projections).
+        """Tower level t (0 = base) as (group, drop map to level t-1).
 
-        Level t >= 1 is `direct_sum(level t-1, layer)` as returned, so its
-        drop map to level t-1 is projections[0]; the base is the sum of one
-        group, with identity maps.
+        Level t >= 1 adds its block to level t-1 one `direct_sum` per layer,
+        and its drop is the composite of their first projections; so a level
+        depends on the layers below it, not on their blocking.  The base has
+        no drop (None).
         """
         cache = self._tower_cache
         if t not in cache:
             tail = self.tail
             if t == 0:
-                ident = GroupHom.identity(tail.base)
-                cache[t] = (tail.base, [ident], [ident])
+                cache[t] = (tail.base, None)
             else:
-                layer = tail.layers[(t - 1) % tail.period]
-                cache[t] = direct_sum(self._tower_level(t - 1)[0], layer)
+                group, drop = self._tower_level(t - 1)[0], None
+                for layer in tail.layers[(t - 1) % tail.period]:
+                    group, _incls, projs = direct_sum(group, layer)
+                    drop = projs[0] if drop is None else drop.compose(projs[0])
+                cache[t] = (group, drop)
         return cache[t]
 
     def group_at(self, n):
@@ -188,7 +193,7 @@ class InverseSystem:
             return self.maps[n - 1]
         if isinstance(tail, CycleTail):
             return tail.maps[(n - k - 1) % tail.period]
-        return self._tower_level(n - k)[2][0]
+        return self._tower_level(n - k)[1]
 
     def map_between(self, n, m):
         """Composite f_{n,m} : G_m -> G_n (identity when n = m)."""
@@ -217,7 +222,7 @@ class InverseSystem:
             tj = {
                 "kind": "tower",
                 "base": tail.base.to_json(),
-                "layers": [g.to_json() for g in tail.layers],
+                "layers": [_block_group(b).to_json() for b in tail.layers],
             }
         return {
             "prefix": [g.to_json() for g in self.prefix],
@@ -258,7 +263,7 @@ class InverseSystem:
                 layers = _groups_from_json(tobj.get("layers", []), "tail.layers")
                 if not layers:
                     raise InputError("tail.layers must be nonempty")
-                tail = TowerTail(base, layers)
+                tail = TowerTail(base, tuple((g,) for g in layers))
             else:
                 raise InputError(
                     f"tail.kind must be 'cycle' or 'tower', got {reprlib.repr(kind)}"
@@ -293,6 +298,11 @@ def _map_sources(prefix, tail):
     if tail is None:
         return prefix[1:]
     return prefix[1:] + (tail.groups[0] if isinstance(tail, CycleTail) else tail.base,)
+
+
+def _block_group(block):
+    """A tower block's layers as one group, their direct sum."""
+    return block[0] if len(block) == 1 else direct_sum(*block)[0]
 
 
 def _groups_from_json(obj, path):
@@ -331,7 +341,8 @@ def constant_system(group, endo_matrix=None):
 
 
 def tower_system(base, layers, prefix=(), maps=()):
-    return InverseSystem(tuple(prefix), tuple(maps), TowerTail(base, tuple(layers)))
+    tail = TowerTail(base, tuple((g,) for g in layers))
+    return InverseSystem(tuple(prefix), tuple(maps), tail)
 
 
 def chain_system(groups, maps):
@@ -712,7 +723,11 @@ def surjectivize(s):
 
 
 def restrict_cofinal(s, stride, offset=0):
-    """System indexed by the levels offset + stride*i, with composite maps."""
+    """System indexed by the levels offset + stride*i, with composite maps.
+
+    Level i is level offset + stride*i of s in its coordinates: a tower's
+    new blocks join the blocks of the levels they span, re-summing nothing.
+    """
     if stride < 1:
         raise InputError("stride must be >= 1")
     if offset < 0:
@@ -746,18 +761,13 @@ def restrict_cofinal(s, stride, offset=0):
             s.map_between(old(t0 + j), old(t0 + j + 1)) for j in range(new_p)
         )
         return InverseSystem(new_prefix, new_maps, CycleTail(cyc_groups, cyc_maps))
-    # tower: regroup stride-many consecutive layers into one block layer
-    base_level = old(t0)
-    base = s.group_at(base_level)
-    layers = s.tail.layers
-    blocks = []
-    for j in range(new_p):
-        lo = base_level + j * stride  # old levels (lo, lo+stride]
-        atoms = [
-            layers[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)
-        ]
-        blocks.append(direct_sum(*atoms)[0])
-    return InverseSystem(new_prefix, new_maps, TowerTail(base, tuple(blocks)))
+    # tower: new level t0+j+1 appends the blocks of old levels (lo, lo+stride]
+    blocks = s.tail.layers
+    joined = tuple(
+        sum((blocks[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)), ())
+        for lo in (old(t0 + j) for j in range(new_p))
+    )
+    return InverseSystem(new_prefix, new_maps, TowerTail(s.group_at(old(t0)), joined))
 
 
 # -- kernels and stabilization -------------------------------------------
@@ -776,9 +786,9 @@ def kernel_sequence(s, upto=None):
 
     Reported through one full tail period (levels 1..k+p+1 by default);
     deeper kernels repeat with period p.  On a tower, the bonding map into
-    a tail level is the drop `G_t + L -> G_t` of a direct sum, whose kernel
-    is the layer L itself (already in normal form), so those kernels are
-    read off the layers instead of reducing the drop maps.
+    a tail level is the drop `G_t + L_1 + ... + L_j -> G_t` that forgets a
+    block, whose kernel is the block's direct sum (in normal form), so
+    those kernels are read off the blocks instead of reducing the drops.
     """
     _require_tail(s)
     k = s.prefix_len
@@ -786,13 +796,13 @@ def kernel_sequence(s, upto=None):
     if upto is None:
         upto = k + p + 1
     _check_surjective_window(s, upto)
-    layers = s.tail.layers if isinstance(s.tail, TowerTail) else None
+    blocks = s.tail.layers if isinstance(s.tail, TowerTail) else None
     out = []
     g1 = s.group_at(1)
     out.append((1, g1, g1.is_finite()))
     for n in range(2, upto + 1):
-        if layers is not None and n >= k + 2:
-            x = layers[(n - k - 2) % p]
+        if blocks is not None and n >= k + 2:
+            x = _block_group(blocks[(n - k - 2) % p])
         else:
             x = kernel(s.map_at(n - 1)).normal_form
         out.append((n, x, x.is_finite()))

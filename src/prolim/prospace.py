@@ -1,6 +1,6 @@
 """Desk-scale realization of the limit space: truncated coherent tuples,
-the 2^-m metric, cylinder sets, dense families, clopen separation and
-Cauchy limits.
+the 2^-m metric, cylinder sets, dense families, clopen separation, Cauchy
+limits, and transport along cofinal restriction.
 
 A coherent tuple stores levels 1..N with x_n = f_n(x_{n+1}); it stands for
 the set of its infinite extensions.  The metric is exact up to the stored
@@ -8,17 +8,19 @@ window: a genuine first difference at level m gives the value 2^-m, full
 agreement only bounds the distance by 2^-N unless the system is stabilized
 inside the window (then the tuple determines its extension and the
 distance is zero).
+
+A cofinal restriction keeps the selected levels and their coordinates
+(`invsys.restrict_cofinal`, cycles and towers alike), so a tuple moves to
+it by selecting coordinates and back by mapping the selected ones down.
 """
 
 import os
 import reprlib
 from collections import namedtuple
 
-from prolim._backend import kernel as _k
-from prolim import fgab
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
-from prolim.fgab import GroupHom, direct_sum, hom_sum, json_int, json_list, solve_hom_minimal
-from prolim.invsys import TowerTail, stabilizes, surjectivize
+from prolim.fgab import json_int, json_list, solve_hom_minimal
+from prolim.invsys import stabilizes, surjectivize
 
 
 DEFAULT_CAP = 10_000
@@ -327,85 +329,16 @@ def cauchy_limit(seq, level):
 # -- transport along cofinal restriction ----------------------------------
 
 
-def _tower_atoms(s, t, side):
-    """The atom inclusions (side 1) or projections (side 2) of tower level t:
-    the base's, then one per appended layer, each composed through the
-    direct sums of the levels in between.  Memoized on the system."""
-    key = ("atoms", side, t)
-    cache = s._stab_cache
-    if key not in cache:
-        maps = s._tower_level(t)[side]
-        if t == 0:
-            cache[key] = maps
-        elif side == 1:
-            cache[key] = [maps[0].compose(h) for h in _tower_atoms(s, t - 1, 1)] + [maps[1]]
-        else:
-            cache[key] = [h.compose(maps[0]) for h in _tower_atoms(s, t - 1, 2)] + [maps[1]]
-    return cache[key]
-
-
-def _tower_atom_route(s, restricted, stride, offset, new_level):
-    """Isomorphism group_at(s, old(new_level)) -> group_at(restricted, new_level)
-    for tower tails, by matching the two product decompositions atomwise.
-
-    `restricted` is restrict_cofinal(s, stride, offset), so the route
-    depends only on the stride, the offset and the level: memoized on s.
-    """
-    key = ("route", stride, offset, new_level)
-    cache = s._stab_cache
-    if key in cache:
-        return cache[key]
-    k = s.prefix_len
-    old_level = offset + stride * new_level
-    t0 = 1
-    while offset + stride * t0 < k + 1:
-        t0 += 1
-    if new_level < t0:
-        cache[key] = GroupHom.identity(s.group_at(old_level))
-        return cache[key]
-    src_projs = _tower_atoms(s, old_level - k - 1, 2)
-    dst_incls = _tower_atoms(restricted, new_level - t0, 1)
-    base_level = offset + stride * t0
-    # destination atoms: the base block, then one block per restricted step
-    routes = [  # per source atom: hom atom -> destination group
-        dst_incls[0].compose(inner) for inner in _tower_atoms(s, base_level - k - 1, 1)
-    ]
-    p = s.period
-    for j in range(new_level - t0):
-        lo = base_level + j * stride
-        atoms = [s.tail.layers[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)]
-        blk, incs, _prjs = direct_sum(*atoms)
-        for inner in incs:
-            routes.append(dst_incls[j + 1].compose(inner))
-    if len(routes) != len(src_projs):
-        raise AssertionError("restricted tower level has a different number of atoms")
-    parts = [route.compose(proj) for route, proj in zip(routes, src_projs)]
-    cache[key] = hom_sum(
-        s.group_at(old_level), restricted.group_at(new_level), parts, [1] * len(parts)
-    )
-    return cache[key]
-
-
 def restrict_tuple(s, restricted, stride, offset, t):
     """The cofinal-restriction homeomorphism on truncated tuples.
 
-    Sends a tuple over s whose window covers the selected levels to the
-    tuple of its selected coordinates (transported through the canonical
-    product isomorphisms for tower tails).
+    `restricted` is restrict_cofinal(s, stride, offset), whose level i is
+    level offset + stride*i of s in the same coordinates, so a tuple over s
+    whose window covers a selected level goes to its selected coordinates.
     """
-    new_len = 0
-    while offset + stride * (new_len + 1) <= t.level:
-        new_len += 1
-    if new_len == 0:
+    entries = t.entries[offset + stride - 1 :: stride]
+    if not entries:
         raise PreconditionError("tuple too short to restrict")
-    entries = []
-    for i in range(1, new_len + 1):
-        old = offset + stride * i
-        coord = t.entries[old - 1]
-        if isinstance(s.tail, TowerTail):
-            iso = _tower_atom_route(s, restricted, stride, offset, i)
-            coord = iso.apply(coord)
-        entries.append(coord)
     return CoherentTuple(restricted, entries)
 
 
@@ -413,28 +346,14 @@ def unrestrict_tuple(s, restricted, stride, offset, t, level):
     """Inverse transport: rebuild the unselected coordinates by mapping the
     nearest selected level down."""
     entries = []
-    backs = {}  # selected level i -> inverse tower isomorphism, shared by stride levels
     for n in range(1, level + 1):
         i = 1
         while offset + stride * i < n:
             i += 1
         if i > t.level:
             raise PreconditionError("restricted tuple too short to unrestrict")
-        coord = t.entries[i - 1]
-        if isinstance(s.tail, TowerTail):
-            if i not in backs:
-                backs[i] = _invert_iso(_tower_atom_route(s, restricted, stride, offset, i))
-            coord = backs[i].apply(coord)
-        entries.append(s.map_between(n, offset + stride * i).apply(coord))
+        entries.append(s.map_between(n, offset + stride * i).apply(t.entries[i - 1]))
     return CoherentTuple(s, entries)
-
-
-def _invert_iso(h):
-    """Inverse of a group isomorphism, solved columnwise."""
-    cols = [fgab.solve_hom(h, e) for e in _k.identity_matrix(h.target.dim)]
-    if None in cols:
-        raise InputError("hom is not invertible")
-    return GroupHom.from_columns(h.target, h.source, cols, check=False)
 
 
 def enumerate_tuples(s, level, cap=None):

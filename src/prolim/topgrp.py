@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from prolim import fgab
 from prolim.errors import InputError
-from prolim.fgab import FgAbGroup, Subgroup
+from prolim.fgab import Subgroup
 
 
 def _bits(mask):
@@ -37,6 +37,13 @@ def _map_bits(table, mask):
     return out
 
 
+def _require_finite(group):
+    """The order of a finite group; an infinite one is an InputError."""
+    if not group.is_finite():
+        raise InputError("topologies are stored for finite groups only")
+    return group.order()
+
+
 class FiniteTopAbGroup:
     """A finite abelian group with a group topology, stored as the minimal
     neighborhoods of its elements.
@@ -51,8 +58,7 @@ class FiniteTopAbGroup:
     __slots__ = ("group", "elements", "index", "min_nbhds", "full_mask", "add")
 
     def __init__(self, group, min_nbhds):
-        if not group.is_finite():
-            raise InputError("topologies are stored for finite groups only")
+        _require_finite(group)
         elements = list(group.elements())
         index = {e: i for i, e in enumerate(elements)}
         object.__setattr__(self, "group", group)
@@ -140,16 +146,17 @@ class FiniteTopAbGroup:
 
     @classmethod
     def discrete(cls, group):
-        return cls(group, [1 << i for i in range(group.order())])
+        return cls(group, [1 << i for i in range(_require_finite(group))])
 
     @classmethod
     def indiscrete(cls, group):
-        n = group.order()
+        n = _require_finite(group)
         return cls(group, [(1 << n) - 1] * n)
 
     @classmethod
     def from_subgroup(cls, group, sub_elements):
         """The coset topology: the minimal neighborhood of x is x + N."""
+        _require_finite(group)
         elements = list(group.elements())
         index = {e: i for i, e in enumerate(elements)}
         sub = {tuple(e) for e in sub_elements}
@@ -422,58 +429,3 @@ def translated_basis_check(g, basis_masks):
         any(g.translate_mask(gv, v) & ~mn[gi] == 0 for v in basis_masks)
         for gi, gv in enumerate(g.elements)
     )
-
-
-# -- enumeration helpers (for the exhaustive acceptance sweep) -------------
-
-
-def invariant_factor_chains(order):
-    """All invariant-factor chains with the given product."""
-    if order == 1:
-        return [[]]
-    out = []
-    for d in range(2, order + 1):
-        if order % d:
-            continue
-        for rest in invariant_factor_chains(order // d):
-            if not rest or rest[0] % d == 0:
-                out.append([d] + rest)
-    return out
-
-
-def abelian_groups_upto(max_order):
-    for order in range(1, max_order + 1):
-        for chain in invariant_factor_chains(order):
-            yield FgAbGroup(0, chain)
-
-
-def all_subgroups(group):
-    """Every subgroup of a finite group, as element sets."""
-    elements = list(group.elements())
-    zero = group.zero()
-
-    def closure(gens):
-        s = {zero}
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            if x in s:
-                continue
-            s.add(x)
-            for y in list(s):
-                for z in (group.add(x, y), group.sub(y, x)):
-                    if z not in s:
-                        frontier.append(z)
-        return frozenset(s)
-
-    subs = {frozenset({zero})}
-    frontier = [frozenset({zero})]
-    while frontier:
-        s = frontier.pop()
-        for e in elements:
-            if e not in s:
-                bigger = closure(s | {e})
-                if bigger not in subs:
-                    subs.add(bigger)
-                    frontier.append(bigger)
-    return sorted(subs, key=lambda s: (len(s), sorted(s)))

@@ -136,3 +136,58 @@ def seeded_towers(seed, count):
         with open(path) as fh:
             docs.append(json.load(fh)["system"])
     return [I.InverseSystem.from_json(doc) for doc in docs]
+
+
+# -- finite abelian groups and their subgroups, for the exhaustive sweeps --
+
+
+def invariant_factor_chains(order):
+    """All invariant-factor chains with the given product."""
+    if order == 1:
+        return [[]]
+    out = []
+    for d in range(2, order + 1):
+        if order % d:
+            continue
+        for rest in invariant_factor_chains(order // d):
+            if not rest or rest[0] % d == 0:
+                out.append([d] + rest)
+    return out
+
+
+def abelian_groups_upto(max_order):
+    for order in range(1, max_order + 1):
+        for chain in invariant_factor_chains(order):
+            yield F.FgAbGroup(0, chain)
+
+
+def all_subgroups(group):
+    """Every subgroup of a finite group, as element sets."""
+    elements = list(group.elements())
+    zero = group.zero()
+
+    def closure(gens):
+        s = {zero}
+        frontier = list(gens)
+        while frontier:
+            x = frontier.pop()
+            if x in s:
+                continue
+            s.add(x)
+            for y in list(s):
+                for z in (group.add(x, y), group.sub(y, x)):
+                    if z not in s:
+                        frontier.append(z)
+        return frozenset(s)
+
+    subs = {frozenset({zero})}
+    frontier = [frozenset({zero})]
+    while frontier:
+        s = frontier.pop()
+        for e in elements:
+            if e not in s:
+                bigger = closure(s | {e})
+                if bigger not in subs:
+                    subs.add(bigger)
+                    frontier.append(bigger)
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))

@@ -29,6 +29,8 @@ from prolim.errors import EnumerationCapExceeded
 from conftest import (
     FIXTURES,
     REPO_ROOT,
+    abelian_groups_upto,
+    all_subgroups,
     random_finite_cycle_system,
     random_system,
 )
@@ -209,9 +211,9 @@ def test_criterion_6_cofinal_invariance():
 def test_criterion_7_splitting_exhaustion():
     t0 = time.perf_counter()
     groups = topologies = sections = 0
-    for g in T.abelian_groups_upto(16):
+    for g in abelian_groups_upto(16):
         groups += 1
-        for sub in T.all_subgroups(g):
+        for sub in all_subgroups(g):
             topologies += 1
             top = T.FiniteTopAbGroup.from_subgroup(g, sub)
             zero_i = top.index[g.zero()]

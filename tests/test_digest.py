@@ -36,7 +36,8 @@ PINNED_LINES = (
     "surjectivization_ses.projections 150 56a1e390b1330672559d1fd78450875e572a6be6f8d9e71d3fae9392aab1d490",
     "lim_truncated.witness 200 c93d1b9c47bbc0912b804ffc15513d599989cbfbb064d87f9d14b645ad0f6da4",
     "tower.drops 50 8ebb1f848272276149a6edc156008e851c11e3b107b1175840f7da3728db5635",
-    "restrict_tuple 3200 636326747554d2a66b8ce0e6a63ee6c8320f180f1929563a18ea1a94b92e3ddd",
+    "restrict_system 800 bdad366c4d3037851362fe3f56f58fc617a5f81a27d29a86b3d22e2cdc603c22",
+    "restrict_tuple 2400 78be982aa689bbb04d19e65769f22100b7a41cf2fdf666904bb7fd35791f1eda",
     "eventual_lattice 120 e74112a30f218702a6bc941127f1294032f82a58f945f22001ee154c0e49cd75",
     "factor_mod 120 b01f6f352ebb89b6a29d69c0fd9196fa167b96ec34b3990caee58ad786cb5fbe",
     "image_chain 300 a6c6281b915045be0dc25f516fd8b6589e18b56c3f615f0c1797b9d450d4df98",

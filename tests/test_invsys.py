@@ -241,15 +241,27 @@ def test_restrict_cofinal_examples():
     assert r3.chain_length == 1 and r3.group_at(1) == F.Zmod(8)
 
 
+def _assert_selects(s, r, old):
+    """Level i of r is level old(i) of s, and its bonding map is the
+    composite between the selected levels, coordinate for coordinate,
+    through r's prefix and two of its periods."""
+    for i in range(1, r.prefix_len + 2 * r.period + 1):
+        assert r.group_at(i) == s.group_at(old(i)), i
+        assert r.map_at(i).columns() == s.map_between(old(i), old(i + 1)).columns(), i
+
+
 def test_restrict_cofinal_composite_oracle(rng):
-    for _ in range(15):
-        s = random_mixed_cycle_system(rng)
-        stride = rng.choice((2, 3))
-        offset = rng.randrange(0, 2)
-        r = I.restrict_cofinal(s, stride, offset)
-        for i in range(1, 4):
-            lo, hi = offset + stride * i, offset + stride * (i + 1)
-            assert r.map_at(i).matrix == s.map_between(lo, hi).matrix
+    systems = [random_mixed_cycle_system(rng) for _ in range(15)] + seeded_towers(15, 8)
+    assert {s.prefix_len for s in systems if isinstance(s.tail, I.TowerTail)} == {0, 1, 2}
+    for s in systems:
+        for stride in (2, 3):
+            for offset in range(3):
+                r = I.restrict_cofinal(s, stride, offset)
+                _assert_selects(s, r, lambda i: offset + stride * i)
+    # a restriction of a restricted tower selects the composite levels
+    for s in seeded_towers(16, 4):
+        r = I.restrict_cofinal(I.restrict_cofinal(s, 2, 1), 3, 2)
+        _assert_selects(s, r, lambda i: 1 + 2 * (2 + 3 * i))
 
 
 def test_kernel_sequence_examples():

@@ -9,12 +9,7 @@ from prolim import invsys as I
 from prolim import prospace as P
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
 
-from conftest import (
-    hom_is_zero,
-    random_finite_cycle_system,
-    random_tower_system,
-    seeded_towers,
-)
+from conftest import random_finite_cycle_system, random_tower_system
 
 
 def z2_chain(levels=3):
@@ -245,23 +240,6 @@ def test_cofinal_bijection_on_towers():
         assert back.entries == t.entries
 
 
-def test_tower_atom_maps_split_each_level():
-    for s in seeded_towers(13, 20):
-        for t in range(5):
-            g = s.group_at(s.prefix_len + 1 + t)
-            incls, projs = P._tower_atoms(s, t, 1), P._tower_atoms(s, t, 2)
-            assert len(incls) == len(projs) == t + 1
-            parts = [i.compose(q) for i, q in zip(incls, projs)]
-            assert F.hom_sum(g, g, parts, [1] * len(parts)) == F.GroupHom.identity(g)
-            for a, q in enumerate(projs):
-                for b, i in enumerate(incls):
-                    composite = q.compose(i)
-                    if a == b:
-                        assert composite == F.GroupHom.identity(i.source)
-                    else:
-                        assert hom_is_zero(composite)
-
-
 def test_surjectivization_preserves_extendable_counts(rng):
     # extendable level-N tuples of s match all level-N tuples of the
     # surjectivized system, exactly
@@ -272,26 +250,3 @@ def test_surjectivization_preserves_extendable_counts(rng):
         horizon = n + 4 * s.period
         im = F.image(s.map_between(n, horizon))
         assert im.normal_form.order() == so.group_at(n).order()
-
-
-def test_tower_routes_are_memoized_per_stride_offset_and_level(monkeypatch):
-    towers = seeded_towers(14, 6)
-    keys = [(st, off, lvl) for st in (1, 2, 3) for off in (0, 1, 2) for lvl in (1, 2, 3)]
-    # reference: every route on its own fresh copy of the system
-    expected = {}
-    for idx, s in enumerate(towers):
-        for stride, offset, level in keys:
-            fresh = I.InverseSystem.from_json(s.to_json())
-            r = I.restrict_cofinal(fresh, stride, offset)
-            expected[idx, stride, offset, level] = P._tower_atom_route(
-                fresh, r, stride, offset, level
-            )
-    built = []
-    hom_sum = P.hom_sum
-    monkeypatch.setattr(P, "hom_sum", lambda *args: built.append(args) or hom_sum(*args))
-    for idx, s in enumerate(towers):
-        for stride, offset, level in keys + keys:
-            r = I.restrict_cofinal(s, stride, offset)
-            route = P._tower_atom_route(s, r, stride, offset, level)
-            assert route == expected[idx, stride, offset, level]
-    assert len(built) <= len(towers) * len(keys)

@@ -84,7 +84,7 @@ RECORDS = [
     (
         I.TowerTail,
         ("base", "layers"),
-        lambda v: I.TowerTail(F.Zmod(2), (F.Zmod(2 + v),)),
+        lambda v: I.TowerTail(F.Zmod(2), ((F.Zmod(2 + v),),)),
         True,
     ),
     (

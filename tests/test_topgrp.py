@@ -6,6 +6,8 @@ from prolim import fgab as F
 from prolim import topgrp as T
 from prolim.errors import InputError
 
+from conftest import abelian_groups_upto, all_subgroups, invariant_factor_chains
+
 
 def mask_of(top, elems):
     m = 0
@@ -56,8 +58,8 @@ def test_product_of_discrete_spaces_is_discrete():
 
 def test_validator_accepts_coset_topology():
     # re-validate every constructed coset family explicitly
-    for g in T.abelian_groups_upto(8):
-        for sub in T.all_subgroups(g):
+    for g in abelian_groups_upto(8):
+        for sub in all_subgroups(g):
             top = T.FiniteTopAbGroup.from_subgroup(g, sub)
             assert T.FiniteTopAbGroup.from_opens(g, all_opens(top)).min_nbhds == top.min_nbhds
     prod = mixed_space()
@@ -89,6 +91,20 @@ def test_validator_rejects_non_topologies():
         T.FiniteTopAbGroup.from_opens(z26, big)
     with pytest.raises(InputError, match="must contain zero"):
         T.FiniteTopAbGroup.from_subgroup(g, [(2,)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        T.FiniteTopAbGroup.discrete,
+        T.FiniteTopAbGroup.indiscrete,
+        lambda g: T.FiniteTopAbGroup.from_subgroup(g, [(0,)]),
+    ],
+    ids=["discrete", "indiscrete", "from_subgroup"],
+)
+def test_named_constructors_reject_an_infinite_group(build):
+    with pytest.raises(InputError, match="finite groups only"):
+        build(F.Z())
 
 
 def test_closure_of_zero_examples():
@@ -182,8 +198,8 @@ def test_translated_basis_examples():
 
 
 def test_opens_are_unions_of_cosets_for_every_coset_topology():
-    for g in T.abelian_groups_upto(8):
-        for sub in T.all_subgroups(g):
+    for g in abelian_groups_upto(8):
+        for sub in all_subgroups(g):
             top = T.FiniteTopAbGroup.from_subgroup(g, sub)
             _cl, elems = T.closure_of_zero(top)
             assert sorted(elems) == sorted(sub)
@@ -197,20 +213,20 @@ def test_opens_are_unions_of_cosets_for_every_coset_topology():
 
 def test_subgroup_enumeration_counts():
     # Z/2 x Z/2 has 5 subgroups; Z/8 has 4; (Z/2)^3 has 16
-    assert len(T.all_subgroups(F.Zmod(2, 2))) == 5
-    assert len(T.all_subgroups(F.Zmod(8))) == 4
-    assert len(T.all_subgroups(F.FgAbGroup(0, (2, 2, 2)))) == 16
+    assert len(all_subgroups(F.Zmod(2, 2))) == 5
+    assert len(all_subgroups(F.Zmod(8))) == 4
+    assert len(all_subgroups(F.FgAbGroup(0, (2, 2, 2)))) == 16
 
 
 def test_invariant_factor_chains():
-    assert T.invariant_factor_chains(16) == [
+    assert invariant_factor_chains(16) == [
         [2, 2, 2, 2],
         [2, 2, 4],
         [2, 8],
         [4, 4],
         [16],
     ]
-    assert sum(1 for _ in T.abelian_groups_upto(16)) == 25
+    assert sum(1 for _ in abelian_groups_upto(16)) == 25
 
 
 # -- references: the verifier before it checked at minimal neighborhoods ---
@@ -367,8 +383,8 @@ def _random_topology(rng, group):
 
 
 def _spaces():
-    for g in T.abelian_groups_upto(8):
-        for sub in T.all_subgroups(g):
+    for g in abelian_groups_upto(8):
+        for sub in all_subgroups(g):
             yield T.FiniteTopAbGroup.from_subgroup(g, sub)
     yield mixed_space()
     rng = random.Random(907)
@@ -499,8 +515,8 @@ def _assert_matches_opens(top, opens):
 
 def test_minimal_neighborhoods_match_the_open_family_references():
     small = []
-    for g in T.abelian_groups_upto(8):
-        for sub in T.all_subgroups(g):
+    for g in abelian_groups_upto(8):
+        for sub in all_subgroups(g):
             top = T.FiniteTopAbGroup.from_subgroup(g, sub)
             opens = _reference_coset_opens(g, sub)
             _assert_matches_opens(top, opens)
@@ -540,7 +556,7 @@ def test_from_opens_accepts_only_families_with_continuous_subtraction():
     # Half of the families are random; the others are coset families, half
     # of them with one random set added, so both outcomes are frequent.
     rng = random.Random(2203)
-    groups = [(g, T.all_subgroups(g)) for g in T.abelian_groups_upto(8)]
+    groups = [(g, all_subgroups(g)) for g in abelian_groups_upto(8)]
     accepted = rejected = proper = 0
     for _ in range(1000):
         group, subs = rng.choice(groups)
