@@ -120,7 +120,7 @@ def cmd_kernels(args):
 
 
 def _require_positive(flag, value):
-    if value is not None and value < 1:
+    if value < 1:
         raise InputError(f"{flag} must be >= 1, got {value}")
 
 
@@ -254,7 +254,7 @@ def build_parser():
     p = sub.add_parser("sample", help="enumerate coherent tuples at a level")
     p.add_argument("file")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=prospace.DEFAULT_CAP)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("metric", help="distance between two truncated tuples")
@@ -266,7 +266,7 @@ def build_parser():
     p = sub.add_parser("dense", help="dense family up to a budget level")
     p.add_argument("file")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=prospace.DEFAULT_CAP)
     p.set_defaults(fn=cmd_dense)
 
     p = sub.add_parser("split-demo", help="splitting verification for a named space")

@@ -68,7 +68,8 @@ class FgAbGroup:
     __slots__ = ("free_rank", "torsion", "dim")
 
     def __init__(self, free_rank=0, torsion=()):
-        torsion = tuple(int(d) for d in torsion)
+        json_int(free_rank, "free_rank")
+        torsion = tuple(json_int(d, "invariant factor") for d in torsion)
         if free_rank < 0:
             raise InputError("free_rank must be nonnegative")
         for d in torsion:
@@ -77,7 +78,7 @@ class FgAbGroup:
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise InputError(f"invariant factors must form a divisibility chain, got {torsion}")
-        object.__setattr__(self, "free_rank", int(free_rank))
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
         object.__setattr__(self, "dim", self.free_rank + len(torsion))
 
@@ -272,7 +273,7 @@ class GroupHom:
     __slots__ = ("source", "target", "_cols")
 
     def __init__(self, source, target, matrix, check=True):
-        matrix = tuple(tuple(map(int, row)) for row in matrix)
+        matrix = tuple(tuple(json_int(x, "matrix entry") for x in row) for row in matrix)
         check_matrix_shape(matrix, source, target)
         cols = zip(*matrix) if matrix else [()] * source.dim
         self._init(source, target, cols, check)

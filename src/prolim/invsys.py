@@ -82,7 +82,7 @@ class InverseSystem:
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "_tower_cache", {})
-        object.__setattr__(self, "_stab_cache", {})  # filled by prospace
+        object.__setattr__(self, "_stab_cache", {})  # see stabilization_index
         self._validate()
 
     def __setattr__(self, name, value):
@@ -767,7 +767,15 @@ def restrict_cofinal(s, stride, offset=0):
         sum((blocks[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)), ())
         for lo in (old(t0 + j) for j in range(new_p))
     )
-    return InverseSystem(new_prefix, new_maps, TowerTail(s.group_at(old(t0)), joined))
+    r = InverseSystem(new_prefix, new_maps, TowerTail(s.group_at(old(t0)), joined))
+    # r's tower level t is s's level old(t0 + t), so it takes the levels s
+    # has built (a run from its base) and composes their drops
+    t = 0
+    while old(t0 + t) - k - 1 in s._tower_cache:
+        lo, hi = old(t0 + t - 1), old(t0 + t)
+        r._tower_cache[t] = (s.group_at(hi), s.map_between(lo, hi) if t else None)
+        t += 1
+    return r
 
 
 # -- kernels and stabilization -------------------------------------------
@@ -813,6 +821,19 @@ def stabilizes(s):
     """(True, least index from which all bonding maps are isomorphisms) or
     (False, None)."""
     return stabilization(kernel_sequence(s), s.prefix_len)
+
+
+def stabilization_index(s):
+    """Stabilization index of the surjectivized system, or None.
+
+    Finite chains give None: a truncated presentation can never certify
+    that nothing happens beyond its window.  Cached on the system.
+    """
+    cache = s._stab_cache
+    if "index" not in cache:
+        ok, at = (False, None) if s.is_chain() else stabilizes(surjectivize(s))
+        cache["index"] = at if ok else None
+    return cache["index"]
 
 
 def stabilization(seq, prefix_len):

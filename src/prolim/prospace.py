@@ -14,53 +14,23 @@ A cofinal restriction keeps the selected levels and their coordinates
 it by selecting coordinates and back by mapping the selected ones down.
 """
 
-import os
 import reprlib
 from collections import namedtuple
 
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
 from prolim.fgab import json_int, json_list, solve_hom_minimal
-from prolim.invsys import stabilizes, surjectivize
+from prolim.invsys import stabilization_index
 
 
 DEFAULT_CAP = 10_000
 
 
-def enumeration_cap():
-    cap = os.environ.get("PROLIM_CAP")
-    if not cap:
-        return DEFAULT_CAP
-    try:
-        value = int(cap)
-    except ValueError as exc:
-        raise InputError(f"PROLIM_CAP must be an integer, got {cap!r}") from exc
-    if value < 1:
-        raise InputError(f"PROLIM_CAP must be >= 1, got {cap!r}")
-    return value
-
-
-def _stabilization_index(system):
-    """Stabilization index of the surjectivized system, or None.
-
-    Finite chains give None: a truncated presentation can never certify
-    that nothing happens beyond its window.  Cached on the system.
-    """
-    cache = system._stab_cache
-    if "index" not in cache:
-        if system.is_chain():
-            cache["index"] = None
-        else:
-            ok, at = stabilizes(surjectivize(system))
-            cache["index"] = at if ok else None
-    return cache["index"]
-
-
-class CoherentTuple:
+class CoherentTuple(namedtuple("CoherentTuple", "system entries")):
     """(x_1, ..., x_N) with x_n = f_n(x_{n+1}), checked on construction."""
 
-    __slots__ = ("system", "level", "entries")
+    __slots__ = ()
 
-    def __init__(self, system, entries):
+    def __new__(cls, system, entries):
         entries = tuple(tuple(e) for e in entries)
         if not entries:
             raise InputError("a coherent tuple needs at least one level")
@@ -73,12 +43,11 @@ class CoherentTuple:
         for n in range(1, len(entries)):
             if system.map_at(n).apply(entries[n]) != entries[n - 1]:
                 raise InputError(f"coherence fails between levels {n + 1} and {n}")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "level", len(entries))
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, system, entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("CoherentTuple is immutable")
+    @property
+    def level(self):
+        return len(self.entries)
 
     @classmethod
     def from_top(cls, system, level, top):
@@ -88,16 +57,6 @@ class CoherentTuple:
         for n in range(level - 1, 0, -1):
             entries.append(system.map_at(n).apply(entries[-1]))
         return cls(system, tuple(reversed(entries)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoherentTuple)
-            and self.system is other.system
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"CoherentTuple(level={self.level}, entries={list(self.entries)})"
@@ -207,7 +166,7 @@ def metric(x, y):
     for m in range(1, n + 1):
         if x.entries[m - 1] != y.entries[m - 1]:
             return MetricValue.exact(m)
-    idx = _stabilization_index(x.system)
+    idx = stabilization_index(x.system)
     if idx is not None and idx <= n and x.level == y.level:
         return MetricValue.zero()
     return MetricValue.at_most(n)
@@ -258,14 +217,13 @@ def ball(x, exponent):
     return cylinder_of(x, exponent - 1)
 
 
-def dense_family(s, budget, cap=None):
+def dense_family(s, budget, cap=DEFAULT_CAP):
     """One tuple through every element of every level up to the budget.
 
     Tuples are produced at the budget level via minimal lifts, so the
     bonding maps must be surjective up to it.  Enumeration of infinite
     groups is capped (deterministic small-coordinate order).
     """
-    cap = enumeration_cap() if cap is None else cap
     out = []
     seen = set()
     total = 0
@@ -356,13 +314,12 @@ def unrestrict_tuple(s, restricted, stride, offset, t, level):
     return CoherentTuple(s, entries)
 
 
-def enumerate_tuples(s, level, cap=None):
+def enumerate_tuples(s, level, cap=DEFAULT_CAP):
     """All coherent tuples at a level of a finite-group system (capped).
 
     A coherent tuple is determined by its top coordinate, so this is the
     top group's element enumeration pushed down.
     """
-    cap = enumeration_cap() if cap is None else cap
     g = s.group_at(level)
     order = g.order()
     if order is None or order > cap:

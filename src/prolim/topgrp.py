@@ -32,9 +32,22 @@ def _bits(mask):
 def _map_bits(table, mask):
     """The mask with bit table[i] set for every bit i set in `mask`."""
     out = 0
-    for i in _bits(mask):
-        out |= 1 << table[i]
+    while mask:
+        low = mask & -mask
+        out |= 1 << table[low.bit_length() - 1]
+        mask ^= low
     return out
+
+
+def _is_open(min_nbhds, mask):
+    """Whether `mask` contains min_nbhds[i] for every bit i set in it."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if min_nbhds[low.bit_length() - 1] & ~mask:
+            return False
+        rest ^= low
+    return True
 
 
 def _require_finite(group):
@@ -86,14 +99,7 @@ class FiniteTopAbGroup:
 
     def is_open(self, mask):
         """Whether `mask` contains the minimal neighborhood of each member."""
-        mn = self.min_nbhds
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if mn[low.bit_length() - 1] & ~mask:
-                return False
-            rest ^= low
-        return True
+        return _is_open(self.min_nbhds, mask)
 
     # -- constructors ----------------------------------------------------
 
@@ -375,14 +381,11 @@ def splitting_check(g, section, ctx=None):
     for i, ei in enumerate(f_elem):
         elem_pair[ei] = i
 
-    def product_open(pm):
-        return not any(ctx.pair_min[i] & ~pm for i in _bits(pm))
-
     forward, n_forward = _until_failure(
-        product_open(_map_bits(elem_pair, u)) for u in ctx.basis
+        _is_open(ctx.pair_min, _map_bits(elem_pair, u)) for u in ctx.basis
     )
     inverse, n_inverse = _until_failure(
-        g.is_open(_map_bits(f_elem, pm)) for pm in ctx.inverse_masks
+        _is_open(g.min_nbhds, _map_bits(f_elem, pm)) for pm in ctx.inverse_masks
     )
     # f maps {q} x cl{0} onto the coset q for every section, and an open
     # g + V is a union of cosets, so the identity depends on the topology

@@ -479,19 +479,8 @@ def test_sample_and_cap():
     assert len(out["verdict"]) == 4
     res2 = run_cli("sample", fixture("const-z"), "--level", "1")
     assert res2.returncode == 3  # infinite group, enumeration impossible
-    res3 = run_cli(
-        "sample", fixture("tower-z2"), "--level", "2", env={"PROLIM_CAP": "2"}
-    )
+    res3 = run_cli("sample", fixture("tower-z2"), "--level", "2", "--cap", "2")
     assert res3.returncode == 3
-
-
-def test_non_integer_cap_exits_2():
-    res = run_cli(
-        "sample", fixture("tower-z2"), "--level", "2", env={"PROLIM_CAP": "abc"}
-    )
-    assert res.returncode == 2
-    assert b"PROLIM_CAP" in res.stderr
-    assert b"Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize(
@@ -502,9 +491,6 @@ def test_non_integer_cap_exits_2():
         pytest.param(["dense", "--budget", "2", "--cap", "-1"], None, b"--cap", id="dense-cap"),
         pytest.param(["sample", "--level", "0"], None, b"--level", id="level-0"),
         pytest.param(["sample", "--level", "-3"], None, b"--level", id="level-neg"),
-        pytest.param(
-            ["sample", "--level", "2"], {"PROLIM_CAP": "0"}, b"PROLIM_CAP", id="env-cap-0"
-        ),
     ],
 )
 def test_non_positive_cap_or_level_exits_2(args, env, message):

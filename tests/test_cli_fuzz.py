@@ -5,7 +5,10 @@ runs a command in-process.  Whatever the mutation, the command must exit 0,
 2 or 3 without an exception, and an exit-2 message must start with
 `error: ` and name a JSON path or the file.  A second loop, with its own
 seed, puts the mutated system under `second_system` for `kk-classify`; an
-exit-2 message must then start with that field's path.
+exit-2 message must then start with that field's path.  A third loop puts
+one bad value into a tower's base, a layer or its layers list, which must
+exit 2 naming that path; a fourth gives `sample`, `dense` or `metric` one
+bad flag value, and an exit-2 message must name the flag.
 """
 
 import copy
@@ -214,3 +217,130 @@ def test_mutated_second_systems_name_second_system(tmp_path):
         if rc == 2:
             assert SECOND_AT_START.match(err), (case, err)
     assert seen >= {0, 2}
+
+
+TOWER_SEED = 20261021
+TOWER_CASES = 400
+TOWER_COMMANDS = COMMANDS + ("sample",)
+BAD_FIELDS = (True, 1.5, "x", None, {}, -1, 10**6, [1], [0], [2, 3], [2.0], ["2"], [True], [-4])
+BAD_GROUPS = (5, "x", None, True, [], [0, [2]])
+BAD_LAYER_LISTS = (5, "x", None, True, {}, {"free_rank": 0, "torsion": [2]}, [])
+
+
+def tower_documents():
+    docs = fixture_documents()
+    return [doc for _origin, doc in docs if (doc["system"].get("tail") or {}).get("kind") == "tower"]
+
+
+def mutate_tower(rng, doc):
+    """One copy of a tower document with one bad base, layer or layers
+    value, and the JSON path of the group object (or list) it lands in."""
+    doc = copy.deepcopy(doc)
+    tail = doc["system"]["tail"]
+    owners = [(tail, "base", "tail.base")]
+    owners += [(tail["layers"], i, f"tail.layers[{i}]") for i in range(len(tail["layers"]))]
+    kind = rng.choice(["field", "field", "group", "layers"])
+    if kind == "layers":
+        tail["layers"] = rng.choice(BAD_LAYER_LISTS)
+        return doc, "tail.layers", f"tail.layers = {short_repr(tail['layers'])}"
+    owner, key, path = rng.choice(owners)
+    if kind == "group":
+        owner[key] = rng.choice(BAD_GROUPS)
+        return doc, path, f"{path} = {short_repr(owner[key])}"
+    field = rng.choice(["free_rank", "torsion"])
+    owner[key][field] = rng.choice(BAD_FIELDS)
+    return doc, path, f"{path}.{field} = {short_repr(owner[key][field])}"
+
+
+def run_main_or_usage(argv):
+    """run_main, with an argparse usage error read as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), time_limit(CASE_SECONDS):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_mutated_tower_fields_exit_0_2_or_3_with_their_path(tmp_path):
+    rng = random.Random(TOWER_SEED)
+    docs = tower_documents()
+    assert len(docs) >= 7
+    for i in range(TOWER_CASES):
+        doc, owner, what = mutate_tower(rng, rng.choice(docs))
+        command = rng.choice(TOWER_COMMANDS)
+        if command == "kk-classify":
+            doc.setdefault("second_system", doc["system"])
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(doc))
+        case = f"{command} {doc.get('name', '')}: {what}"
+        extra = ["--level", "2"] if command == "sample" else []
+        rc, out, err = run_main([command, str(path), *extra])
+        # every mutation is malformed, so every case exits 2 naming its path
+        assert (rc, out) == (2, ""), case
+        assert err.startswith(f"error: {owner}") and err.endswith("\n"), (case, err)
+
+
+ARG_SEED = 20261022
+ARG_CASES = 400
+BAD_INTS = ("0", "-1", "-99999999999999999999", "x", "1.5", "", "0x10", "1e3", "None")
+BAD_TUPLES = (
+    "",
+    "[",
+    "5",
+    "null",
+    "[]",
+    "{}",
+    "[" * 100_000,
+    '{"entries": 5}',
+    '{"entries": []}',
+    '{"entries": [5]}',
+    '{"entries": [[1.5]]}',
+    '{"entries": [["1"]]}',
+    '{"entries": [[true]]}',
+    '{"entries": [[0, 0, 0, 0, 0, 0, 0]]}',
+    '{"entries": [[7]]}',
+    '{"entries": [[0], [1], [2]]}',
+    '{"entries": [[0]], "level": 2}',
+    '{"entries": [[0]], "level": "1"}',
+)
+
+
+def argument_cases():
+    """(fixture, argv, bad flag): one bad value for a flag of sample, dense
+    or metric, every other flag valid and small."""
+    rng = random.Random(ARG_SEED)
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "*.json")))
+    for _ in range(ARG_CASES):
+        path = rng.choice(paths)
+        command = rng.choice(("sample", "dense", "metric"))
+        if command == "metric":
+            with open(path) as fh:
+                system = cli.parse_system(json.load(fh))
+            zero = json.dumps({"entries": [[0] * system.group_at(1).dim]})
+            flags = {"--x": zero, "--y": zero}
+            bad = rng.choice(sorted(flags))
+            flags[bad] = rng.choice(BAD_TUPLES)
+        else:
+            size = "--level" if command == "sample" else "--budget"
+            flags = {size: str(rng.randint(1, 3)), "--cap": "50"}
+            bad = rng.choice(sorted(flags))
+            flags[bad] = rng.choice(BAD_INTS)
+        yield path, [command, path, *(f"{k}={v}" for k, v in flags.items())], bad
+
+
+def test_bad_flag_values_exit_2_naming_the_flag():
+    seen = set()
+    for path, argv, bad in argument_cases():
+        case = f"{os.path.basename(path)}: {' '.join(argv[:1] + argv[2:])[:80]}"
+        rc, out, err = run_main_or_usage(argv)
+        seen.add(rc)
+        assert rc in (0, 2, 3), case
+        if rc == 0:
+            assert json.loads(out)["command"] == argv[0], case
+            continue
+        assert out == "" and err.endswith("\n"), (case, err)
+        if rc == 2:
+            assert bad in err, (case, err)
+    assert 2 in seen

@@ -38,6 +38,36 @@ def test_invalid_chain_rejected():
         F.FgAbGroup(0, (1,))
 
 
+@pytest.mark.parametrize(
+    "free_rank, torsion, bad",
+    [
+        pytest.param(1.9, [2], "1.9", id="float-rank"),
+        pytest.param("1", [2], "'1'", id="str-rank"),
+        pytest.param(True, [2], "True", id="bool-rank"),
+        pytest.param(1, [2.0], "2.0", id="float-factor"),
+        pytest.param(1, ["2"], "'2'", id="str-factor"),
+        pytest.param(1, [True], "True", id="bool-factor"),
+    ],
+)
+def test_group_constructor_rejects_non_integers(free_rank, torsion, bad):
+    with pytest.raises(InputError, match=f"expected an integer, got {bad}$"):
+        F.FgAbGroup(free_rank, torsion)
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        pytest.param(1.5, "1.5", id="float"),
+        pytest.param("3", "'3'", id="str"),
+        pytest.param(True, "True", id="bool"),
+        pytest.param(None, "None", id="none"),
+    ],
+)
+def test_hom_constructor_rejects_non_integer_entries(entry, bad):
+    with pytest.raises(InputError, match=f"matrix entry: expected an integer, got {bad}$"):
+        F.GroupHom(F.Z(2), F.Z(1), [[1, entry]])
+
+
 def test_element_arithmetic():
     g = F.FgAbGroup(1, (4,))
     assert g.add((2, 3), (5, 2)) == (7, 1)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -262,6 +263,35 @@ def test_restrict_cofinal_composite_oracle(rng):
     for s in seeded_towers(16, 4):
         r = I.restrict_cofinal(I.restrict_cofinal(s, 2, 1), 3, 2)
         _assert_selects(s, r, lambda i: 1 + 2 * (2 + 3 * i))
+
+
+def test_restricted_tower_reuses_the_levels_its_parent_built(monkeypatch):
+    """Restricting a tower whose levels are built runs no `direct_sum` for
+    them, and the levels it takes equal those a fresh restriction builds."""
+    depth = 12
+    towers = seeded_towers(27, 20)
+    for s in towers:
+        s.group_at(1 + 3 * (depth + 2))
+    calls = []
+    real = I.direct_sum
+
+    def counting(*groups):
+        calls.append(groups)
+        return real(*groups)
+
+    monkeypatch.setattr(I, "direct_sum", counting)
+    restricted = [I.restrict_cofinal(s, 3, 1) for s in towers]
+    for r in restricted:
+        for i in range(1, depth + 1):
+            r.group_at(i)
+            r.map_at(i)
+    assert calls == []
+    monkeypatch.undo()
+    for s, r in zip(towers, restricted):
+        fresh = I.restrict_cofinal(I.InverseSystem(s.prefix, s.maps, s.tail), 3, 1)
+        for i in range(1, depth + 1):
+            assert fresh.group_at(i) == r.group_at(i), i
+            assert fresh.map_at(i).columns() == r.map_at(i).columns(), i
 
 
 def test_kernel_sequence_examples():
@@ -614,6 +644,35 @@ def test_image_chain_matches_the_lattice_reference_on_long_torsion_chains():
         long_failing += not stable and steps >= 3
         singular += I._free_rank(anchor) < g.free_rank
     assert long_failing >= 100 and singular >= 100, (long_failing, singular)
+
+
+def _period_composite(rng, singular):
+    # the period-p composite of random [-3, 3] maps on Z^r + T at rank
+    # 32..40, p in 3..6 and 0..2 torsion factors; a singular one's first map
+    # repeats a free column, so the composite's free block is singular
+    r = rng.randint(32, 40)
+    torsion = [rng.choice((2, 3, 4, 8, 9)) for _ in range(rng.randrange(3))]
+    g = F.FgAbGroup.from_diagonal([0] * r + torsion)
+    maps = [random_hom(rng, g, g, bound=3) for _ in range(rng.randint(3, 6))]
+    if singular:
+        cols = [list(c) for c in maps[0].columns()]
+        a, b = rng.sample(range(r), 2)
+        cols[b] = cols[a]
+        maps[0] = F.GroupHom.from_columns(g, g, cols)
+    return functools.reduce(F.GroupHom.compose, maps)
+
+
+# sha256 of the (steps, index) pairs of `_image_chain` on the composites below
+WALK_REFERENCE = "5258ed29a44fdc20680e12caab48303ce66dca75a20ca444234cf9f4822dbfba"
+
+
+def test_image_chain_is_pinned_at_the_ranks_of_the_ml_walk():
+    rng = random.Random(3240)
+    endos = [_period_composite(rng, i % 4 == 0) for i in range(12)]
+    walks = [I._image_chain(endo) for endo in endos]
+    assert sum(I._free_det(endo) == 0 for endo in endos) == 3
+    assert sum(steps >= 3 for steps, _index in walks) >= 2
+    assert hashlib.sha256(repr(walks).encode()).hexdigest() == WALK_REFERENCE
 
 
 def test_nonsingular_walk_reduces_one_lattice_of_positive_free_rank(monkeypatch):
