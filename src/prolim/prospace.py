@@ -26,7 +26,11 @@ DEFAULT_CAP = 10_000
 
 
 class CoherentTuple(namedtuple("CoherentTuple", "system entries")):
-    """(x_1, ..., x_N) with x_n = f_n(x_{n+1}), checked on construction."""
+    """(x_1, ..., x_N) with x_n = f_n(x_{n+1}), checked on construction.
+
+    Two tuples are equal when their systems are the same object (systems
+    compare by identity) and their entries are equal.
+    """
 
     __slots__ = ()
 
