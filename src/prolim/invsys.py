@@ -767,15 +767,7 @@ def restrict_cofinal(s, stride, offset=0):
         sum((blocks[(t - k - 2) % p] for t in range(lo + 1, lo + stride + 1)), ())
         for lo in (old(t0 + j) for j in range(new_p))
     )
-    r = InverseSystem(new_prefix, new_maps, TowerTail(s.group_at(old(t0)), joined))
-    # r's tower level t is s's level old(t0 + t), so it takes the levels s
-    # has built (a run from its base) and composes their drops
-    t = 0
-    while old(t0 + t) - k - 1 in s._tower_cache:
-        lo, hi = old(t0 + t - 1), old(t0 + t)
-        r._tower_cache[t] = (s.group_at(hi), s.map_between(lo, hi) if t else None)
-        t += 1
-    return r
+    return InverseSystem(new_prefix, new_maps, TowerTail(s.group_at(old(t0)), joined))
 
 
 # -- kernels and stabilization -------------------------------------------

@@ -26,13 +26,14 @@ DEFAULT_CAP = 10_000
 
 
 class CoherentTuple(namedtuple("CoherentTuple", "system entries")):
-    """(x_1, ..., x_N) with x_n = f_n(x_{n+1}), checked on construction.
+    """(x_1, ..., x_N) with x_n = f_n(x_{n+1}), checked by every constructor.
 
     Two tuples are equal when their systems are the same object (systems
     compare by identity) and their entries are equal.
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def __new__(cls, system, entries):
         entries = tuple(tuple(e) for e in entries)

@@ -12,14 +12,10 @@ from prolim import _modpoly, cli
 from prolim.errors import InputError
 
 
-def run_cli(*args, env=None, timeout=None):
-    e = dict(os.environ)
-    if env:
-        e.update(env)
+def run_cli(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "prolim.cli", *args],
         capture_output=True,
-        env=e,
         cwd=REPO_ROOT,
         timeout=timeout,
     )
@@ -484,17 +480,17 @@ def test_sample_and_cap():
 
 
 @pytest.mark.parametrize(
-    "args, env, message",
+    "args, message",
     [
-        pytest.param(["sample", "--level", "2", "--cap", "0"], None, b"--cap", id="cap-0"),
-        pytest.param(["sample", "--level", "2", "--cap", "-5"], None, b"--cap", id="cap-neg"),
-        pytest.param(["dense", "--budget", "2", "--cap", "-1"], None, b"--cap", id="dense-cap"),
-        pytest.param(["sample", "--level", "0"], None, b"--level", id="level-0"),
-        pytest.param(["sample", "--level", "-3"], None, b"--level", id="level-neg"),
+        pytest.param(["sample", "--level", "2", "--cap", "0"], b"--cap", id="cap-0"),
+        pytest.param(["sample", "--level", "2", "--cap", "-5"], b"--cap", id="cap-neg"),
+        pytest.param(["dense", "--budget", "2", "--cap", "-1"], b"--cap", id="dense-cap"),
+        pytest.param(["sample", "--level", "0"], b"--level", id="level-0"),
+        pytest.param(["sample", "--level", "-3"], b"--level", id="level-neg"),
     ],
 )
-def test_non_positive_cap_or_level_exits_2(args, env, message):
-    res = run_cli(args[0], fixture("tower-z2"), *args[1:], env=env)
+def test_non_positive_cap_or_level_exits_2(args, message):
+    res = run_cli(args[0], fixture("tower-z2"), *args[1:])
     assert res.returncode == 2
     assert message + b" must be >= 1" in res.stderr
     assert res.stdout == b""

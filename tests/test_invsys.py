@@ -265,35 +265,6 @@ def test_restrict_cofinal_composite_oracle(rng):
         _assert_selects(s, r, lambda i: 1 + 2 * (2 + 3 * i))
 
 
-def test_restricted_tower_reuses_the_levels_its_parent_built(monkeypatch):
-    """Restricting a tower whose levels are built runs no `direct_sum` for
-    them, and the levels it takes equal those a fresh restriction builds."""
-    depth = 12
-    towers = seeded_towers(27, 20)
-    for s in towers:
-        s.group_at(1 + 3 * (depth + 2))
-    calls = []
-    real = I.direct_sum
-
-    def counting(*groups):
-        calls.append(groups)
-        return real(*groups)
-
-    monkeypatch.setattr(I, "direct_sum", counting)
-    restricted = [I.restrict_cofinal(s, 3, 1) for s in towers]
-    for r in restricted:
-        for i in range(1, depth + 1):
-            r.group_at(i)
-            r.map_at(i)
-    assert calls == []
-    monkeypatch.undo()
-    for s, r in zip(towers, restricted):
-        fresh = I.restrict_cofinal(I.InverseSystem(s.prefix, s.maps, s.tail), 3, 1)
-        for i in range(1, depth + 1):
-            assert fresh.group_at(i) == r.group_at(i), i
-            assert fresh.map_at(i).columns() == r.map_at(i).columns(), i
-
-
 def test_kernel_sequence_examples():
     tower = I.tower_system(F.Zmod(2), [F.Zmod(2)])
     seq = I.kernel_sequence(tower)

@@ -28,6 +28,16 @@ def test_coherence_checked_on_construction():
     assert t.level == 3
 
 
+def test_make_and_replace_check_coherence():
+    ch = z2_chain()
+    t = P.CoherentTuple(ch, [(1,), (1,), (5,)])
+    assert t._replace(entries=[(1,), (3,)]) == P.CoherentTuple(ch, [(1,), (3,)])
+    with pytest.raises(InputError, match="coherence fails"):
+        t._replace(entries=[(0,), (1,)])
+    with pytest.raises(InputError, match="coherence fails"):
+        P.CoherentTuple._make((ch, [(1,), (2,)]))
+
+
 def test_extend_examples():
     ch = z2_chain()
     t = P.extend(P.CoherentTuple(ch, [(1,)]), 3)
