@@ -10,6 +10,12 @@ the JSON boundary, in the `GroupHom` rows constructor and its `matrix`
 view.  Subgroups are generator lists with a lazily computed normal form;
 under the hood every subgroup is the lattice spanned by its generators
 together with the ambient relation lattice.
+
+Groups and homs are `namedtuple` records that validate on every
+construction path, `_make`, `_replace`, copy and pickle included.
+`Subgroup`, `invsys.InverseSystem` and `topgrp.FiniteTopAbGroup` stay
+classes: they fill caches after construction, and the last two compare by
+identity, which `prospace.CoherentTuple` equality relies on.
 """
 
 import itertools
@@ -62,12 +68,14 @@ MAX_JSON_DIM = 100
 """Most generators (free_rank plus invariant factors) a JSON group may have."""
 
 
-class FgAbGroup:
+class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion dim")):
     """Z^free_rank + Z/d1 + ... + Z/dk with d1 | d2 | ... | dk, all di >= 2."""
 
-    __slots__ = ("free_rank", "torsion", "dim")
+    __slots__ = ()
+    # dim = free_rank + len(torsion) is derived, so rebuilding ignores it
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:2]))
 
-    def __init__(self, free_rank=0, torsion=()):
+    def __new__(cls, free_rank=0, torsion=()):
         json_int(free_rank, "free_rank")
         torsion = tuple(json_int(d, "invariant factor") for d in torsion)
         if free_rank < 0:
@@ -78,12 +86,10 @@ class FgAbGroup:
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise InputError(f"invariant factors must form a divisibility chain, got {torsion}")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "dim", self.free_rank + len(torsion))
+        return super().__new__(cls, free_rank, torsion, free_rank + len(torsion))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FgAbGroup is immutable")
+    def __getnewargs__(self):
+        return self[:2]
 
     @classmethod
     def from_diagonal(cls, diag):
@@ -206,16 +212,6 @@ class FgAbGroup:
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FgAbGroup)
-            and self.free_rank == other.free_rank
-            and self.torsion == other.torsion
-        )
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
     def __repr__(self):
         return f"FgAbGroup({self.free_rank}, {self.torsion})"
 
@@ -259,8 +255,8 @@ def check_matrix_shape(rows, source, target, path=None):
     )
 
 
-class GroupHom:
-    """Homomorphism between FgAbGroups, stored as its list of columns.
+class GroupHom(namedtuple("GroupHom", "source target cols")):
+    """Homomorphism between FgAbGroups, stored as its tuple of columns.
 
     Column j is the image of source generator j in target coordinates, with
     the torsion entries reduced.  Construction validates well-definedness:
@@ -270,55 +266,41 @@ class GroupHom:
     `matrix` property is the read-only row view.
     """
 
-    __slots__ = ("source", "target", "_cols")
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls.from_columns(*fields))
 
-    def __init__(self, source, target, matrix, check=True):
+    def __new__(cls, source, target, matrix):
         matrix = tuple(tuple(json_int(x, "matrix entry") for x in row) for row in matrix)
         check_matrix_shape(matrix, source, target)
-        cols = zip(*matrix) if matrix else [()] * source.dim
-        self._init(source, target, cols, check)
+        return cls.from_columns(source, target, zip(*matrix) if matrix else [()] * source.dim)
 
     @classmethod
-    def from_columns(cls, source, target, cols, check=True):
+    def from_columns(cls, source, target, cols, *, check=True):
         """The hom whose column j is the image of source generator j."""
-        h = object.__new__(cls)
-        h._init(source, target, cols, check)
-        return h
-
-    def _init(self, source, target, cols, check):
         cols = tuple(target.reduce(c) for c in cols)
         if len(cols) != source.dim:
             raise InputError(f"{len(cols)} columns do not match source dim {source.dim}")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_cols", cols)
         if check:
-            self._check_well_defined()
+            r = source.free_rank
+            for j, d in enumerate(source.torsion):
+                if any(target.reduce(tuple(d * x for x in cols[r + j]))):
+                    raise InputError(
+                        f"column {r + j} of order-{d} generator does not vanish under {d}"
+                    )
+        return super().__new__(cls, source, target, cols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupHom is immutable")
-
-    def _check_well_defined(self):
-        r = self.source.free_rank
-        for j, d in enumerate(self.source.torsion):
-            if any(self.target.reduce(tuple(d * x for x in self._cols[r + j]))):
-                raise InputError(
-                    f"column {r + j} of order-{d} generator does not vanish under {d}"
-                )
+    def __reduce__(self):
+        return self.from_columns, tuple(self)
 
     @property
     def matrix(self):
         """The matrix as a tuple of rows."""
-        return tuple(zip(*self._cols)) if self._cols else ((),) * self.target.dim
-
-    def columns(self):
-        """The images of the source generators, in target coordinates."""
-        return self._cols
+        return tuple(zip(*self.cols)) if self.cols else ((),) * self.target.dim
 
     def apply(self, x):
         if len(x) != self.source.dim:
             raise InputError("element does not belong to the source group")
-        return self.target.reduce(_k.combine(self._cols, x, self.target.dim))
+        return self.target.reduce(_k.combine(self.cols, x, self.target.dim))
 
     def compose(self, other):
         """self o other (apply `other` first)."""
@@ -327,7 +309,7 @@ class GroupHom:
         if self.source.dim == 0:
             return GroupHom.zero(other.source, self.target)
         # the row product of the column lists, in reverse order
-        cols = _k.mat_mul(other._cols, self._cols)
+        cols = _k.mat_mul(other.cols, self.cols)
         return GroupHom.from_columns(other.source, self.target, cols, check=False)
 
     @classmethod
@@ -345,17 +327,6 @@ class GroupHom:
             "target": self.target.to_json(),
             "matrix": [list(r) for r in self.matrix],
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupHom)
-            and self.source == other.source
-            and self.target == other.target
-            and self._cols == other._cols
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self._cols))
 
     def __repr__(self):
         return f"GroupHom({self.source} -> {self.target}, {self.matrix})"
@@ -419,6 +390,9 @@ class Subgroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.ambient, self.generators)
 
     @classmethod
     def full(cls, ambient):
@@ -567,12 +541,12 @@ class Subgroup:
 
 def image(h):
     """Subgroup of the target generated by the columns of h."""
-    return Subgroup(h.target, h.columns())
+    return Subgroup(h.target, h.cols)
 
 
 def kernel(h):
     """Subgroup of the source that h maps to zero."""
-    ker = _k.kernel_columns([*h.columns(), *h.target.relation_columns()])
+    ker = _k.kernel_columns([*h.cols, *h.target.relation_columns()])
     return Subgroup(h.source, [col[: h.source.dim] for col in ker])
 
 
@@ -597,7 +571,7 @@ def hom_into_subgroup(h, target_sub):
 
     Requires image(h) <= target_sub.  The source group is untouched.
     """
-    cols = [target_sub.coordinates_of(col) for col in h.columns()]
+    cols = [target_sub.coordinates_of(col) for col in h.cols]
     if None in cols:
         raise InputError("hom does not map into the target subgroup")
     return GroupHom.from_columns(h.source, target_sub.normal_form, cols, check=False)
@@ -608,7 +582,7 @@ def hom_restrict(h, source_sub, target_sub):
 
     Requires h(source_sub) <= target_sub.
     """
-    cols = [target_sub.coordinates_of(h.apply(col)) for col in source_sub.inclusion().columns()]
+    cols = [target_sub.coordinates_of(h.apply(col)) for col in source_sub.inclusion().cols]
     if None in cols:
         raise InputError("hom does not map the source subgroup into the target subgroup")
     return GroupHom.from_columns(source_sub.normal_form, target_sub.normal_form, cols, check=False)
@@ -617,7 +591,7 @@ def hom_restrict(h, source_sub, target_sub):
 def solve_hom(h, y):
     """One x with h(x) = y, or None; torsion handled exactly."""
     src, tgt = h.source, h.target
-    sol = _k.solve([*h.columns(), *tgt.relation_columns()], tgt.reduce(y))
+    sol = _k.solve([*h.cols, *tgt.relation_columns()], tgt.reduce(y))
     if sol is None:
         return None
     return src.reduce(sol[: src.dim])
@@ -665,7 +639,7 @@ def direct_sum(*groups):
 def hom_sum(source, target, homs, coeffs):
     """The hom sum(c * h) over homs h : source -> target."""
     cols = [
-        _k.combine([h.columns()[j] for h in homs], coeffs, target.dim)
+        _k.combine([h.cols[j] for h in homs], coeffs, target.dim)
         for j in range(source.dim)
     ]
     return GroupHom.from_columns(source, target, cols, check=False)

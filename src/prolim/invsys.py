@@ -81,12 +81,15 @@ class InverseSystem:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "_tower_cache", {})
+        object.__setattr__(self, "_tower_cache", [])
         object.__setattr__(self, "_stab_cache", {})  # see stabilization_index
         self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("InverseSystem is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.prefix, self.maps, self.tail)
 
     def _validate(self):
         tail = self.tail
@@ -149,20 +152,20 @@ class InverseSystem:
         Level t >= 1 adds its block to level t-1 one `direct_sum` per layer,
         and its drop is the composite of their first projections; so a level
         depends on the layers below it, not on their blocking.  The base has
-        no drop (None).
+        no drop (None).  Levels are built in a loop upward from the highest
+        cached one.
         """
-        cache = self._tower_cache
-        if t not in cache:
-            tail = self.tail
-            if t == 0:
-                cache[t] = (tail.base, None)
-            else:
-                group, drop = self._tower_level(t - 1)[0], None
-                for layer in tail.layers[(t - 1) % tail.period]:
-                    group, _incls, projs = direct_sum(group, layer)
-                    drop = projs[0] if drop is None else drop.compose(projs[0])
-                cache[t] = (group, drop)
-        return cache[t]
+        levels = self._tower_cache
+        tail = self.tail
+        if not levels:
+            levels.append((tail.base, None))
+        while len(levels) <= t:
+            group, drop = levels[-1][0], None
+            for layer in tail.layers[(len(levels) - 1) % tail.period]:
+                group, _incls, projs = direct_sum(group, layer)
+                drop = projs[0] if drop is None else drop.compose(projs[0])
+            levels.append((group, drop))
+        return levels[t]
 
     def group_at(self, n):
         if n < 1:
@@ -176,6 +179,24 @@ class InverseSystem:
         if isinstance(tail, CycleTail):
             return tail.groups[(n - k - 1) % tail.period]
         return self._tower_level(n - k - 1)[0]
+
+    def order_at(self, n):
+        """|G_n|, or None when G_n is infinite.
+
+        A tower level's order is its base's times its layers', so no level
+        is built: tail level t (0 = base) adds q whole periods of blocks and
+        then the first r blocks to the base, for q, r = divmod(t, period).
+        """
+        k = len(self.prefix)
+        tail = self.tail
+        if n <= k or not isinstance(tail, TowerTail):
+            return self.group_at(n).order()
+        q, r = divmod(n - k - 1, tail.period)
+        head = [tail.base, *(g for block in tail.layers[:r] for g in block)]
+        period = [g for block in tail.layers for g in block] if q else []
+        if not all(g.is_finite() for g in head + period):
+            return None
+        return prod(g.order() for g in head) * prod(g.order() for g in period) ** q
 
     def map_at(self, n):
         """The bonding map f_n : G_{n+1} -> G_n."""
@@ -364,7 +385,7 @@ def _push(h, sub):
     """Image of a subgroup under a hom (as a subgroup of the target)."""
     if sub.ambient != h.source:
         raise InputError("subgroup does not lie in the source of the hom")
-    cols, dim = h.columns(), h.target.dim
+    cols, dim = h.cols, h.target.dim
     return Subgroup(h.target, [_k.combine(cols, g, dim) for g in sub.generators])
 
 
@@ -387,7 +408,7 @@ def _free_det(endo):
     """|det A| for the free block A of an endomorphism of Z^r + T (its first
     r rows and columns); 1 when r = 0."""
     r = endo.source.free_rank
-    return abs(_k.det([col[:r] for col in endo.columns()[:r]])) if r else 1
+    return abs(_k.det([col[:r] for col in endo.cols[:r]])) if r else 1
 
 
 def _image_chain(endo, d=None):
@@ -472,7 +493,7 @@ def _image_chain(endo, d=None):
         power = phi
         for _ in range(s - 2):
             power = phi.compose(power)
-        ker = _k.kernel_columns([*power.columns(), *t.relation_columns()])
+        ker = _k.kernel_columns([*power.cols, *t.relation_columns()])
         tau1 = taus[1]
         k_sum = Subgroup(t, [col[: t.dim] for col in ker] + list(tau1.generators))
         k_index = tau1.index_in(k_sum)
@@ -489,7 +510,7 @@ def _torsion_block(endo):
     if not r:
         return endo
     t = FgAbGroup(0, g.torsion)
-    return GroupHom.from_columns(t, t, [col[r:] for col in endo.columns()[r:]], check=False)
+    return GroupHom.from_columns(t, t, [col[r:] for col in endo.cols[r:]], check=False)
 
 
 def _check_chain_index(c0, c1):
@@ -515,7 +536,7 @@ def eventual_image(endo):
         raise InputError("eventual_image needs an endomorphism")
     g = endo.source
     r = g.free_rank
-    a_cols = [col[:r] for col in endo.columns()[:r]]
+    a_cols = [col[:r] for col in endo.cols[:r]]
     w_free = eventual_image_lattice(a_cols) if r else []
     pad = [0] * len(g.torsion)
     gens = [list(c) + pad for c in w_free] + list(Subgroup.torsion_block(g).generators)

@@ -227,19 +227,23 @@ def dense_family(s, budget, cap=DEFAULT_CAP):
 
     Tuples are produced at the budget level via minimal lifts, so the
     bonding maps must be surjective up to it.  Enumeration of infinite
-    groups is capped (deterministic small-coordinate order).
+    groups is capped (deterministic small-coordinate order).  The levels'
+    element counts are summed from their orders before anything is lifted:
+    `elements_capped` yields `cap` elements of an infinite group and
+    refuses a finite one of more.
     """
-    out = []
-    seen = set()
     total = 0
     for j in range(1, budget + 1):
-        g = s.group_at(j)
-        for elem in g.elements_capped(cap):
-            total += 1
-            if total > cap:
-                raise EnumerationCapExceeded(
-                    f"dense family would exceed the enumeration cap {cap}"
-                )
+        order = s.order_at(j)
+        if order is not None and order > cap:
+            raise EnumerationCapExceeded(f"enumeration cap {cap} exceeded")
+        total += cap if order is None else order
+        if total > cap:
+            raise EnumerationCapExceeded(f"dense family would exceed the enumeration cap {cap}")
+    out = []
+    seen = set()
+    for j in range(1, budget + 1):
+        for elem in s.group_at(j).elements_capped(cap):
             t = extend(CoherentTuple.from_top(s, j, elem), budget)
             if t.entries not in seen:
                 seen.add(t.entries)
@@ -323,13 +327,17 @@ def enumerate_tuples(s, level, cap=DEFAULT_CAP):
     """All coherent tuples at a level of a finite-group system (capped).
 
     A coherent tuple is determined by its top coordinate, so this is the
-    top group's element enumeration pushed down.
+    top group's element enumeration pushed down.  The level's order is
+    checked against the cap before the level is built.
     """
-    g = s.group_at(level)
-    order = g.order()
+    order = s.order_at(level)
     if order is None or order > cap:
+        # an int prints in quadratic time, so an order of 4300 digits or
+        # more (Python's default printing limit) is named by its size
+        if order is not None and order >= 10**4300:
+            order = "at least 10^4300"
         raise EnumerationCapExceeded(
             f"level-{level} tuple enumeration needs {order or 'infinitely many'} "
             f"items, cap is {cap}"
         )
-    return [CoherentTuple.from_top(s, level, e) for e in g.elements()]
+    return [CoherentTuple.from_top(s, level, e) for e in s.group_at(level).elements()]

@@ -85,6 +85,9 @@ class FiniteTopAbGroup:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteTopAbGroup is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.group, self.min_nbhds)
+
     # -- masks ---------------------------------------------------------
 
     def elems_of(self, mask):

@@ -38,7 +38,7 @@ def random_group(rng, max_rank=2, factors=(2, 3, 4, 6, 8, 9), max_torsion=2):
 
 
 def hom_is_zero(h):
-    return not any(any(c) for c in h.columns())
+    return not any(any(c) for c in h.cols)
 
 
 def random_hom(rng, source, target, bound=3):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -477,6 +478,41 @@ def test_sample_and_cap():
     assert res2.returncode == 3  # infinite group, enumeration impossible
     res3 = run_cli("sample", fixture("tower-z2"), "--level", "2", "--cap", "2")
     assert res3.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(
+            ["sample", "--level", "1000"],
+            f"level-1000 tuple enumeration needs {2**1000} items, cap is 10000",
+            id="sample-1000",
+        ),
+        pytest.param(
+            ["sample", "--level", "100000"],
+            "level-100000 tuple enumeration needs at least 10^4300 items, cap is 10000",
+            id="sample-100000",
+        ),
+        pytest.param(
+            ["dense", "--budget", "13"],
+            "dense family would exceed the enumeration cap 10000",
+            id="dense-13",
+        ),
+        pytest.param(
+            ["dense", "--budget", "1000000"],
+            "dense family would exceed the enumeration cap 10000",
+            id="dense-1000000",
+        ),
+    ],
+)
+def test_deep_tower_flags_exit_3_with_the_cap_message_at_once(args, message, capsys):
+    argv = [args[0], fixture("tower-z2"), *args[1:]]
+    start = time.perf_counter()
+    assert cli.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    res = run_cli(*argv, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (3, b"", f"error: {message}\n".encode())
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ seed, puts the mutated system under `second_system` for `kk-classify`; an
 exit-2 message must then start with that field's path.  A third loop puts
 one bad value into a tower's base, a layer or its layers list, which must
 exit 2 naming that path; a fourth gives `sample`, `dense` or `metric` one
-bad flag value, and an exit-2 message must name the flag.
+bad flag value, and an exit-2 message must name the flag.  A last sweep
+gives `sample --level` and `dense --budget` deep values, which must exit 0
+or 3 in time.
 """
 
 import copy
@@ -344,3 +346,38 @@ def test_bad_flag_values_exit_2_naming_the_flag():
         if rc == 2:
             assert bad in err, (case, err)
     assert 2 in seen
+
+
+DEEP = (1000, 10**6)
+
+
+def deep_flag_cases():
+    """`sample --level` and `dense --budget` at 1000 and 10^6 on every tower
+    fixture, `dense --budget 10^6` on every fixture, and `sample --level
+    1000` on the cycle fixtures (at 10^6 a finite cycle is real work)."""
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "*.json"))):
+        with open(path) as fh:
+            kind = (json.load(fh)["system"].get("tail") or {}).get("kind")
+        if kind == "tower":
+            for value in DEEP:
+                yield ["sample", path, "--level", str(value)]
+                yield ["dense", path, "--budget", str(value)]
+        else:
+            yield ["dense", path, "--budget", str(DEEP[1])]
+            if kind == "cycle":
+                yield ["sample", path, "--level", str(DEEP[0])]
+
+
+def test_deep_flag_values_exit_0_or_3_in_time():
+    seen = set()
+    for argv in deep_flag_cases():
+        case = f"{os.path.basename(argv[1])}: {' '.join(argv[:1] + argv[2:])}"
+        rc, out, err = run_main(argv)
+        seen.add(rc)
+        assert rc in (0, 3), (case, err)
+        if rc == 0:
+            assert json.loads(out)["command"] == argv[0] and err == "", case
+        else:
+            assert out == "" and err.startswith("error: ") and err.endswith("\n"), (case, err)
+            assert "\n" not in err[:-1], (case, err)
+    assert seen == {0, 3}

@@ -102,7 +102,7 @@ def test_rows_and_columns_constructors_agree():
     ]
     cases += [(random_group(rng), random_group(rng)) for _ in range(150)]
     for src, tgt in cases:
-        cols = [list(c) for c in random_hom(rng, src, tgt).columns()]
+        cols = [list(c) for c in random_hom(rng, src, tgt).cols]
         for col in cols:
             for i, d in enumerate(tgt.torsion):  # unreduced torsion entries
                 col[tgt.free_rank + i] += d * rng.randrange(-3, 4)
@@ -115,7 +115,7 @@ def test_rows_and_columns_constructors_agree():
         x = tuple(rng.randrange(-5, 6) for _ in range(src.dim))
         assert by_rows.apply(x) == by_cols.apply(x)
         pre = random_group(rng) if rng.randrange(3) else F.ZERO_GROUP
-        first = [list(c) for c in random_hom(rng, pre, src).columns()]
+        first = [list(c) for c in random_hom(rng, pre, src).cols]
         pre_rows, pre_cols = _both_ways(pre, src, first)
         composite = by_rows.compose(pre_rows)
         assert composite == by_cols.compose(pre_cols)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -27,7 +28,7 @@ def system_equal(a, b, upto):
     for n in range(1, upto + 1):
         if a.group_at(n) != b.group_at(n):
             return False
-        if n < upto and a.map_at(n).columns() != b.map_at(n).columns():
+        if n < upto and a.map_at(n).cols != b.map_at(n).cols:
             return False
     return True
 
@@ -226,6 +227,31 @@ def test_tower_kernel_sequence_matches_the_drop_map_kernels(monkeypatch):
         assert len(reduced) == s.prefix_len
 
 
+def test_order_at_reads_tower_levels_off_their_layers(monkeypatch, rng):
+    systems = seeded_towers(17, 12) + [random_system(rng) for _ in range(12)]
+    systems += [I.restrict_cofinal(s, 2, 1) for s in systems[:6]]
+    assert any(isinstance(s.tail, I.TowerTail) and s.tail.period > 1 for s in systems)
+
+    def refuse(*groups):
+        raise AssertionError("a tower level was built")
+
+    levels = [range(1, s.prefix_len + 2 * s.period + 3) for s in systems]
+    with monkeypatch.context() as m:
+        m.setattr(I, "direct_sum", refuse)
+        orders = [[s.order_at(n) for n in ns] for s, ns in zip(systems, levels)]
+    assert orders == [[s.group_at(n).order() for n in ns] for s, ns in zip(systems, levels)]
+    assert {o is None for row in orders for o in row} == {True, False}
+
+
+def test_tower_levels_are_built_in_a_loop():
+    # levels deeper than the recursion limit, cheap because the layers are 0
+    s = I.tower_system(F.Zmod(2), [F.ZERO_GROUP])
+    deep = sys.getrecursionlimit() + 100
+    assert s.group_at(deep) == F.Zmod(2)
+    assert s.map_at(deep - 1) == F.GroupHom.identity(F.Zmod(2))
+    assert s.order_at(10**9) == 2
+
+
 def test_restrict_cofinal_examples():
     s = z_times(2)
     assert I.restrict_cofinal(s, 1, 0) is s
@@ -248,7 +274,7 @@ def _assert_selects(s, r, old):
     through r's prefix and two of its periods."""
     for i in range(1, r.prefix_len + 2 * r.period + 1):
         assert r.group_at(i) == s.group_at(old(i)), i
-        assert r.map_at(i).columns() == s.map_between(old(i), old(i + 1)).columns(), i
+        assert r.map_at(i).cols == s.map_between(old(i), old(i + 1)).cols, i
 
 
 def test_restrict_cofinal_composite_oracle(rng):
@@ -504,7 +530,7 @@ def _reference_eventual_image(endo):
     lam = [c[:r] for c in anchor.lattice_basis() if any(c[:r])]
     w_free = []
     if lam:
-        e_free = [c[:r] for c in endo.columns()[:r]]
+        e_free = [c[:r] for c in endo.cols[:r]]
         n_cols = [K.lattice_coordinates(lam, K.combine(e_free, col, r)) for col in lam]
         assert None not in n_cols
         for col in F.eventual_image_lattice(n_cols):
@@ -586,7 +612,7 @@ def test_image_chain_index_comes_from_det_at_full_rank(monkeypatch):
         calls.update(det=0, charpoly=0)
         assert I._image_chain(endo) == (steps, index)
         r = endo.source.free_rank
-        a_cols = [col[:r] for col in endo.columns()[:r]]
+        a_cols = [col[:r] for col in endo.cols[:r]]
         singular = r > 0 and K.kernel_columns(a_cols) != []
         # the anchor C_steps lies past C_nu, so it has C_nu's free rank
         dets = int(r > 0) + int(singular and I._free_rank(anchor) > 0)
@@ -626,7 +652,7 @@ def _period_composite(rng, singular):
     g = F.FgAbGroup.from_diagonal([0] * r + torsion)
     maps = [random_hom(rng, g, g, bound=3) for _ in range(rng.randint(3, 6))]
     if singular:
-        cols = [list(c) for c in maps[0].columns()]
+        cols = [list(c) for c in maps[0].cols]
         a, b = rng.sample(range(r), 2)
         cols[b] = cols[a]
         maps[0] = F.GroupHom.from_columns(g, g, cols)
@@ -668,7 +694,7 @@ def test_nonsingular_walk_reduces_one_lattice_of_positive_free_rank(monkeypatch)
     for _ in range(400):
         g, endo = _wide_endo(rng)
         r = g.free_rank
-        if not r or not K.det([col[:r] for col in endo.columns()[:r]]):
+        if not r or not K.det([col[:r] for col in endo.cols[:r]]):
             continue
         reduced.clear()
         steps, index = I._image_chain(endo)
@@ -711,7 +737,7 @@ def test_ml_computes_one_determinant_per_tail_free_rank(monkeypatch):
         restricted = []
         for endo, d in handed:
             r = endo.source.free_rank
-            assert d == (abs(det([col[:r] for col in endo.columns()[:r]])) if r else 1)
+            assert d == (abs(det([col[:r] for col in endo.cols[:r]])) if r else 1)
             _stable, _steps, anchor = _reference_image_chain(endo)
             if not d and I._free_rank(anchor):
                 restricted.append(I._free_rank(anchor))

@@ -163,6 +163,43 @@ def test_dense_family_examples():
         P.dense_family(I.constant_system(F.Z()), 2, cap=3)
 
 
+def test_deep_levels_meet_the_cap_before_anything_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tower level was built or a tuple lifted")
+
+    tower = I.tower_system(F.Zmod(2), [F.Zmod(2)])
+    with monkeypatch.context() as m:
+        m.setattr(I, "direct_sum", refuse)
+        m.setattr(P, "extend", refuse)
+        needs = {1000: 2**1000, 100_000: r"at least 10\^4300"}
+        for level, count in needs.items():
+            with pytest.raises(
+                EnumerationCapExceeded,
+                match=f"^level-{level} tuple enumeration needs {count} items, cap is 10000$",
+            ):
+                P.enumerate_tuples(tower, level)
+        # level j has 2^j elements: 8190 through level 12, 16382 through 13
+        for budget in (13, 10**6):
+            with pytest.raises(
+                EnumerationCapExceeded,
+                match="^dense family would exceed the enumeration cap 10000$",
+            ):
+                P.dense_family(tower, budget)
+        # one level over the cap is refused as `elements_capped` refuses it
+        with pytest.raises(EnumerationCapExceeded, match="^enumeration cap 10 exceeded$"):
+            P.dense_family(I.tower_system(F.Zmod(2), [F.Zmod(16)]), 5, cap=10)
+    assert len(P.dense_family(tower, 4)) == 2**4
+
+
+def test_dense_family_counts_the_cap_before_a_missing_preimage():
+    # doubling on Z/4 leaves 1 without a preimage; the cap is checked first
+    doubling = I.constant_system(F.Zmod(4), [[2]])
+    with pytest.raises(PreconditionError, match="no preimage at level 2"):
+        P.dense_family(doubling, 2)
+    with pytest.raises(EnumerationCapExceeded, match="exceed the enumeration cap 7$"):
+        P.dense_family(doubling, 2, cap=7)
+
+
 def test_dense_family_hits_every_level_element(rng):
     for _ in range(10):
         s = random_tower_system(rng, max_prefix=0)

@@ -1,6 +1,11 @@
 """The result records of every layer: immutable, compared and hashed by
 value, with the Name(field=value, ...) repr, their defaults, and the
-checks that TruncatedChain and SystemSES run on construction."""
+checks that TruncatedChain and SystemSES run on construction; the group
+and hom records' checks on every construction path; and copies and
+pickles of every kind of object, records and classes alike."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -183,3 +188,74 @@ def test_system_ses_checks_its_systems_and_maps():
         H.SystemSES(SUB, period2, QUO, (inc,), (prj,))
     with pytest.raises(InputError, match=r"levelwise maps for levels 1\.\.1"):
         H.SystemSES(SUB, MID, QUO, (), (prj,))
+
+
+def test_group_and_hom_records_check_every_construction_path():
+    g = F.FgAbGroup(1, (2,))
+    assert (g.free_rank, g.torsion, g.dim) == (1, (2,), 2) == tuple(g)
+    assert g._replace(torsion=(2, 4)).dim == 3
+    with pytest.raises(InputError, match="divisibility chain"):
+        g._replace(torsion=(3, 2))
+    with pytest.raises(InputError, match="does not vanish under 2"):
+        F.GroupHom._make((F.Zmod(2), F.Z(), ((1,),)))
+    h = F.GroupHom(F.Z(2), F.FgAbGroup(1, (2, 4)), [[1, 2], [3, 0], [1, 1]])
+    assert h._make(tuple(h)) == h
+    with pytest.raises(InputError, match="does not vanish under 2"):
+        F.GroupHom(F.Zmod(2), F.Zmod(4), [[1]])._replace(target=F.Z())
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and back.matrix == h.matrix == ((1, 2), (1, 0), (1, 1))
+    for record, name in ((g, "dim"), (h, "cols")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert repr(g) == "FgAbGroup(1, (2,))" and str(g) == "Z + Z/2"
+    assert repr(h) == str(h) == "GroupHom(Z + Z -> Z + Z/2 + Z/4, ((1, 2), (1, 0), (1, 1)))"
+
+
+def _tower():
+    return I.tower_system(F.Zmod(2), [F.Zmod(2), F.Zmod(3)])
+
+
+def _topology():
+    a = T.FiniteTopAbGroup.discrete(F.Zmod(2))
+    return T.FiniteTopAbGroup.product(a, T.FiniteTopAbGroup.indiscrete(F.Zmod(3)))
+
+
+# (make, value): a copy must give the same value; classes with identity
+# equality are compared through their JSON, or their defining fields
+COPYABLE = {
+    "group": (lambda: F.FgAbGroup(1, (2, 4)), lambda x: x),
+    "hom-3x2": (
+        lambda: F.GroupHom(F.Z(2), F.FgAbGroup(1, (2, 4)), [[1, 2], [3, 0], [1, 1]]),
+        lambda x: (x, x.matrix),
+    ),
+    "subgroup": (
+        lambda: F.Subgroup(F.FgAbGroup(1, (4,)), [(2, 2)]),
+        lambda x: (x.ambient, x.generators, x.lattice_basis(), x.normal_form),
+    ),
+    "cycle-system": (lambda: I.constant_system(F.Z(2), [[1, 1], [0, 2]]), lambda x: x.to_json()),
+    "tower-system": (lambda: _tower(), lambda x: (x.to_json(), x.group_at(4), x.map_at(3))),
+    "coherent-tuple": (
+        lambda: P.CoherentTuple.from_top(_tower(), 3, (1, 5)),
+        lambda x: (x.to_json(), x.system.to_json()),
+    ),
+    "topology": (lambda: _topology(), lambda x: (x.group, x.min_nbhds, x.elements, x.add)),
+    "classify-certificate": (
+        lambda: C.classify_limit(_tower())[1],
+        lambda x: (x.to_json(), x.surjectivized.to_json()),
+    ),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+@pytest.mark.parametrize("kind", list(COPYABLE))
+def test_every_object_copies_and_pickles_by_value(kind, how):
+    make, value = COPYABLE[kind]
+    x = make()
+    y = COPIES[how](x)
+    assert type(y) is type(x)
+    assert value(y) == value(x)
