@@ -5,7 +5,8 @@
 Several outputs depend on the bases the integer kernel picks, not only on
 the groups they describe: Mittag-Leffler certificates, surjectivized
 systems, stable-image and eventual-image subgroups, kernels, images,
-quotients, minimal solutions, direct-sum inclusions and projections, the
+quotients, minimal solutions (`fgab.preimages`, on the
+`solve_hom_minimal` line), direct-sum inclusions and projections, the
 surjectivization short exact sequence and the truncated-limit witness.
 This script computes all of them over
 seeded random systems and prints one `family count sha256` line per
@@ -166,11 +167,12 @@ def outputs(doc, rng):
         yield from subgroup_lines("image", img)
         q, proj = F.quotient(h.target, img)
         yield "quotient", {"group": q.to_json(), "projection": [list(r) for r in proj.matrix]}
+        lift = F.preimages(h)
         for _ in range(3):
             x = tuple(rng.randint(-5, 5) for _ in range(h.source.dim))
             y = tuple(rng.randint(-5, 5) for _ in range(h.target.dim))
             for target in (h.apply(h.source.reduce(x)), h.target.reduce(y)):
-                sol = F.solve_hom_minimal(h, target)
+                sol = lift(target)
                 yield "solve_hom_minimal", None if sol is None else list(sol)
     if isinstance(s.tail, I.TowerTail):
         yield "tower.drops", rows(s.map_at(n) for n in range(k + 1, k + 2 * p + 1))

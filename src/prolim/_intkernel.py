@@ -1,21 +1,22 @@
 """Exact integer matrix kernel: Hermite bases, Smith forms and friends.
 
 Lattices, kernels and solutions are all read off one Hermite (echelon)
-column basis: `kernel_columns` and `solve` reduce the columns of A stacked
-over unit cofactor vectors.  The Hermite reduction is an echelon pass
-(`echelon_column_basis`) followed by a back-reduction of each pivot row;
-a lattice index in Z^dim needs only the pivots, so it can stop after the
-echelon pass.  The Smith form serves only cokernel presentations, which
-need invariant factors; it eliminates on the rows of [A | I], so u moves
-with d, and keeps u^-1 by its columns.  Every entry point takes a matrix
-as the plain list of its columns, of Python ints, so arbitrary precision
-is preserved throughout.  Only `smith_with_transforms` hands back lists of
-rows (u and d), and `mat_mul` reads either orientation: the transpose of
-a product is the reverse product of the transposes.  `det`
-(fraction-free Bareiss elimination) reads either orientation too, since a
-matrix and its transpose share their determinant.  This module is the hot
-inner loop of the whole package and imports nothing from the rest of it;
-the other modules reach it through prolim._backend.
+column basis: `cofactor_hermite` reduces the columns of A stacked over
+unit cofactor vectors, for `kernel_columns` and `fgab.preimages`.  The
+Hermite reduction is an echelon pass (`echelon_column_basis`) followed
+by a back-reduction of each pivot row; a lattice index in Z^dim needs
+only the pivots, so it can stop after the echelon pass.  The Smith form
+serves only cokernel presentations, which need invariant factors; it
+eliminates on the rows of [A | I], so u moves with d, and keeps u^-1 by
+its columns.  Every entry point takes a matrix as the plain list of its
+columns, of Python ints, so arbitrary precision is preserved throughout.
+Only `smith_with_transforms` hands back lists of rows (u and d), and
+`mat_mul` reads either orientation: the transpose of a product is the
+reverse product of the transposes.  `det` (fraction-free Bareiss
+elimination) reads either orientation too, since a matrix and its
+transpose share their determinant.  This module is the hot inner loop of
+the whole package and imports nothing from the rest of it; the other
+modules reach it through prolim._backend.
 """
 
 
@@ -287,7 +288,7 @@ def lattice_coordinates(basis, vec):
     return None if any(x) else coeffs
 
 
-def _cofactor_hermite(cols, m):
+def cofactor_hermite(cols, m):
     """Hermite basis of the columns (a_j; e_j) of A stacked over the identity.
 
     A is given by its n columns in Z^m.  The stacked lattice is the graph
@@ -295,7 +296,8 @@ def _cofactor_hermite(cols, m):
     whose top m entries vanish: the columns before it have echelon top parts
     spanning the image of A, and the bottom parts of the columns from it on
     span the kernel of A.  Returns (image columns, kernel columns), both
-    still stacked.
+    still stacked.  b's coordinates c in the image tops (`lattice_coordinates`)
+    solve A*x = b by x = sum c_j * bottom_j, so one reduction serves every b.
     """
     n = len(cols)
     stacked = [list(c) + [1 if i == j else 0 for i in range(n)] for j, c in enumerate(cols)]
@@ -308,18 +310,8 @@ def kernel_columns(cols):
     """Basis (list of columns) of the integer kernel {x : A*x = 0}, A given
     by its columns; with an empty target (columns of length 0) it is Z^n."""
     m = len(cols[0]) if cols else 0
-    _image, ker = _cofactor_hermite(cols, m)
+    _image, ker = cofactor_hermite(cols, m)
     return [c[m:] for c in ker]
-
-
-def solve(cols, b):
-    """One integer solution x of A*x = b, A given by its columns; None if none."""
-    m = len(b)
-    image, _ker = _cofactor_hermite(cols, m)
-    coeffs = lattice_coordinates([c[:m] for c in image], b)
-    if coeffs is None:
-        return None
-    return [sum(q * c[m + i] for q, c in zip(coeffs, image)) for i in range(len(cols))]
 
 
 def reduce_mod_lattice(vec, basis):

@@ -91,7 +91,6 @@ def classify_limit(s):
     tail_start = k + 2  # kernels of the repeating tail maps
     prefix_kernels = [e for e in seq if e[0] < tail_start]
     tail_kernels = [e for e in seq if e[0] >= tail_start]
-    tail_nontrivial = any(not x.is_trivial() for _l, x, _f in tail_kernels)
     tail_infinite = any(not fin for _l, _x, fin in tail_kernels)
     prefix_infinite = any(not fin for _l, _x, fin in prefix_kernels)
 
@@ -102,46 +101,34 @@ def classify_limit(s):
     else:
         count_class = "Zero"
 
+    stab, idx = stabilization(seq, k)
     trace = [
-        ("tail kernels all trivial (stabilizes)", not tail_nontrivial, "stabilization split"),
+        ("tail kernels all trivial (stabilizes)", stab, "stabilization split"),
         ("some tail-period kernel infinite", tail_infinite, "recurs every period"),
         ("some prefix-window kernel infinite", prefix_infinite, "occurs finitely often"),
     ]
 
-    if not tail_nontrivial:
-        stab, idx = stabilization(seq, k)
-        if not stab:
-            raise AssertionError("trivial tail kernels but no stabilization")
-        if not prefix_infinite:
-            card = 1
-            for _l, x, _f in seq:
-                card *= x.order()
-            model = so.group_at(idx)
-            if card != model.order():
-                raise AssertionError(f"kernel orders multiply to {card}, not the model order")
-            trace.append(
-                (
-                    "stabilized model cardinality",
-                    card,
-                    "case I.1: finite set",
-                )
+    if stab and not prefix_infinite:
+        card = 1
+        for _l, x, _f in seq:
+            card *= x.order()
+        model = so.group_at(idx)
+        if card != model.order():
+            raise AssertionError(f"kernel orders multiply to {card}, not the model order")
+        trace.append(("stabilized model cardinality", card, "case I.1: finite set"))
+        cls = TopologyClass(FINITE, card)
+        case = "I.1"
+    elif stab:
+        trace.append(
+            (
+                "stabilized model is countably infinite discrete",
+                True,
+                "case I.2: countable discrete",
             )
-            cls = TopologyClass(FINITE, card)
-            case = "I.1"
-        else:
-            trace.append(
-                (
-                    "stabilized model is countably infinite discrete",
-                    True,
-                    "case I.2: countable discrete",
-                )
-            )
-            cls = TopologyClass(COUNTABLE_DISCRETE)
-            case = "I.2"
-        cert = ClassCertificate(so, seq, idx, count_class, case, tuple(trace))
-        return cls, cert
-
-    if tail_infinite:
+        )
+        cls = TopologyClass(COUNTABLE_DISCRETE)
+        case = "I.2"
+    elif tail_infinite:
         cls = TopologyClass(BAIRE)
         case = "II.3"
         trace.append(
@@ -163,7 +150,7 @@ def classify_limit(s):
         trace.append(
             ("all kernels finite, not stabilizing", True, "case II.1: Cantor set")
         )
-    cert = ClassCertificate(so, seq, None, count_class, case, tuple(trace))
+    cert = ClassCertificate(so, seq, idx, count_class, case, tuple(trace))
     return cls, cert
 
 

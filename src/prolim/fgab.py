@@ -588,28 +588,28 @@ def hom_restrict(h, source_sub, target_sub):
     return GroupHom.from_columns(source_sub.normal_form, target_sub.normal_form, cols, check=False)
 
 
-def solve_hom(h, y):
-    """One x with h(x) = y, or None; torsion handled exactly."""
-    src, tgt = h.source, h.target
-    sol = _k.solve([*h.cols, *tgt.relation_columns()], tgt.reduce(y))
-    if sol is None:
-        return None
-    return src.reduce(sol[: src.dim])
+def preimages(h):
+    """y -> the canonical minimal x with h(x) = y, or None if there is none.
 
-
-def solve_hom_minimal(h, y):
-    """The canonical minimal solution of h(x) = y (None if unsolvable).
-
-    Particular solution reduced by the kernel lattice: free coordinates get
-    the symmetric representative (positive on ties), torsion coordinates
-    land in [0, d) as always.
+    One `cofactor_hermite` of [h | target relations] serves every y: the
+    image part gives one solution, and the kernel part's Hermite basis
+    reduces it canonically on the cosets of ker h: free coordinates get the
+    symmetric representative (positive on ties), torsion ones land in [0, d).
     """
-    x0 = solve_hom(h, y)
-    if x0 is None:
-        return None
-    basis = kernel(h).lattice_basis()
-    red = _k.reduce_mod_lattice(list(x0), basis)
-    return h.source.reduce(tuple(red))
+    src, tgt = h.source, h.target
+    m, n = tgt.dim, src.dim
+    image, ker = _k.cofactor_hermite([*h.cols, *tgt.relation_columns()], m)
+    tops = [c[:m] for c in image]
+    bottoms = [c[m : m + n] for c in image]
+    basis = Subgroup(src, [c[m : m + n] for c in ker]).lattice_basis()
+
+    def lift(y):
+        coeffs = _k.lattice_coordinates(tops, tgt.reduce(y))
+        if coeffs is None:
+            return None
+        return src.reduce(_k.reduce_mod_lattice(_k.combine(bottoms, coeffs, n), basis))
+
+    return lift
 
 
 def direct_sum(*groups):

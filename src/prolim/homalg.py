@@ -37,6 +37,7 @@ class TruncatedChain(namedtuple("TruncatedChain", "groups maps")):
     """Groups at levels 1..N and bonding maps f_n : G_{n+1} -> G_n."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def __new__(cls, groups, maps):
         if not groups:
@@ -144,6 +145,7 @@ class SystemSES(namedtuple("SystemSES", "sub mid quot inclusions projections")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks
 
     def __new__(cls, sub, mid, quot, inclusions, projections):
         for s in (sub, mid, quot):

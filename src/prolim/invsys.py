@@ -73,7 +73,7 @@ class InverseSystem:
     the last prefix group.
     """
 
-    __slots__ = ("prefix", "maps", "tail", "_tower_cache", "_stab_cache")
+    __slots__ = ("prefix", "maps", "tail", "_tower_cache", "_stab_cache", "_lifts")
 
     def __init__(self, prefix, maps, tail=None):
         prefix = tuple(prefix)
@@ -83,6 +83,7 @@ class InverseSystem:
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "_tower_cache", [])
         object.__setattr__(self, "_stab_cache", {})  # see stabilization_index
+        object.__setattr__(self, "_lifts", {})  # see lift_at
         self._validate()
 
     def __setattr__(self, name, value):
@@ -215,6 +216,18 @@ class InverseSystem:
         if isinstance(tail, CycleTail):
             return tail.maps[(n - k - 1) % tail.period]
         return self._tower_level(n - k)[1]
+
+    def lift_at(self, n, y):
+        """The canonical minimal x in G_{n+1} with f_n(x) = y, or None.
+
+        The `fgab.preimages` operator of each bonding map is cached on the
+        system, keyed by the map, so a cycle's repeating maps share theirs.
+        """
+        h = self.map_at(n)
+        lift = self._lifts.get(h)
+        if lift is None:
+            lift = self._lifts[h] = fgab.preimages(h)
+        return lift(y)
 
     def map_between(self, n, m):
         """Composite f_{n,m} : G_m -> G_n (identity when n = m)."""
@@ -493,9 +506,8 @@ def _image_chain(endo, d=None):
         power = phi
         for _ in range(s - 2):
             power = phi.compose(power)
-        ker = _k.kernel_columns([*power.cols, *t.relation_columns()])
         tau1 = taus[1]
-        k_sum = Subgroup(t, [col[: t.dim] for col in ker] + list(tau1.generators))
+        k_sum = Subgroup(t, kernel(power).generators + tau1.generators)
         k_index = tau1.index_in(k_sum)
     c0 = g_index // k_index if g_index and not g_index % k_index else None
     _check_chain_index(c0, d)

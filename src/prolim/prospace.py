@@ -18,7 +18,7 @@ import reprlib
 from collections import namedtuple
 
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
-from prolim.fgab import json_int, json_list, solve_hom_minimal
+from prolim.fgab import json_int, json_list
 from prolim.invsys import stabilization_index
 
 
@@ -105,8 +105,9 @@ def extend(x, to_level):
 
     At each step the preimage is the canonical minimal solution: the
     solution lattice's symmetric representative on free coordinates,
-    torsion coordinates in [0, d).  Fails with the offending level when no
-    preimage exists (un-surjectivized data).
+    torsion coordinates in [0, d), from `InverseSystem.lift_at`, which
+    reduces each bonding map once per system.  Fails with the offending
+    level when no preimage exists (un-surjectivized data).
     """
     if to_level < x.level:
         raise PreconditionError("cannot extend downward")
@@ -115,8 +116,7 @@ def extend(x, to_level):
     s = x.system
     entries = list(x.entries)
     for lvl in range(x.level, to_level):
-        f = s.map_at(lvl)
-        z = solve_hom_minimal(f, entries[-1])
+        z = s.lift_at(lvl, entries[-1])
         if z is None:
             raise PreconditionError(
                 f"no preimage at level {lvl + 1}: the bonding map into level "

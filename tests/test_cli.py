@@ -791,6 +791,24 @@ def test_dense_negative_budget_exits_2():
     assert res.stdout == b""
 
 
+# sha256 over the exit code, stdout and stderr of `dense` on every fixture at
+# budget 8 (the default cap and --cap 200) and at budget 9 on three deep
+# towers, so that a change in how tuples are lifted cannot move a byte
+DEEP_DENSE_SHA256 = "adc4fecbc0d3a5d15ed82585fd80b3268fc8644791b269ec022803d67f74738f"
+
+
+def test_deep_dense_forms_are_byte_stable(capsys):
+    names = sorted(f[: -len(".json")] for f in os.listdir(FIXTURES) if f.endswith(".json"))
+    forms = [(n, "--budget", "8", *cap) for n in names for cap in ((), ("--cap", "200"))]
+    forms += [(n, "--budget", "9") for n in ("kk-Cantor", "tower-mixed-layers", "tower-z2")]
+    h = hashlib.sha256()
+    for name, *flags in forms:
+        code = cli.main(["dense", fixture(name), *flags])
+        out, err = capsys.readouterr()
+        h.update(f"{name} {' '.join(flags)} {code}\n{out}{err}".encode())
+    assert h.hexdigest() == DEEP_DENSE_SHA256
+
+
 # stdout of each split-demo space, pinned so that a change in how a topology
 # is stored cannot move a byte
 SPLIT_DEMO_SHA256 = {

@@ -184,10 +184,11 @@ def test_image_membership_matches_solvability():
         tgt = random_group(rng, max_rank=1, factors=(2, 4, 6), max_torsion=2)
         h = random_hom(rng, src, tgt)
         im = F.image(h)
+        lift = F.preimages(h)
         for _ in range(6):
             x = tuple(rng.randrange(-3, 4) for _ in range(tgt.dim))
             x = tgt.reduce(x)
-            assert im.contains(x) == (F.solve_hom(h, x) is not None)
+            assert im.contains(x) == (lift(x) is not None)
 
 
 def test_quotient_examples():
@@ -294,14 +295,14 @@ def test_direct_sum_round_trip():
                 assert hom_is_zero(projs[i].compose(incs[j]))
 
 
-def test_solve_hom_minimal_deterministic():
+def test_preimages_are_minimal_and_deterministic():
     h = F.GroupHom(F.Z(2), F.Z(), [[1, 1]])
-    x = F.solve_hom_minimal(h, (3,))
+    x = F.preimages(h)((3,))
     assert x is not None and x[0] + x[1] == 3
-    assert x == F.solve_hom_minimal(h, (3,))
+    assert x == F.preimages(h)((3,))
     # tower lift picks the representative in [0, d)
     h2 = F.GroupHom(F.Zmod(8), F.Zmod(4), [[1]])
-    assert F.solve_hom_minimal(h2, (1,)) == (1,)
+    assert F.preimages(h2)((1,)) == (1,)
 
 
 def test_eventual_image_lattice_cases():
@@ -450,7 +451,7 @@ def test_index_in_matches_smith_reference_on_free_and_mixed_groups():
         if len(small) != len(big):
             assert a.index_in(b) is None
             continue
-        coords = [K.solve(big, col) for col in small]
+        coords = [K.lattice_coordinates(big, col) for col in small]
         _u, d, _ui = K.smith_with_transforms(coords)
         assert a.index_in(b) == abs(prod(row[i] for i, row in enumerate(d)))
         finite += 1

@@ -541,7 +541,8 @@ def _reference_eventual_image(endo):
     tors_cols = [list(t) for t in tblock.generators]
     for w in w_free:
         target = list(w) + [0] * len(g.torsion)
-        sol = K.solve(carrier + tors_cols, target)
+        cols = carrier + tors_cols
+        sol = F.preimages(F.GroupHom.from_columns(F.Z(len(cols)), F.Z(g.dim), cols))(target)
         assert sol is not None
         lifted = list(target)
         for c, tcol in zip(sol[len(carrier):], tors_cols):
@@ -835,7 +836,8 @@ def _change_of_basis(rng, g):
             col[j] = 1
         cols.append(col)
     phi = F.GroupHom(g, g, [list(row) for row in zip(*cols)] if g.dim else [])
-    inv = [F.solve_hom(phi, tuple(int(i == j) for i in range(g.dim))) for j in range(g.dim)]
+    lift = F.preimages(phi)
+    inv = [lift(tuple(int(i == j) for i in range(g.dim))) for j in range(g.dim)]
     phi_inv = F.GroupHom(g, g, [list(row) for row in zip(*inv)] if g.dim else [])
     assert phi.compose(phi_inv) == F.GroupHom.identity(g)
     return phi, phi_inv

@@ -7,6 +7,7 @@ import pytest
 from prolim import fgab as F
 from prolim import invsys as I
 from prolim import prospace as P
+from prolim._backend import kernel as K
 from prolim.errors import EnumerationCapExceeded, InputError, PreconditionError
 
 from conftest import random_finite_cycle_system, random_tower_system
@@ -198,6 +199,27 @@ def test_dense_family_counts_the_cap_before_a_missing_preimage():
         P.dense_family(doubling, 2)
     with pytest.raises(EnumerationCapExceeded, match="exceed the enumeration cap 7$"):
         P.dense_family(doubling, 2, cap=7)
+
+
+def test_each_bonding_map_is_reduced_once_per_system(monkeypatch):
+    # one cofactor Hermite reduction per bonding map lifted through, shared
+    # by every later `extend` on the same system
+    calls = []
+    real = K.cofactor_hermite
+
+    def counting(cols, m):
+        calls.append(m)
+        return real(cols, m)
+
+    monkeypatch.setattr(K, "cofactor_hermite", counting)
+    tower = I.tower_system(F.Zmod(2), [F.Zmod(2)])
+    assert len(P.dense_family(tower, 6)) == 2**6
+    assert calls == [1, 2, 3, 4, 5]
+    top = P.CoherentTuple.from_top(tower, 2, (1, 1))
+    assert P.extend(top, 6).entries == P.extend(top, 6).entries
+    assert calls == [1, 2, 3, 4, 5]
+    assert P.extend(top, 8).level == 8
+    assert calls == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_dense_family_hits_every_level_element(rng):

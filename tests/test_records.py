@@ -176,6 +176,11 @@ def test_truncated_chain_checks_its_levels():
         H.TruncatedChain((Z2, Z2), ())
     with pytest.raises(InputError, match="map 1 does not match its levels"):
         H.TruncatedChain((Z2, Z4), (F.GroupHom.identity(Z2),))
+    chain = H.TruncatedChain((Z2, Z2), (F.GroupHom.identity(Z2),))
+    with pytest.raises(InputError, match="2 levels take 1 maps"):
+        chain._replace(maps=())
+    with pytest.raises(InputError, match="at least one level"):
+        H.TruncatedChain._make(((), ()))
 
 
 def test_system_ses_checks_its_systems_and_maps():
@@ -188,6 +193,11 @@ def test_system_ses_checks_its_systems_and_maps():
         H.SystemSES(SUB, period2, QUO, (inc,), (prj,))
     with pytest.raises(InputError, match=r"levelwise maps for levels 1\.\.1"):
         H.SystemSES(SUB, MID, QUO, (), (prj,))
+    ses = H.SystemSES(SUB, MID, QUO, (inc,), (prj,))
+    with pytest.raises(InputError, match=r"levelwise maps for levels 1\.\.1"):
+        ses._replace(inclusions=())
+    with pytest.raises(PreconditionError, match="literal cycle tails"):
+        ses._replace(mid=tower)
 
 
 def test_group_and_hom_records_check_every_construction_path():
